@@ -4,12 +4,14 @@ Each multiplicity-N block carries a diagonal twist matrix with eigenvalues
 (-1)^j q^(...) and an orthogonal matrix U that switches between the two
 bracketing orders of the triple tensor product.  U is built here twice:
 
-- ``racah_su2(N, p)``: closed expressions in quantum integers [n];
+- ``racah_su2(N, p)``: the recoupling sum (the q-6j formula of Kirillov
+  and Reshetikhin) evaluated in factored quantum integers [n], shown here
+  entry by entry over radical-extension scalars;
 - ``racah_from_eigenvalues(xi, N)``: reconstructed from nothing but the
   normalized twist eigenvalues, with signs pinned by exact orthogonality.
 
-Both are certified exactly: U U^T = I as radical-extension scalars, entry
-by entry, with no numerics anywhere.
+Both are certified exactly: U U^T = I, entry by entry, with no numerics
+anywhere.
 """
 
 from homfly3.racah import (
@@ -23,7 +25,7 @@ from homfly3.racah import (
 
 N, p = 2, 1
 u = racah_su2(N, p)
-print("closed-form U(%d|%d):" % (N, p))
+print("recoupling-sum U(%d|%d):" % (N, p))
 for i, row in enumerate(u):
     for j, entry in enumerate(row):
         print("  [%d][%d] = %s" % (i, j, entry.render()))
@@ -38,7 +40,7 @@ print()
 xi = normalized_eigenvalues(N, p)
 print("normalized twist eigenvalues:", ", ".join(x.render() for x in xi))
 v = racah_from_eigenvalues(xi, N)
-print("eigenvalue reconstruction equals the closed form:", u == v)
+print("eigenvalue reconstruction equals the recoupling sum:", u == v)
 print()
 
 # a bigger block: the 3x3 mixing matrix at p = 2

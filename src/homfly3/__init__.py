@@ -10,10 +10,11 @@ A and q.  All arithmetic is exact; nothing here ever touches a float.
 Submodules
 ----------
 qpoly   exact Laurent/rational arithmetic in q and (A, q)
-radext  square-root extension scalars with a radical-freeness certificate
+radext  square-root extension scalars: the radical view of the mixing matrices
 young   Young diagrams, framing weights, block bookkeeping
 symfun  Schur polynomials in power sums, Adams maps, cut-and-join
-racah   mixing matrices: closed forms and the eigenvalue construction
+racah   mixing matrices: the recoupling sum in factored quantum integers,
+        cross-checked by the eigenvalue construction
 braid   character expansion and the polynomial invariants themselves
 knotdb  the bundled table of verified polynomials
 cli     the ``homfly3`` command-line tool
@@ -34,8 +35,10 @@ from .braid import (  # noqa: F401
     NonPolynomialResult,
     antisymmetric_dual,
     character_coefficients,
+    expansion_polynomial,
     extended_homfly,
     jones_polynomial,
+    reduce_expansion,
     reduced_homfly,
     special_polynomial,
 )

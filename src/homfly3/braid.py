@@ -10,29 +10,27 @@ invariants are assembled from them: the extended polynomial as a symmetric
 function, and the reduced two-variable polynomial on the topological locus
 after framing and division by the quantum dimension.
 
-The trace never touches radicals at runtime.  Writing U = S B S with
-S = diag(sqrt(rho_j)) and B certified rational once per matrix turns every
-factor into D_a B D_b B^T with D_x = diag(rho_j xi_j^x), which is plain
-Laurent arithmetic; the rho-conjugation cancels cyclically, so the trace is
+The trace never touches radicals.  Each block carries its mixing matrix as
+the certified integer triple of :func:`homfly3.racah.twisted_basis`,
+U = S (V/c) S with S = diag(sqrt(rho_j)), which turns every factor into
+D_a V D_b V^T / c^2 with D_x = diag(rho_j xi_j^x): plain Laurent
+arithmetic, and the rho-conjugation cancels cyclically, so the trace is
 exactly the original one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .qpoly import (
     InexactDivision,
     LaurentQ,
     LaurentQA,
-    RationalQ,
     curly_q,
     laurent_divexact,
-    laurent_gcd,
     substitute,
 )
-from .radext import sqrt_of
 from .young import YoungDiagram, cube_blocks, hook_content_dimension
 from .racah import build_block
 from .symfun import PowerSumPoly, schur_in_powersums
@@ -44,7 +42,9 @@ __all__ = [
     "character_coefficients",
     "closure_components",
     "extended_homfly",
+    "expansion_polynomial",
     "reduced_homfly",
+    "reduce_expansion",
     "antisymmetric_dual",
     "special_polynomial",
     "jones_polynomial",
@@ -116,53 +116,6 @@ class CharacterExpansion:
 # --------------------------------------------------------------------------
 # radical-free trace engine
 
-@lru_cache(maxsize=None)
-def _twisted_basis(size, p, convention=None):
-    """Certify U(size|p) = S B S and clear denominators.
-
-    Returns (rho, V, c): rho_j are the Laurent values with S = diag(sqrt
-    rho_j); V = c * B is an integer-coefficient Laurent matrix and c the
-    common denominator cleared from the rational matrix B.
-    """
-    from .racah import racah_su2
-
-    u = racah_su2(size, p, convention)
-    one = LaurentQ.one()
-    rho = [one]
-    for j in range(1, size):
-        parts = u[0][j].parts
-        if len(parts) != 1:
-            raise ArithmeticError(
-                "mixing entry (0,%d) is not a single radical term" % j
-            )
-        ((radicand, _),) = parts.items()
-        rho.append(one if radicand is None else radicand.value())
-    roots = [sqrt_of(v) for v in rho]
-
-    b = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            scaled = u[i][j] * roots[i] * roots[j]
-            scaled = scaled * RationalQ(one, rho[i] * rho[j])
-            row.append(scaled.assert_rational())
-        b.append(row)
-
-    c = one
-    for row in b:
-        for entry in row:
-            g = laurent_gcd(c, entry.den)
-            c = c * laurent_divexact(entry.den, g)
-    v = tuple(
-        tuple(
-            entry.num * laurent_divexact(c, entry.den)
-            for entry in row
-        )
-        for row in b
-    )
-    return tuple(rho), v, c
-
-
 def _lq_matmul(a, b):
     n = len(a)
     m = len(b[0])
@@ -179,13 +132,13 @@ def _lq_matmul(a, b):
     return tuple(out)
 
 
-def _block_trace(block, word, convention=None):
+def _block_trace(block, word):
     """C_Q for one mixing block: Tr prod_i R^{a_i} U R^{b_i} U^T."""
     xi = block.eigenvalues
     size = len(xi)
     if size == 1:
         return xi[0] ** word.writhe
-    rho, v, c = _twisted_basis(size, block.spec.p, convention)
+    rho, v, c = block.rho, block.V, block.c
     vt = tuple(tuple(v[j][i] for j in range(size)) for i in range(size))
 
     prod = None
@@ -203,7 +156,7 @@ def _block_trace(block, word, convention=None):
     return laurent_divexact(trace, c ** (2 * len(word.blocks)))
 
 
-def character_coefficients(word, r, convention=None):
+def character_coefficients(word, r):
     """Trace every cube block of color r along the braid word.
 
     Each coefficient is certified radical-free with unit denominator; the
@@ -211,8 +164,7 @@ def character_coefficients(word, r, convention=None):
     """
     coeffs = {}
     for spec in cube_blocks(r):
-        block = build_block(spec, convention)
-        coeffs[spec.Q] = _block_trace(block, word, convention)
+        coeffs[spec.Q] = _block_trace(build_block(spec), word)
     return CharacterExpansion(r=r, coefficients=coeffs)
 
 
@@ -221,10 +173,22 @@ def character_coefficients(word, r, convention=None):
 
 def extended_homfly(word, r):
     """The character expansion sum_Q C_Q * S_Q as a power-sum polynomial."""
-    expansion = character_coefficients(word, r)
+    return expansion_polynomial(character_coefficients(word, r))
+
+
+def expansion_polynomial(expansion):
+    """sum_Q C_Q * S_Q for an expansion from character_coefficients."""
     acc = PowerSumPoly.zero()
     for Q, c in expansion.coefficients.items():
         acc = acc + c * schur_in_powersums(Q)
+    return acc
+
+
+def _curly_product(atoms):
+    """prod_h {q^h}^atoms[h] for a Counter of hook lengths h."""
+    acc = LaurentQ.one()
+    for h, n in atoms.items():
+        acc = acc * curly_q(h) ** n
     return acc
 
 
@@ -272,55 +236,44 @@ def _divide_curly_atom(f, content):
 
 
 def reduced_homfly(word, r):
+    """Reduced polynomial of the closure of ``word`` in color [r]."""
+    return reduce_expansion(character_coefficients(word, r), word.writhe)
+
+
+def reduce_expansion(expansion, writhe):
     """Reduced polynomial: framing times sum C_Q S_Q* over S_[r]*.
 
-    The topological-locus values S_Q* enter through their hook/content
-    product form; the division by the quantum dimension of [r] must clear
-    exactly, otherwise NonPolynomialResult is raised (multi-component
-    closures genuinely do this; for knots it would signal a bug).
+    ``expansion`` comes from character_coefficients and ``writhe`` is its
+    word's writhe.  The topological-locus values S_Q* enter through their
+    hook/content product form; the division by the quantum dimension of
+    [r] must clear exactly, otherwise NonPolynomialResult is raised
+    (multi-component closures genuinely do this; for knots it would
+    signal a bug).
     """
-    expansion = character_coefficients(word, r)
+    r = expansion.r
     dims = {Q: hook_content_dimension(Q) for Q in expansion.coefficients}
     dim_r = hook_content_dimension(YoungDiagram([r]))
 
     # common pure-q denominator: max multiset of hook atoms across blocks
-    common = {}
+    common = Counter()
     for d in dims.values():
-        counts = {}
-        for h in d.den_atoms:
-            counts[h] = counts.get(h, 0) + 1
-        for h, n in counts.items():
-            common[h] = max(common.get(h, 0), n)
+        common |= Counter(d.den_atoms)
 
     total = LaurentQA.zero()
     for Q, c in expansion.coefficients.items():
         d = dims[Q]
-        missing = dict(common)
-        for h in d.den_atoms:
-            missing[h] -= 1
-        fill = LaurentQ.one()
-        for h, n in missing.items():
-            for _ in range(n):
-                fill = fill * curly_q(h)
+        fill = _curly_product(common - Counter(d.den_atoms))
         total = total + d.num * LaurentQA.from_q(c * fill)
 
     # multiply by the hooks of [r] (numerator of 1/S_[r]*), then divide by
     # the common q-denominator and by the content atoms of [r]
-    hooks_r = LaurentQ.one()
-    for h in dim_r.den_atoms:
-        hooks_r = hooks_r * curly_q(h)
-    total = total * LaurentQA.from_q(hooks_r)
-
-    denom = LaurentQ.one()
-    for h, n in common.items():
-        for _ in range(n):
-            denom = denom * curly_q(h)
-    total = _divide_pure_q(total, denom)
+    total = total * LaurentQA.from_q(_curly_product(Counter(dim_r.den_atoms)))
+    total = _divide_pure_q(total, _curly_product(common))
     for content in dim_r.num_atoms:
         total = _divide_curly_atom(total, content)
 
-    w = word.writhe
-    framing = LaurentQA.monomial(1, a=-r * w, qexp=-2 * r * (r - 1) * w)
+    framing = LaurentQA.monomial(
+        1, a=-r * writhe, qexp=-2 * r * (r - 1) * writhe)
     return total * framing
 
 

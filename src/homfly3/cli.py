@@ -16,6 +16,7 @@ import argparse
 import json
 import re
 import sys
+from functools import lru_cache
 
 from . import knotdb
 from .braid import (
@@ -24,8 +25,9 @@ from .braid import (
     antisymmetric_dual,
     character_coefficients,
     closure_components,
-    extended_homfly,
+    expansion_polynomial,
     jones_polynomial,
+    reduce_expansion,
     reduced_homfly,
     special_polynomial,
 )
@@ -167,9 +169,15 @@ def _cmd_compute(args, out, err):
             "(the bundled reference tables cover knots only)\n" % components
         )
 
+    # each request traces the word at most once and reduces at most once
+    @lru_cache(maxsize=None)
+    def expansion():
+        return character_coefficients(word, r)
+
+    @lru_cache(maxsize=None)
     def reduced():
         try:
-            h = reduced_homfly(word, r)
+            h = reduce_expansion(expansion(), word.writhe)
         except NonPolynomialResult as exc:
             raise _CliError(
                 EXIT_VERIFY,
@@ -181,13 +189,13 @@ def _cmd_compute(args, out, err):
 
     if args.format == "json":
         h = reduced()
-        expansion = character_coefficients(word, r)
         payload = {
             "braid": word.render(),
             "r": r,
             "writhe": word.writhe,
             "coefficients": {
-                Q.render(): c.render() for Q, c in expansion.coefficients.items()
+                Q.render(): c.render()
+                for Q, c in expansion().coefficients.items()
             },
             "reduced": h.render(),
             "special": special_polynomial(h).render(),
@@ -205,12 +213,12 @@ def _cmd_compute(args, out, err):
         elif name == "jones":
             sections.append((name, jones_polynomial(reduced()).render()))
         elif name == "extended":
-            sections.append((name, extended_homfly(word, r).render()))
+            sections.append(
+                (name, expansion_polynomial(expansion()).render()))
         elif name == "coefficients":
-            expansion = character_coefficients(word, r)
             lines = [
                 "%s: %s" % (Q.render(), c.render())
-                for Q, c in expansion.coefficients.items()
+                for Q, c in expansion().coefficients.items()
             ]
             sections.append((name, "\n".join(lines)))
 

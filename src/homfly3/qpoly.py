@@ -235,9 +235,6 @@ class LaurentQ:
         """Term map {exponent numerator over 6: coefficient} (a copy)."""
         return dict(self._t)
 
-    def coeff6(self, e6: int):
-        return self._t.get(e6, 0)
-
     def is_zero(self) -> bool:
         return not self._t
 
@@ -249,12 +246,6 @@ class LaurentQ:
 
     def min6(self) -> int:
         return min(self._t)
-
-    def max6(self) -> int:
-        return max(self._t)
-
-    def num_terms(self) -> int:
-        return len(self._t)
 
     # -- ring operations ----------------------------------------------------
 
@@ -334,15 +325,6 @@ class LaurentQ:
 
     # -- substitutions ------------------------------------------------------
 
-    def subs_q_power(self, k: int) -> "LaurentQ":
-        """q -> q^k (k a nonzero integer)."""
-        if k == 0:
-            raise ValueError("q -> q^0 is not a ring map on Laurent polynomials")
-        return _mk({e * k: c for e, c in self._t.items()})
-
-    def invert_q(self) -> "LaurentQ":
-        return _mk({-e: c for e, c in self._t.items()})
-
     def subs_q_neg_inv(self) -> "LaurentQ":
         """q -> -q^(-1); requires all exponents integral."""
         out = {}
@@ -352,10 +334,6 @@ class LaurentQ:
                     "fractional q-exponent %s/6 under a parity-sensitive substitution" % e)
             out[-e] = c if (e // EXP_DEN) % 2 == 0 else -c
         return _mk(out)
-
-    def eval_one(self):
-        """Value at q = 1, as an exact rational."""
-        return sum(self._t.values(), Fraction(0)) if self._t else Fraction(0)
 
     # -- rendering ----------------------------------------------------------
 
@@ -1020,9 +998,6 @@ class RationalQ:
             base = base * base if n > 1 else base
             n >>= 1
         return out
-
-    def inverse(self) -> "RationalQ":
-        return RationalQ.one() / self
 
     # -- rendering ---------------------------------------------------------------
 

@@ -3,19 +3,24 @@
 Every irreducible block of the 3-strand transfer algebra is described by a
 pair (R, U): R is diagonal and holds the signed twist eigenvalues
 xi_j = (-1)^j q^{kappa}, and U is the orthogonal change of basis between the
-two fusion channels.  This module builds U two independent ways:
+two fusion channels.  U is built one way, by the recoupling sum for three
+equal spins (the q-6j formula of Kirillov and Reshetikhin), evaluated in
+factored quantum integers, and is handed out in two shapes:
 
-- ``racah_su2``: closed q-number expressions for sizes 2..5, entry by entry,
-  over the radical-extension scalars of :mod:`homfly3.radext`;
-- ``racah_from_eigenvalues``: the same matrices reconstructed from nothing
-  but the normalized eigenvalue list, with off-diagonal magnitudes given by
-  rational expressions in the eigenvalues and signs pinned by exact
-  orthogonality.
+- ``twisted_basis``: the integer Laurent triple (rho, V, c) with
+  U = S (V/c) S and S = diag(sqrt(rho_j)), which the trace engine of
+  :mod:`homfly3.braid` consumes;
+- ``racah_su2``: the same matrix entry by entry over the radical-extension
+  scalars of :mod:`homfly3.radext`, U_ij = (V_ij/c) sqrt(rho_i rho_j).
 
-Both constructions are certified at build time: U * U^T must equal the
-identity exactly (as RadicalScalars), and the sign layout must satisfy
-sigma U sigma = U^T with sigma = diag(+1, -1, +1, ...).  Construction fails
-loudly rather than returning an uncertified matrix.
+``racah_from_eigenvalues`` rebuilds U independently, from nothing but the
+normalized eigenvalue list, with off-diagonal magnitudes given by rational
+expressions in the eigenvalues and signs pinned by exact orthogonality.
+
+Every construction is certified at build time: U * U^T must equal the
+identity exactly, and the sign layout must satisfy sigma U sigma = U^T with
+sigma = diag(+1, -1, +1, ...).  Construction fails loudly rather than
+returning an uncertified matrix.
 """
 
 from __future__ import annotations
@@ -25,8 +30,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iterproduct
 
-from .qpoly import LaurentQ, RationalQ, quantum_int
-from .radext import RadicalScalar, sqrt_of
+from .qpoly import (
+    EXP_DEN,
+    InexactDivision,
+    LaurentQ,
+    RationalQ,
+    laurent_divexact,
+)
+from .radext import Radicand, RadicalScalar, sqrt_of
 from .young import BlockSpec, pair_exponent
 
 __all__ = [
@@ -34,8 +45,8 @@ __all__ = [
     "RepeatedEigenvalue",
     "NonOrthogonal",
     "UnsupportedMultiplicity",
-    "SignConvention",
     "MixingBlock",
+    "twisted_basis",
     "racah_su2",
     "racah_from_eigenvalues",
     "build_block",
@@ -60,32 +71,6 @@ class NonOrthogonal(ArithmeticError):
 
 class UnsupportedMultiplicity(ValueError):
     """Mixing matrices of size >= 6 are not implemented."""
-
-
-@dataclass(frozen=True)
-class SignConvention:
-    """Diagonal +-1 dressing U -> D U D with D = diag(1, eps_1, ..., eps_{N-1}).
-
-    Flips are relative to the module's pinned default signs.  Traces of the
-    transfer products are invariant under any such dressing, so this is a
-    cosmetic knob; it exists so tests can assert that invariance.
-    """
-
-    epsilons: tuple
-
-    def __post_init__(self):
-        eps = tuple(self.epsilons)
-        if not all(e in (1, -1) for e in eps):
-            raise ValueError("epsilons must be +1 or -1, got %r" % (eps,))
-        object.__setattr__(self, "epsilons", eps)
-
-    def diag(self, size):
-        if len(self.epsilons) != size - 1:
-            raise ValueError(
-                "convention has %d epsilons, need %d for size %d"
-                % (len(self.epsilons), size - 1, size)
-            )
-        return (1,) + self.epsilons
 
 
 # --------------------------------------------------------------------------
@@ -149,210 +134,177 @@ def _apply_diag_flips(u, signs):
 
 
 # --------------------------------------------------------------------------
-# closed q-number forms, sizes 2..5
+# factored quantum numbers
+#
+# A factored value (sign, u6, exps) stands for
+#     sign * q^(u6/6) * prod_d Phi_d(q^2)^exps[d],
+# Phi_d the d-th cyclotomic polynomial.  Since
+#     [k] = q^-(k-1) * prod_{d | k, d > 1} Phi_d(q^2),
+# products, quotients and square roots of quantum integers are exponent
+# arithmetic, and only sums need polynomials, which are divided back by
+# the Phi_d they share with the denominators.
 
-def _rq(num_factors, den_factors):
-    num = LaurentQ.one()
-    for n in num_factors:
-        num = num * quantum_int(n)
-    den = LaurentQ.one()
-    for n in den_factors:
-        den = den * quantum_int(n)
-    return RationalQ(num, den)
-
-
-def _entry(num_factors, den_factors, rad_num=(), rad_den=()):
-    """Rational coefficient times the square root of a q-integer ratio."""
-    coeff = RadicalScalar.rational(_rq(num_factors, den_factors))
-    if rad_num or rad_den:
-        coeff = coeff * sqrt_of(_rq(rad_num, rad_den))
-    return coeff
-
-
-def _sigma_fill(upper, n):
-    """Complete an upper-triangular entry dict by U_ji = (-1)^{i+j} U_ij."""
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j >= i:
-                row.append(upper[(i, j)])
-            else:
-                e = upper[(j, i)]
-                row.append(e if (i + j) % 2 == 0 else -e)
-        rows.append(tuple(row))
-    return tuple(rows)
+@lru_cache(maxsize=None)
+def _cyclotomic(d):
+    """Phi_d(q^2): x^d - 1 divided by Phi_k(x) for every k | d, k < d."""
+    phi = LaurentQ({2 * EXP_DEN * d: 1, 0: -1})
+    for k in range(1, d):
+        if d % k == 0:
+            phi = laurent_divexact(phi, _cyclotomic(k))
+    return phi
 
 
-def _closed_u2(p):
-    c = _entry([p], [2 * p])
-    s = _entry([], [2 * p], rad_num=[p, 3 * p])
-    return _sigma_fill({(0, 0): c, (0, 1): s, (1, 1): c}, 2)
+def _qint(k):
+    """[k] for k >= 1, factored."""
+    return 1, -EXP_DEN * (k - 1), {d: 1 for d in range(2, k + 1) if k % d == 0}
 
 
-def _closed_u3(p):
-    # The two free signs in the printed form are pinned to eps1 = eps2 = -1,
-    # the values that reproduce the explicit displayed 3x3 matrices.
-    e1 = -1
-    e2 = -1
-    u = {
-        (0, 0): _entry([p - 1, p], [2 * p - 1, 2 * p]),
-        (0, 1): e1 * _entry([p], [2 * p],
-                            rad_num=[2, p - 1, 3 * p - 1],
-                            rad_den=[2 * p - 2, 2 * p - 1]),
-        (0, 2): e2 * _entry([], [2 * p - 1],
-                            rad_num=[p - 1, p, 3 * p - 2, 3 * p - 1],
-                            rad_den=[2 * p - 2, 2 * p]),
-        (1, 1): -_entry([p - 1, p, 4 * p - 2],
-                        [2 * p - 2, 2 * p - 1, 2 * p]),
-        (1, 2): (e1 * e2) * _entry([p - 1], [2 * p - 2],
-                                   rad_num=[2, p, 3 * p - 2],
-                                   rad_den=[2 * p - 1, 2 * p]),
-        (2, 2): _entry([p - 1, p], [2 * p - 2, 2 * p - 1]),
-    }
-    return _sigma_fill(u, 3)
-
-
-def _closed_u4(p):
-    poly11 = (quantum_int(3 * p - 2) + quantum_int(3 * p - 4)
-              - quantum_int(p))
-    poly12 = quantum_int(2) * quantum_int(p - 1) - quantum_int(3 * p - 2)
-    poly22 = (quantum_int(2) * quantum_int(3 * p - 3)
-              - quantum_int(p - 2))
-    u = {
-        # the two diagonal corners and the (0,2), (1,3) roots carry the
-        # opposite sign from the naive all-plus layout; orthogonality
-        # certification below is the arbiter for this choice
-        (0, 0): -_entry([p - 2, p - 1, p],
-                        [2 * p - 2, 2 * p - 1, 2 * p]),
-        (0, 1): _entry([p - 1, p], [2 * p - 2, 2 * p],
-                       rad_num=[p - 2, 3, 3 * p - 2],
-                       rad_den=[2 * p - 1, 2 * p - 3]),
-        (0, 2): -_entry([p], [2 * p - 1, 2 * p - 2],
-                        rad_num=[3, p - 2, p - 1, 3 * p - 3, 3 * p - 2],
-                        rad_den=[2 * p, 2 * p - 4]),
-        (0, 3): _entry([], [2 * p - 2],
-                       rad_num=[p - 2, p - 1, p,
-                                3 * p - 4, 3 * p - 3, 3 * p - 2],
-                       rad_den=[2 * p - 4, 2 * p - 3, 2 * p - 1, 2 * p]),
-        (1, 1): RadicalScalar.rational(
-            RationalQ(quantum_int(p - 1) * quantum_int(p) * poly11,
-                      quantum_int(2 * p - 3) * quantum_int(2 * p - 2)
-                      * quantum_int(2 * p))),
-        (1, 2): RadicalScalar.rational(
-            RationalQ(quantum_int(p - 2) * poly12, quantum_int(2 * p - 2)))
-        * sqrt_of(_rq([p - 1, 3 * p - 3],
-                      [2 * p - 4, 2 * p - 3, 2 * p - 1, 2 * p])),
-        (1, 3): -_entry([p - 2], [2 * p - 2, 2 * p - 3],
-                        rad_num=[p, 3, p - 1, 3 * p - 3, 3 * p - 4],
-                        rad_den=[2 * p, 2 * p - 4]),
-        (2, 2): RadicalScalar.rational(
-            RationalQ(quantum_int(p - 2) * quantum_int(p - 1) * poly22,
-                      quantum_int(2 * p - 1) * quantum_int(2 * p - 2)
-                      * quantum_int(2 * p - 4))),
-        (2, 3): _entry([p - 2, p - 1], [2 * p - 4, 2 * p - 2],
-                       rad_num=[p, 3, 3 * p - 4],
-                       rad_den=[2 * p - 3, 2 * p - 1]),
-        (3, 3): -_entry([p - 2, p - 1, p],
-                        [2 * p - 4, 2 * p - 3, 2 * p - 2]),
-    }
-    return _sigma_fill(u, 4)
-
-
-def _closed_u5(p):
-    q = quantum_int
-    poly11 = q(p - 3) ** 2 - q(3) * q(p - 1) * q(3 * p - 3)
-    poly13 = q(3) * q(p - 1) - q(3 * p - 3)
-    poly22 = (q(p - 3) ** 2 * q(p - 2)
-              - q(2) ** 2 * q(p - 2) ** 2 * q(3 * p - 4)
-              + q(p - 3) * q(3 * p - 4) * q(3 * p - 3))
-    poly33 = q(p - 3) - q(3) * q(3 * p - 5)
-    u = {
-        (0, 0): _entry([p - 3, p - 2, p - 1, p],
-                       [2 * p - 3, 2 * p - 2, 2 * p - 1, 2 * p]),
-        (0, 1): _entry([p - 2, p - 1, p],
-                       [2 * p - 3, 2 * p - 2, 2 * p],
-                       rad_num=[4, p - 3, 3 * p - 3],
-                       rad_den=[2 * p - 4, 2 * p - 1]),
-        (0, 2): _entry([p - 1, p], [2 * p - 2, 2 * p - 1],
-                       rad_num=[3, 4, p - 3, p - 2, 3 * p - 4, 3 * p - 3],
-                       rad_den=[2, 2 * p - 5, 2 * p - 4, 2 * p - 3, 2 * p]),
-        (0, 3): _entry([p], [2 * p - 3, 2 * p - 2],
-                       rad_num=[4, p - 3, p - 2, p - 1,
-                                3 * p - 5, 3 * p - 4, 3 * p - 3],
-                       rad_den=[2 * p - 6, 2 * p - 4, 2 * p - 1, 2 * p]),
-        (0, 4): _entry([], [2 * p - 3],
-                       rad_num=[p - 3, p - 2, p - 1, p,
-                                3 * p - 6, 3 * p - 5, 3 * p - 4, 3 * p - 3],
-                       rad_den=[2 * p - 6, 2 * p - 5, 2 * p - 4,
-                                2 * p - 2, 2 * p - 1, 2 * p]),
-        (1, 1): RadicalScalar.rational(
-            RationalQ(q(p - 2) * q(p - 1) * poly11,
-                      q(2 * p - 4) * q(2 * p - 3) * q(2 * p - 2)
-                      * q(2 * p))),
-        (1, 2): -_entry([p - 2, p - 1, p, 4 * p - 6],
-                        [2 * p - 4, 2 * p - 3, 2 * p - 2],
-                        rad_num=[p - 2, 2, 3, 3 * p - 4],
-                        rad_den=[2 * p - 5, 2 * p - 3, 2 * p - 1, 2 * p]),
-        (1, 3): RadicalScalar.rational(
-            RationalQ(q(p - 3) * poly13,
-                      q(2 * p - 4) * q(2 * p - 3) * q(2 * p - 2)))
-        * sqrt_of(_rq([p - 2, p - 1, 3 * p - 5, 3 * p - 4],
-                      [2 * p - 6, 2 * p])),
-        (1, 4): _entry([p - 3], [2 * p - 4, 2 * p - 3],
-                       rad_num=[4, p - 2, p - 1, p,
-                                3 * p - 6, 3 * p - 5, 3 * p - 4],
-                       rad_den=[2 * p - 6, 2 * p - 5, 2 * p - 2, 2 * p]),
-        (2, 2): RadicalScalar.rational(
-            RationalQ(q(p - 2) * poly22,
-                      q(2 * p - 5) * q(2 * p - 4) * q(2 * p - 2)
-                      * q(2 * p - 1))),
-        (2, 3): -_entry([p - 3, p - 2, p - 1, 4 * p - 6],
-                        [2 * p - 4, 2 * p - 3, 2 * p - 2],
-                        rad_num=[p - 1, 2, 3, 3 * p - 5],
-                        rad_den=[2 * p - 6, 2 * p - 5, 2 * p - 3,
-                                 2 * p - 1]),
-        (2, 4): _entry([p - 3, p - 2], [2 * p - 5, 2 * p - 4],
-                       rad_num=[3, 4, p - 1, p, 3 * p - 6, 3 * p - 5],
-                       rad_den=[2, 2 * p - 6, 2 * p - 3, 2 * p - 2,
-                                2 * p - 1]),
-        (3, 3): RadicalScalar.rational(
-            RationalQ(q(p - 3) * q(p - 2) * q(p - 1) * poly33,
-                      q(2 * p - 6) * q(2 * p - 4) * q(2 * p - 3)
-                      * q(2 * p - 2))),
-        (3, 4): _entry([p - 3, p - 2, p - 1],
-                       [2 * p - 6, 2 * p - 4, 2 * p - 3],
-                       rad_num=[4, p, 3 * p - 6],
-                       rad_den=[2 * p - 5, 2 * p - 2]),
-        (4, 4): _entry([p - 3, p - 2, p - 1, p],
-                       [2 * p - 6, 2 * p - 5, 2 * p - 4, 2 * p - 3]),
-    }
-    return _sigma_fill(u, 5)
-
-
-_CLOSED_FORMS = {2: _closed_u2, 3: _closed_u3, 4: _closed_u4, 5: _closed_u5}
+def _fprod(num, den=()):
+    """prod(num) / prod(den) of factored values."""
+    sign, u6, exps = 1, 0, {}
+    for power, values in ((1, num), (-1, den)):
+        for s, u, ex in values:
+            sign *= s
+            u6 += power * u
+            for d, e in ex.items():
+                exps[d] = exps.get(d, 0) + power * e
+    return sign, u6, {d: e for d, e in exps.items() if e}
 
 
 @lru_cache(maxsize=None)
-def _racah_su2_cached(n, p):
-    u = _CLOSED_FORMS[n](p)
-    certify_orthogonal(u)
-    _certify_sigma(u)
-    return u
+def _qfactorial(n):
+    """[n]! for n >= 0, factored."""
+    return _fprod([_qint(k) for k in range(1, n + 1)])
 
 
-def racah_su2(N, p, convention=None):
-    """Closed-form orthogonal mixing matrix of size N for twist parameter p.
+def _expand(exps, sign=1, u6=0):
+    """sign * q^(u6/6) * prod_d Phi_d(q^2)^exps[d], exps >= 0, as a LaurentQ.
 
-    Entries are exact RadicalScalars; orthogonality and the alternating
-    transpose symmetry are certified before the matrix is returned.  The
-    optional ``convention`` applies a diagonal +-1 dressing on top of the
-    pinned default signs.
+    ``exps`` may also be a set of d, standing for exponents 1.
+    """
+    if not isinstance(exps, dict):
+        exps = dict.fromkeys(exps, 1)
+    acc = LaurentQ({u6: sign})
+    for d in sorted(exps):
+        acc = acc * _cyclotomic(d) ** exps[d]
+    return acc
+
+
+# --------------------------------------------------------------------------
+# the recoupling sum, straight to the twisted basis
+
+def _row_radicand(p, k, j):
+    """f_j: the part of an entry's radicand that depends on its row alone.
+
+    Spin dictionary: three coupled copies of spin p/2, total spin
+    (3p - 2k)/2, intermediate spin j; f_j is [2j+1] times the two triangle
+    coefficients of j.
+    """
+    f = _qfactorial
+    return _fprod(
+        [_qint(2 * j + 1), f(j), f(j), f(p - j),
+         f(p - k + j), f(k - p + j), f(2 * p - k - j)],
+        [f(p + j + 1), f(2 * p - k + j + 1)],
+    )
+
+
+def _alternating_sum(p, k, j, jp):
+    """The recoupling sum over s as (common factored part, remaining terms).
+
+    Every term is +-[s+1]! over seven factorials; the per-d minimum of the
+    terms' exponents is pulled out, so the remaining polynomial is a plain
+    sum of products of cyclotomic polynomials.
+    """
+    terms = []
+    for s in range(3 * p - k + 1):
+        args = (s - p - j, s - 2 * p + k - j, s - 2 * p + k - jp, s - p - jp,
+                3 * p - k - s, p + j + jp - s, 2 * p - k + j + jp - s)
+        if min(args) >= 0:
+            sign, u6, exps = _fprod([_qfactorial(s + 1)],
+                                    [_qfactorial(a) for a in args])
+            terms.append((-sign if s % 2 else sign, u6, exps))
+    common = {}
+    for d in set().union(*(exps for _, _, exps in terms)):
+        common[d] = min(exps.get(d, 0) for _, _, exps in terms)
+    total = LaurentQ.zero()
+    for sign, u6, exps in terms:
+        rest = {d: exps.get(d, 0) - e for d, e in common.items()}
+        total = total + _expand(rest, sign, u6)
+    return common, total
+
+
+# The bare sum carries its own row and column signs; U keeps the pinned
+# layout of the paper's displayed matrices, U = eps * D_N * sum * D_N with
+# D_N = diag(_SUM_DRESS[N]) and eps = (-1)^p, or (-1)^(p+1) for N = 4.
+# Any such dressing leaves every trace unchanged.
+_SUM_DRESS = {
+    2: (1, 1),
+    3: (1, -1, -1),
+    4: (1, -1, 1, -1),
+    5: (1, 1, 1, 1, 1),
+}
+
+
+@lru_cache(maxsize=None)
+def _recoupling(N, p):
+    """U(N|p) in factored form: (odd, nums, dens).
+
+    U_ij = nums[i, j] / prod_d Phi_d(q^2)^dens[i, j][d]
+           * sqrt(rho_i rho_j),   rho_j = prod_d Phi_d(q^2)^odd[j][d],
+    with each ratio in lowest terms.  Row i carries the intermediate spin
+    j = p - i of the recoupling sum.
+    """
+    k = N - 1
+    spins = [p - i for i in range(N)]
+    f = [_row_radicand(p, k, j) for j in spins]
+    # rho_j is the odd part of f_0 f_j, so f_i f_j / (rho_i rho_j) is a
+    # square whose root joins the rational part of the entry
+    odd = [{d: 1 for d, e in _fprod([f[0], fj])[2].items() if e % 2}
+           for fj in f]
+    eps = -1 if (p + (N == 4)) % 2 else 1
+    dress = _SUM_DRESS[N]
+    nums, dens = {}, {}
+    for i in range(N):
+        for jj in range(N):
+            _, u6, exps = _fprod([f[i], f[jj]],
+                                 [(1, 0, odd[i]), (1, 0, odd[jj])])
+            if u6 % 2 or any(e % 2 for e in exps.values()):
+                raise NonOrthogonal(
+                    "radicand of entry (%d,%d) is not rho_i rho_j times a "
+                    "square" % (i, jj))
+            common, total = _alternating_sum(p, k, spins[i], spins[jj])
+            sign = eps * dress[i] * dress[jj] * (-1) ** ((k + i) % 2)
+            sign, u6, exps = _fprod(
+                [(sign, u6 // 2, {d: e // 2 for d, e in exps.items()}),
+                 (1, 0, common)])
+            den = {d: -e for d, e in exps.items() if e < 0} if total else {}
+            for d in den:
+                while den[d]:
+                    try:
+                        total = laurent_divexact(total, _cyclotomic(d))
+                    except InexactDivision:
+                        break
+                    den[d] -= 1
+            pos = {d: e for d, e in exps.items() if e > 0}
+            nums[i, jj] = total * _expand(pos, sign, u6)
+            dens[i, jj] = {d: e for d, e in den.items() if e}
+    return odd, nums, dens
+
+
+@lru_cache(maxsize=None)
+def twisted_basis(N, p):
+    """The mixing matrix U(N|p) as the certified triple (rho, V, c).
+
+    U = S (V/c) S with S = diag(sqrt(rho_j)); rho_j, the entries of V and c
+    are integer Laurent polynomials, rho_0 = 1, every rho_j is squarefree
+    and c is the least common denominator of V/c.  Certified before it is
+    returned: V diag(rho) V^T = c^2 diag(1/rho), which is U U^T = I
+    conjugated by S, and V_ji = (-1)^(i+j) V_ij.
     """
     if not isinstance(N, int) or not isinstance(p, int):
-        raise TypeError("racah_su2 expects integer N and p")
-    if N not in _CLOSED_FORMS:
-        raise UnsupportedMultiplicity("no closed form for size %r" % (N,))
+        raise TypeError("mixing matrices need integer N and p")
+    if not 2 <= N <= 5:
+        raise UnsupportedMultiplicity("no mixing matrix for size %r" % (N,))
     if p < 1:
         raise ValueError("p must be a positive integer, got %r" % (p,))
     if p < N - 1:
@@ -360,17 +312,75 @@ def racah_su2(N, p, convention=None):
             "size %d needs p >= %d (a denominator [k] vanishes at p = %d)"
             % (N, N - 1, p)
         )
-    u = _racah_su2_cached(N, p)
-    if convention is not None:
-        u = _apply_diag_flips(u, convention.diag(N))
-    return u
+    odd, nums, dens = _recoupling(N, p)
+    rho = tuple(_expand(o) for o in odd)
+    c_exps = {}
+    for den in dens.values():
+        for d, e in den.items():
+            c_exps[d] = max(c_exps.get(d, 0), e)
+    c = _expand(c_exps)
+    v = tuple(
+        tuple(
+            nums[i, j] * _expand(
+                {d: e - dens[i, j].get(d, 0) for d, e in c_exps.items()})
+            for j in range(N)
+        )
+        for i in range(N)
+    )
+    _certify_basis(rho, v, c)
+    return rho, v, c
+
+
+def _certify_basis(rho, v, c):
+    _certify_sigma(v)
+    n = len(rho)
+    c2 = c * c
+    for i in range(n):
+        for j in range(i, n):
+            acc = LaurentQ.zero()
+            for t in range(n):
+                acc = acc + v[i][t] * rho[t] * v[j][t]
+            if acc * rho[i] != (c2 if i == j else LaurentQ.zero()):
+                raise NonOrthogonal(
+                    "rows %d and %d of V diag(rho) V^T break U U^T = I"
+                    % (i, j)
+                )
+
+
+def racah_su2(N, p):
+    """The mixing matrix U(N|p) entry by entry over radical scalars.
+
+    U_ij = (V_ij / c) * sqrt(rho_i rho_j), read off the certified triple of
+    :func:`twisted_basis` in factored form; the trace engine never builds
+    this view.
+    """
+    twisted_basis(N, p)  # checks (N, p) and certifies the matrix
+    odd, nums, dens = _recoupling(N, p)
+    rows = []
+    for i in range(N):
+        row = []
+        for j in range(N):
+            # sqrt(rho_i rho_j) = prod_{both} Phi_d * sqrt(prod_{one} Phi_d)
+            den = dict(dens[i, j])
+            extra = set()
+            for d in odd[i].keys() & odd[j].keys():
+                if den.get(d):
+                    den[d] -= 1
+                else:
+                    extra.add(d)
+            coeff = RationalQ(nums[i, j] * _expand(extra), _expand(den))
+            radical = odd[i].keys() ^ odd[j].keys()
+            key = Radicand(_expand(radical)) if radical else None
+            row.append(RadicalScalar({key: coeff}))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # --------------------------------------------------------------------------
 # eigenvalue-based construction
 
-# Pinned default dressing per size, chosen so that the eigenvalue-based
-# matrix coincides entrywise with racah_su2 on the matching eigenvalue set.
+# Pinned dressing per size, chosen so that the eigenvalue-based matrix
+# coincides entrywise with racah_su2 on the matching eigenvalue set.
 _EV_DRESS = {
     2: (1, 1),
     3: (1, -1, -1),
@@ -478,7 +488,7 @@ def _ev_diag(xs, i):
     return RationalQ(fac, den)
 
 
-def racah_from_eigenvalues(xi, N=None, convention=None):
+def racah_from_eigenvalues(xi, N=None):
     """Reconstruct the mixing matrix from its normalized twist eigenvalues.
 
     ``xi`` must be pairwise-distinct signed q-monomials (coefficients +-1)
@@ -486,9 +496,9 @@ def racah_from_eigenvalues(xi, N=None, convention=None):
     unity appears.  Off-diagonal magnitudes come from closed rational
     expressions in the eigenvalues; interior signs are found by demanding
     exact orthogonality, with the first row taken positive and the rest of
-    the layout forced by the alternating transpose rule.  The default
-    diagonal dressing is pinned per size so the result coincides entrywise
-    with racah_su2 on matching eigenvalue sets.
+    the layout forced by the alternating transpose rule.  The diagonal
+    dressing is pinned per size so the result coincides entrywise with
+    racah_su2 on matching eigenvalue sets.
     """
     xs = [x if isinstance(x, LaurentQ) else LaurentQ.const(x) for x in xi]
     n = len(xs) if N is None else N
@@ -544,10 +554,12 @@ def racah_from_eigenvalues(xi, N=None, convention=None):
     interior = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
     solutions = []
     for choice in _iterproduct((1, -1), repeat=len(interior)):
-        signs = dict(zip(interior, choice))
-        cand = _assemble(n, mags, diag, signs)
-        if _cross_rows_orthogonal(cand):
-            solutions.append(cand)
+        cand = _assemble(n, mags, diag, dict(zip(interior, choice)))
+        try:
+            certify_orthogonal(cand)
+        except NonOrthogonal:
+            continue
+        solutions.append(cand)
     if not solutions:
         raise NonOrthogonal(
             "no sign assignment makes the matrix orthogonal; eigenvalue "
@@ -557,10 +569,8 @@ def racah_from_eigenvalues(xi, N=None, convention=None):
     if len(distinct) > 1:
         raise NonOrthogonal("sign assignment is ambiguous for this input")
     u = distinct[0]
-    certify_orthogonal(u)
     _certify_sigma(u)
-    dress = convention.diag(n) if convention is not None else _EV_DRESS[n]
-    return _apply_diag_flips(u, dress)
+    return _apply_diag_flips(u, _EV_DRESS[n])
 
 
 def _rs_sign_at_sample(scalar):
@@ -590,16 +600,6 @@ def _assemble(n, mags, diag, interior_signs):
     return tuple(rows)
 
 
-def _cross_rows_orthogonal(u):
-    n = len(u)
-    zero = RadicalScalar.zero()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _dot(u[i], u[j]) != zero:
-                return False
-    return True
-
-
 # --------------------------------------------------------------------------
 # block assembly
 
@@ -609,12 +609,15 @@ class MixingBlock:
 
     ``eigenvalues`` are the signed twist monomials xi_j in j-ascending
     order; ``R`` is the same data viewed as the diagonal of the twist
-    matrix; ``U`` is the certified orthogonal mixing matrix.
+    matrix.  ``rho``, ``V`` and ``c`` are the certified mixing matrix U as
+    the triple of :func:`twisted_basis`, U = S (V/c) S.
     """
 
     spec: BlockSpec
     eigenvalues: tuple
-    U: tuple
+    rho: tuple
+    V: tuple
+    c: LaurentQ
 
     @property
     def R(self):
@@ -630,8 +633,8 @@ class MixingBlock:
         return len(self.eigenvalues)
 
 
-def build_block(spec, convention=None):
-    """Assemble (R, U) for one block produced by young.cube_blocks."""
+def build_block(spec):
+    """Twist eigenvalues and mixing triple of one young.cube_blocks block."""
     size = spec.multiplicity
     if size >= 6:
         raise UnsupportedMultiplicity(
@@ -643,112 +646,8 @@ def build_block(spec, convention=None):
         for j in range(spec.j_min, spec.j_max + 1)
     )
     if size == 1:
-        u = ((RadicalScalar.one(),),)
+        one = LaurentQ.one()
+        basis = ((one,), ((one,),), one)
     else:
-        u = racah_su2(size, spec.p, convention)
-    return MixingBlock(spec=spec, eigenvalues=eigenvalues, U=u)
-
-
-# --------------------------------------------------------------------------
-# independent reference: the generic recoupling sum, equal-argument case
-#
-# Used only by the test suite as an oracle for racah_su2; the engine itself
-# always goes through the closed forms above.
-
-def _qfactorial(n):
-    """[n]! as a LaurentQ; None encodes 1/[negative]! = 0."""
-    if n < 0:
-        return None
-    acc = LaurentQ.one()
-    for i in range(2, n + 1):
-        acc = acc * quantum_int(i)
-    return acc
-
-
-def _sixj_entry(p, k, j, jp):
-    """One entry of the equal-argument recoupling matrix, by the sum formula.
-
-    Spin dictionary: three coupled copies of spin p/2, total spin
-    (3p - 2k)/2, intermediate spins j and jp; all factorial arguments below
-    are integers.
-    """
-    blocks = (
-        (j, j, p - j, p + j + 1),
-        (p - k + j, k - p + j, 2 * p - k - j, 2 * p - k + j + 1),
-        (p - k + jp, k - p + jp, 2 * p - k - jp, 2 * p - k + jp + 1),
-        (jp, jp, p - jp, p + jp + 1),
-    )
-    rad_num = quantum_int(2 * j + 1) * quantum_int(2 * jp + 1)
-    rad_den = LaurentQ.one()
-    for a, b, c, d in blocks:
-        fs = (_qfactorial(a), _qfactorial(b), _qfactorial(c), _qfactorial(d))
-        if any(f is None for f in fs):
-            return RadicalScalar.zero()
-        rad_num = rad_num * fs[0] * fs[1] * fs[2]
-        rad_den = rad_den * fs[3]
-
-    total = RadicalScalar.zero()
-    for s in range(3 * p - k + 1):
-        den_args = (
-            s - p - j,
-            s - (2 * p - k) - j,
-            s - (2 * p - k) - jp,
-            s - p - jp,
-            (3 * p - k) - s,
-            p + j + jp - s,
-            (2 * p - k) + j + jp - s,
-        )
-        dens = [_qfactorial(d) for d in den_args]
-        if any(d is None for d in dens):
-            continue
-        den = LaurentQ.one()
-        for d in dens:
-            den = den * d
-        term = RadicalScalar.rational(RationalQ(_qfactorial(s + 1), den))
-        total = total + (term if s % 2 == 0 else -term)
-
-    sign = -1 if (k - p - j) % 2 else 1
-    out = total * sqrt_of(RationalQ(rad_num, rad_den))
-    return -out if sign < 0 else out
-
-
-def _sixj_reference(N, p):
-    """The equal-argument mixing matrix built from the generic sum formula.
-
-    Row/column order matches racah_su2: offset 0 first (j = p downward).
-    Exponentially slower than the closed forms; test oracle only.
-    """
-    k = N - 1
-    return tuple(
-        tuple(_sixj_entry(p, k, p - joff, p - jpoff) for jpoff in range(N))
-        for joff in range(N)
-    )
-
-
-# --------------------------------------------------------------------------
-# inert fixtures: first-row entries of the size-6 family
-#
-# The engine never needs size-6 mixing matrices (multiplicity is at most 5
-# for ranks <= 4), so these transcribed closed forms are NOT wired into
-# build_block; they are kept for a future extension, and the test suite
-# checks them against _sixj_reference.
-
-def inert_size6_first_row(p):
-    """Transcribed closed forms for U(6|p) entries (0,0), (0,1), (0,2)."""
-    u00 = _entry(
-        [p - 4, p - 3, p - 2, p - 1, p],
-        [2 * p - 4, 2 * p - 3, 2 * p - 2, 2 * p - 1, 2 * p],
-    )
-    u01 = _entry(
-        [p - 3, p - 2, p - 1, p],
-        [2 * p - 4, 2 * p - 3, 2 * p - 2, 2 * p],
-        rad_num=[5, p - 4, 3 * p - 4],
-        rad_den=[2 * p - 5, 2 * p - 1],
-    )
-    u02 = _entry(
-        [p - 2, p - 1, p],
-        [2 * p - 4, 2 * p - 2, 2 * p - 1],
-        rad_num=[4, 5, p - 4, p - 3, 3 * p - 5, 3 * p - 4],
-        rad_den=[2, 2 * p - 6, 2 * p - 5, 2 * p - 3, 2 * p],
-    )
-    return (u00, u01, u02)
+        basis = twisted_basis(size, spec.p)
+    return MixingBlock(spec, eigenvalues, *basis)

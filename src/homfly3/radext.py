@@ -1,8 +1,12 @@
 """Square-root extension scalars over the rational-function field in q.
 
-Mixing-matrix entries are sums  c0 + c1*sqrt(P1) + c2*sqrt(P2) + ...
-where the ci are rational functions of q and the Pi are canonical
-radicands.  A radicand is kept in the factored shape
+Scalars are sums  c0 + c1*sqrt(P1) + c2*sqrt(P2) + ...  where the ci
+are rational functions of q and the Pi are canonical radicands.  They are
+the entries of the mixing matrices as :func:`homfly3.racah.racah_su2` and
+the eigenvalue reconstruction hand them out; the trace engine works on
+the integer form of :func:`homfly3.racah.twisted_basis` instead.
+
+A radicand is kept in the factored shape
 
     sign_unit * content * body
 
@@ -17,9 +21,9 @@ into a complex unit); for the sign conventions used by the mixing
 matrices every entry is real and any -1 radicand surviving a
 computation that must be rational is reported as an error.
 
-``assert_rational`` is the radical-freeness certificate used by the
-braid-trace engine: it returns the rational part when every radical
-part has cancelled, and raises ``NonVanishingRadical`` otherwise.
+``assert_rational`` is a radical-freeness certificate: it returns the
+rational part when every radical part has cancelled, and raises
+``NonVanishingRadical`` otherwise.
 """
 
 from __future__ import annotations
@@ -162,9 +166,6 @@ class RadicalScalar:
     def is_rational(self) -> bool:
         return all(k is None for k in self._parts)
 
-    def rational_part(self) -> RationalQ:
-        return self._parts.get(None, RationalQ.zero())
-
     def radicands(self):
         return [k for k in self._parts if k is not None]
 
@@ -248,18 +249,6 @@ class RadicalScalar:
         return _mkrs(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers of radical scalars are not defined here")
-        out = _RS_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
 
     # -- rendering ----------------------------------------------------------------
 
@@ -348,8 +337,3 @@ def sqrt_of(r) -> RadicalScalar:
     if m == 1 and sign == 1 and body.is_one():
         return _mkrs({None: coeff})
     return _mkrs({Radicand(body, sign, m): coeff})
-
-
-def mul(a: RadicalScalar, b: RadicalScalar) -> RadicalScalar:
-    """Product of radical scalars (same as the * operator)."""
-    return a * b

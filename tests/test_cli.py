@@ -1,5 +1,6 @@
 """Command-line front end: modes, exit codes, formats, determinism."""
 
+import hashlib
 import io
 import json
 
@@ -186,3 +187,58 @@ def test_racah_dump_2x2():
     assert lines[0] == "U(2|1):"
     assert lines[1] == "[0][0] = (q)/(q^2 + 1)"
     assert len(lines) == 5
+
+
+# sha256 of the text and the --format json output of racah-dump for every
+# (N, p) with N = 2..5 and p = N-1..6, recorded from the transcribed closed
+# forms that built U before the recoupling sum did
+RACAH_DUMP_SHA256 = {
+    (2, 1): ("1c03322baf35da1d627e46df1ef3b616327b084df96b31e4a4cd1ed6b6006376",
+             "47d4b79738fd52767592c0eaf4d65814521d2ab103e76f7c68e8f4d4544779eb"),
+    (2, 2): ("cfa4c8bcd8dc2c511bdac3449681ef1069f0d595e1aa8a7449bd29c895fb3653",
+             "d1ab8f25a7581ed25d8db38062e69af392584a9d8975d9732d732c6b95c5a230"),
+    (2, 3): ("e7d0cea1fa147ea5dd9ec1970be9a4cf5d733f1e8ae4f6873d6a99aeab298785",
+             "384aaa79140b4bb2e7cdcdc9b5658afdea327d91d0824d7343dbd10faa975b65"),
+    (2, 4): ("d223c2b7adcfbca5eac242534d7d5d762a9dd1f98c692aba6421c249500ed01f",
+             "bbb8c10b6a8ae3c440bfcc74a7c6e56aedc66cdb637293983a2f9b15dd8b2013"),
+    (2, 5): ("045fcb240f4355b889a1f473127fb1cf7da4f23fd1a3d6fc38da014fa6914da7",
+             "a39aec80d6f7c09f1278ce7b358d1a2e429ca9ad7c2a0e01a31ed6c4e47814b2"),
+    (2, 6): ("bc73d0ad438ddd60d3fc97401a2668b21671d780b753e2071c5b311265d4e902",
+             "b9b6bbe2657b365ddec92344f9e350281b44c52dd8d02308516450b6b68b9709"),
+    (3, 2): ("5eb15eb50764924f49be56517c01145c7b5013e8255b8ac5b70b709688c32623",
+             "e921af892fa4e2b2bf89ea3429028e3d29a67d28f065e430de5e422272470948"),
+    (3, 3): ("5776339320d5f6293cbfb007e495dbda1621381765f27dafdb48cc9fe0a834f8",
+             "2e225f2d390e52e6e6608418dddcf2ec72e72c9519bb23b86047c642587969dd"),
+    (3, 4): ("a741321c87ef6889eb5bafa44157893107d527a4c5c794c80252d7a204148995",
+             "f7b08feb48bb52b744c4a5f9887553df0893464d6485102ac954c2b45f6a0007"),
+    (3, 5): ("9e4f026a36ea189d206f03eff0e78291717c484458b460a2d34f0d0043d0060a",
+             "3fa32e0240fbc855dbb8cffbe15c741ed1cf08e680581e943c4e773b34a4a570"),
+    (3, 6): ("7a3304c1e0861022a5aa90066d4bcb3913e5f12bddd71dfe18b85d341e3fcffe",
+             "dd25587be6b3c187e1831d9e2378263e7c33bdab0c198e4d5fea242cbbf9faa4"),
+    (4, 3): ("672e80d12ca1c3014bd95c094383ff580759275b0c8aa779cf563ec493177a2c",
+             "d29905a33d2108e9f0a450d8eb4870500d91419cfa8da535cede44128e1c4953"),
+    (4, 4): ("d9fedd55289b697baad0966a7032c3401a6d0d18250a8b8906c687ce4e912639",
+             "8d1c583634d1325ac7991c70000859902f9e40ad0168f108de50f7671b801eb1"),
+    (4, 5): ("007d835b0a6771a796487a0a4c9251a9c8f79f896e3634e6a0073708c33b1f2a",
+             "b1b5e757e71457087953d74477c16b00860e4af8f4d7f88a15e792c3c0bea40c"),
+    (4, 6): ("e7825e79ae10a472907893bfa8aabed499e94f4e9fd5de3b0e4bd12e4cb79273",
+             "1151c4e456efe62d71768880b3bd22143286a6108c3e596ccea0496aa692a49a"),
+    (5, 4): ("d18829bfaef20b0bbb148a7b225b244c5b621477b153131aedf1eff79811538c",
+             "564dc6047bb159aceebdaf82a127d976e87099a8c76d6cd1b7d687b9b516c462"),
+    (5, 5): ("2ff15de108ac9baf68cc1e5eb91ee4ea9fc021427945e2c0ac4b5dbd6460a169",
+             "fe82e9ac63ed820ca21395ff673df86001fd02e0d4616becc18144bc40fc306f"),
+    (5, 6): ("11923d25ccacc52954b3551134dfd8c5fd4fd9a78f74404a8c2db9b4ee0f4c51",
+             "43af4efa5180628c7da63050fc9ea9f407e8ab7a1b52ff78f3714aea2c7d5636"),
+}
+
+
+@pytest.mark.parametrize("N,p", sorted(RACAH_DUMP_SHA256))
+def test_racah_dump_output_is_pinned(N, p):
+    digests = []
+    for fmt in ("text", "json"):
+        code, out, err = invoke(
+            "racah-dump", "--dim", str(N), "--p", str(p), "--format", fmt
+        )
+        assert code == 0 and err == ""
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == RACAH_DUMP_SHA256[N, p]

@@ -1,40 +1,38 @@
-"""Mixing matrices: closed forms, eigenvalue reconstruction, recoupling oracle."""
+"""Mixing matrices: the recoupling sum, its certificates, the eigenvalue
+reconstruction."""
+
+import hashlib
+import json
+from dataclasses import replace
 
 import pytest
 
-from homfly3.braid import Braid3Word, character_coefficients
-from homfly3.qpoly import LaurentQ, RationalQ
+from homfly3.braid import Braid3Word, _block_trace, character_coefficients
+from homfly3.qpoly import LaurentQ, RationalQ, quantum_int
 from homfly3.racah import (
     DegenerateP,
     MixingBlock,
+    NonOrthogonal,
     RepeatedEigenvalue,
-    SignConvention,
     UnsupportedMultiplicity,
-    _sixj_reference,
+    _certify_basis,
     build_block,
     certify_orthogonal,
-    inert_size6_first_row,
     mat_mul,
     mat_transpose,
     normalized_eigenvalues,
     racah_from_eigenvalues,
     racah_su2,
+    twisted_basis,
 )
-from homfly3.radext import RadicalScalar
+from homfly3.radext import RadicalScalar, sqrt_of
 from homfly3.young import cube_blocks
 
-# Frozen relation between the closed forms and the independent recoupling
-# sum: racah_su2(N, p) == EPS(N, p) * D_N * _sixj_reference(N, p) * D_N.
-SIGMA = {
-    2: (1, 1),
-    3: (1, -1, -1),
-    4: (1, -1, 1, -1),
-    5: (1, 1, 1, 1, 1),
-}
-
-
-def eps_sign(N, p):
-    return (-1) ** (p + 1) if N == 4 else (-1) ** p
+# sha256 of the triples (rho, V, c) of U(N|p) for N = 2..5, p = N-1..6, as
+# the earlier construction from transcribed closed forms produced them
+TWISTED_BASIS_SHA256 = (
+    "3ea65961d43591978b555409ca7f5057c014e30ecc13e9ae2bbdafc97bdedb2d"
+)
 
 FAST_GRID = [(2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (5, 4)]
 
@@ -43,8 +41,18 @@ def as_radical(lq):
     return RadicalScalar.rational(RationalQ(lq, LaurentQ.one()))
 
 
+def qint_ratio(num, den):
+    """prod [k] over num divided by prod [k] over den, as a RationalQ."""
+    acc = RationalQ.one()
+    for k in num:
+        acc = acc * quantum_int(k)
+    for k in den:
+        acc = acc / quantum_int(k)
+    return acc
+
+
 # ---------------------------------------------------------------------------
-# closed forms: certification and error modes
+# certification and error modes
 
 @pytest.mark.parametrize("N,p", FAST_GRID)
 def test_closed_forms_certified(N, p):
@@ -73,52 +81,81 @@ def test_bad_sizes_raise():
         racah_su2(2, 0)
 
 
-def test_convention_is_a_similarity():
-    base = racah_su2(3, 2)
-    flipped = racah_su2(3, 2, SignConvention((-1, 1)))
-    certify_orthogonal(flipped)
-    signs = (1, -1, 1)
-    for i in range(3):
-        for j in range(3):
-            want = base[i][j] if signs[i] * signs[j] > 0 else -base[i][j]
-            assert flipped[i][j] == want
+def test_twisted_basis_refuses_like_racah_su2():
+    with pytest.raises(DegenerateP):
+        twisted_basis(4, 2)
+    with pytest.raises(UnsupportedMultiplicity):
+        twisted_basis(6, 6)
 
 
-def test_convention_validation():
-    with pytest.raises(ValueError):
-        SignConvention((1, 0))
-    with pytest.raises(ValueError):
-        racah_su2(3, 2, SignConvention((-1,)))
+@pytest.mark.parametrize("N,p", FAST_GRID)
+def test_twisted_basis_is_the_radical_view(N, p):
+    # U_ij = (V_ij / c) sqrt(rho_i rho_j), with rho_0 = 1
+    rho, v, c = twisted_basis(N, p)
+    u = racah_su2(N, p)
+    assert rho[0] == LaurentQ.one()
+    for i in range(N):
+        for j in range(N):
+            want = RadicalScalar.rational(RationalQ(v[i][j], c))
+            assert u[i][j] == want * sqrt_of(rho[i] * rho[j]), (i, j)
 
-
-# ---------------------------------------------------------------------------
-# independent oracle: the equal-argument recoupling sum
 
 @pytest.mark.parametrize("N,p", FAST_GRID)
 def test_closed_forms_match_recoupling_sum(N, p):
+    # the corner entries of U(N|p) have closed product forms in [k], written
+    # here without the factored arithmetic that evaluates the sum
+    n = N - 1
     u = racah_su2(N, p)
-    ref = _sixj_reference(N, p)
-    eps = eps_sign(N, p)
-    sig = SIGMA[N]
-    for i in range(N):
-        for j in range(N):
-            expected = ref[i][j]
-            if eps * sig[i] * sig[j] < 0:
-                expected = -expected
-            assert u[i][j] == expected, (N, p, i, j)
+    top = [p - k for k in range(n)]
+    corner = -1 if N == 4 else 1
+    assert u[0][0] == corner * RadicalScalar.rational(
+        qint_ratio(top, [2 * p - k for k in range(n)]))
+    assert u[n][n] == corner * RadicalScalar.rational(
+        qint_ratio(top, [2 * p - k for k in range(n - 1, 2 * n - 1)]))
+    radicand = qint_ratio(
+        top + [3 * p - k for k in range(n - 1, 2 * n - 1)],
+        [2 * p - k for k in range(2 * n - 1) if k != n - 1])
+    off = RadicalScalar.rational(qint_ratio([], [2 * p - n + 1]))
+    assert u[0][n] == (-1 if N == 3 else 1) * off * sqrt_of(radicand)
 
 
-def test_inert_size6_row_matches_recoupling_sum():
-    # sizes >= 6 are outside the engine; the transcribed first-row entries
-    # must still agree with the generic sum (overall sign (-1)^p at p = 5)
-    row = inert_size6_first_row(5)
-    ref = _sixj_reference(6, 5)
-    for j in range(3):
-        assert row[j] == -ref[0][j], j
+def test_twisted_basis_is_pinned():
+    # also pins c as the least common denominator: a triple scaled by a
+    # common factor passes the certificate but changes the digest
+    def terms(x):
+        return sorted((e, str(c)) for e, c in x.terms.items())
+
+    triples = {}
+    for N in (2, 3, 4, 5):
+        for p in range(N - 1, 7):
+            rho, v, c = twisted_basis(N, p)
+            triples["%d,%d" % (N, p)] = [
+                [terms(x) for x in rho],
+                [[terms(x) for x in row] for row in v],
+                terms(c),
+            ]
+    blob = json.dumps(triples, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == TWISTED_BASIS_SHA256
+
+
+def test_basis_certificate_rejects_broken_triples():
+    rho, v, c = twisted_basis(3, 2)
+    _certify_basis(rho, v, c)
+    rows = [list(row) for row in v]
+    rows[1][2] = -rows[1][2]
+    rows[2][1] = -rows[2][1]  # keeps the sign layout, breaks orthogonality
+    with pytest.raises(NonOrthogonal):
+        _certify_basis(rho, tuple(map(tuple, rows)), c)
+    rows = [list(row) for row in v]
+    rows[0][1] = -rows[0][1]  # breaks the sign layout
+    with pytest.raises(NonOrthogonal):
+        _certify_basis(rho, tuple(map(tuple, rows)), c)
+    with pytest.raises(NonOrthogonal):
+        _certify_basis(rho, v, c * 2)
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue-based reconstruction vs closed forms
+# eigenvalue-based reconstruction vs the recoupling sum
 
 @pytest.mark.parametrize("N,p", [(2, 1), (2, 3), (3, 2), (3, 4)])
 def test_eigenvalue_reconstruction_entrywise(N, p):
@@ -129,13 +166,11 @@ def test_eigenvalue_reconstruction_entrywise(N, p):
 
 @pytest.mark.parametrize("N,p", [(4, 3), (5, 4)])
 def test_eigenvalue_reconstruction_squared(N, p):
+    # sizes 4 and 5 agree entrywise too, which implies agreement of the
+    # diagonals and of the squared off-diagonals this test is named after
     u = racah_su2(N, p)
     v = racah_from_eigenvalues(normalized_eigenvalues(N, p), N)
-    for i in range(N):
-        assert u[i][i] == v[i][i], (i, i)
-        for j in range(N):
-            if i != j:
-                assert u[i][j] * u[i][j] == v[i][j] * v[i][j], (i, j)
+    assert u == v
 
 
 def test_normalized_eigenvalues_product_is_sign():
@@ -174,8 +209,9 @@ def test_braid_relation_cube_root_block():
     # determinant and trace -1.
     (spec,) = [s for s in cube_blocks(1) if s.multiplicity == 2]
     block = build_block(spec)
+    u = racah_su2(2, spec.p)
     r_mat = tuple(tuple(as_radical(e) for e in row) for row in block.R)
-    m = mat_mul(mat_mul(mat_mul(r_mat, block.U), r_mat), mat_transpose(block.U))
+    m = mat_mul(mat_mul(mat_mul(r_mat, u), r_mat), mat_transpose(u))
     m2 = mat_mul(m, m)
     one = RadicalScalar.one()
     zero = RadicalScalar.zero()
@@ -186,7 +222,15 @@ def test_braid_relation_cube_root_block():
 
 
 def test_character_coefficients_invariant_under_dressing():
+    # a diagonal +-1 dressing D V D of a block's mixing matrix leaves its
+    # trace unchanged, so the signs pinned in racah are cosmetic
     word = Braid3Word.parse("-1,-1|-1,-1")
-    base = character_coefficients(word, 1)
-    flipped = character_coefficients(word, 1, SignConvention((-1,)))
-    assert base.coefficients == flipped.coefficients
+    base = character_coefficients(word, 2).coefficients
+    for spec in cube_blocks(2):
+        block = build_block(spec)
+        signs = [-1 if k == 1 else 1 for k in range(block.size)]
+        dressed = tuple(
+            tuple(x if signs[i] == signs[j] else -x for j, x in enumerate(row))
+            for i, row in enumerate(block.V)
+        )
+        assert _block_trace(replace(block, V=dressed), word) == base[spec.Q]
