@@ -16,12 +16,21 @@ U = S (V/c) S with S = diag(sqrt(rho_j)), which turns every factor into
 D_a V D_b V^T / c^2 with D_x = diag(rho_j xi_j^x): plain Laurent
 arithmetic, and the rho-conjugation cancels cyclically, so the trace is
 exactly the original one.
+
+Each factor is packed once into an integer matrix of signed digits (its
+entries at q^step -> 2^(8 width), its lowest exponent shifted out) and the
+trace of the integer product is unpacked once per block.  The width is
+bounded by the trace of the product of the entrywise l1-norm matrices;
+dividing by c^(2L), of leading coefficient +-1, stays in Z.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from math import gcd
+from operator import mul
 
 from .qpoly import (
     InexactDivision,
@@ -29,7 +38,10 @@ from .qpoly import (
     LaurentQA,
     curly_q,
     laurent_divexact,
+    pack_signed,
+    signed_width,
     substitute,
+    unpack_signed,
 )
 from .young import YoungDiagram, cube_blocks, hook_content_dimension
 from .racah import build_block
@@ -116,22 +128,6 @@ class CharacterExpansion:
 # --------------------------------------------------------------------------
 # radical-free trace engine
 
-def _lq_matmul(a, b):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = LaurentQ.zero()
-            for t in range(k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def _block_trace(block, word):
     """C_Q for one mixing block: Tr prod_i R^{a_i} U R^{b_i} U^T."""
     xi = block.eigenvalues
@@ -139,21 +135,48 @@ def _block_trace(block, word):
     if size == 1:
         return xi[0] ** word.writhe
     rho, v, c = block.rho, block.V, block.c
-    vt = tuple(tuple(v[j][i] for j in range(size)) for i in range(size))
-
-    prod = None
-    for a, b in word.blocks:
+    # entries (term dicts) of D_a V D_b V^T, once per distinct block (a, b)
+    factors = {}
+    for a, b in set(word.blocks):
         da = [rho[j] * xi[j] ** a for j in range(size)]
         db = [rho[j] * xi[j] ** b for j in range(size)]
-        w1 = tuple(tuple(da[i] * x for x in v[i]) for i in range(size))
-        w2 = tuple(tuple(db[i] * x for x in vt[i]) for i in range(size))
-        m = _lq_matmul(w1, w2)
-        prod = m if prod is None else _lq_matmul(prod, m)
-
-    trace = LaurentQ.zero()
-    for i in range(size):
-        trace = trace + prod[i][i]
+        vdb = [[v[i][t] * db[t] for t in range(size)] for i in range(size)]
+        factors[a, b] = [[(da[i] * sum(
+            (vdb[i][t] * v[j][t] for t in range(size)), LaurentQ.zero())).terms
+            for j in range(size)] for i in range(size)]
+    lo = {ab: min(min(t) for row in m for t in row if t)
+          for ab, m in factors.items()}
+    step = gcd(*(e - lo[ab] for ab, m in factors.items()
+                 for row in m for t in row for e in t)) or 1
+    norms = {ab: [[sum(map(abs, t.values())) for t in row] for row in m]
+             for ab, m in factors.items()}
+    width = signed_width(_trace_of_product(word.blocks, norms))
+    packed = {ab: [[pack_signed(t, lo[ab], width, step) if t else 0
+                    for t in row] for row in m] for ab, m in factors.items()}
+    digits = unpack_signed(_trace_of_product(word.blocks, packed), width)
+    base = sum(lo[ab] for ab in word.blocks)
+    trace = LaurentQ({base + step * k: d for k, d in digits.items()})
     return laurent_divexact(trace, c ** (2 * len(word.blocks)))
+
+
+def _trace_of_product(keys, mats):
+    """Tr prod_k mats[k] over keys: halves recursively, equal runs once."""
+    memo = {}
+
+    def product(ks):
+        if len(ks) == 1:
+            return mats[ks[0]]
+        if ks not in memo:
+            cols = list(zip(*product(ks[len(ks) // 2:])))
+            memo[ks] = [[sum(map(mul, row, col)) for col in cols]
+                        for row in product(ks[:len(ks) // 2])]
+        return memo[ks]
+
+    if len(keys) == 1:
+        return sum(row[j] for j, row in enumerate(mats[keys[0]]))
+    left = product(keys[:len(keys) // 2])
+    right = product(keys[len(keys) // 2:])
+    return sum(map(mul, chain(*left), chain(*zip(*right))))
 
 
 def character_coefficients(word, r):

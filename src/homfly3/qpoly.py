@@ -100,26 +100,50 @@ def _int_content(d):
     return den, {e: int(c * den) for e, c in d.items()}
 
 
-def _pack_signed(terms, emin, width):
-    """Pack {offset exponent: int} into one integer, width bytes per digit.
+def signed_width(bound):
+    """Bytes per signed digit for digits of absolute value at most bound."""
+    return (bound.bit_length() + 8) // 8
 
-    Positive and negative coefficients go into separate buffers (so each
-    buffer is carry-free) and are subtracted once at the end; this keeps the
-    packing linear in the number of digits.
+
+def pack_signed(terms, emin, width, step=1):
+    """Pack {exponent: int} into one integer, width bytes per signed digit.
+
+    Exponent e fills digit (e - emin) // step: the polynomial evaluated at
+    2^(8 width), for |coefficients| below 2^(8 width - 1).  Positive and
+    negative coefficients go into separate carry-free buffers, subtracted
+    once at the end, so packing is linear in the number of digits.
     """
-    span = max(terms) - emin + 1
+    span = (max(terms) - emin) // step + 1
     pos = bytearray(span * width)
     neg = bytearray(span * width)
     for e, c in terms.items():
-        k = (e - emin) * width
-        if c > 0:
-            pos[k:k + c.bit_length() // 8 + 1] = c.to_bytes(
-                c.bit_length() // 8 + 1, "little")
-        else:
-            c = -c
-            neg[k:k + c.bit_length() // 8 + 1] = c.to_bytes(
-                c.bit_length() // 8 + 1, "little")
+        k = (e - emin) // step * width
+        buf = pos if c > 0 else neg
+        c = abs(c)
+        n = c.bit_length() // 8 + 1
+        buf[k:k + n] = c.to_bytes(n, "little")
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def unpack_signed(value, width):
+    """Inverse of pack_signed: {digit index: nonzero digit} of value.
+
+    The digits are read back one byte slice at a time, carrying a borrow.
+    """
+    half = 1 << (8 * width - 1)
+    full = half << 1
+    slots = abs(value).bit_length() // (8 * width) + 1
+    buf = value.to_bytes(slots * width, "little", signed=True)
+    out = {}
+    carry = 0
+    for k in range(slots):
+        d = int.from_bytes(buf[k * width:(k + 1) * width], "little") + carry
+        carry = d >= half
+        if carry:
+            d -= full
+        if d:
+            out[k] = d
+    return out
 
 
 def _mul_kronecker(a, b):
@@ -128,39 +152,21 @@ def _mul_kronecker(a, b):
     Coefficients are packed into fixed-width signed digits of one huge
     integer per operand; a single big-int multiplication then performs the
     whole convolution exactly.  Digit width is chosen from an a-priori bound
-    on the result's coefficients, so unpacking is unambiguous.  Packing and
-    unpacking go through byte buffers to stay linear in the digit count.
+    on the result's coefficients, so unpacking is unambiguous.
     """
     dena, ia = _int_content(a)
     denb, ib = _int_content(b)
     amin, bmin = min(ia), min(ib)
     suma = sum(abs(c) for c in ia.values())
     maxb = max(abs(c) for c in ib.values())
-    bits = (suma * maxb).bit_length() + 2
-    width = (bits + 7) // 8
-    bits = width * 8
-    half = 1 << (bits - 1)
-    full = 1 << bits
-    pa = _pack_signed(ia, amin, width)
-    pb = _pack_signed(ib, bmin, width)
-    prod = pa * pb
+    width = signed_width(suma * maxb)
+    prod = pack_signed(ia, amin, width) * pack_signed(ib, bmin, width)
     base = amin + bmin
-    slots = (max(ia) - amin) + (max(ib) - bmin) + 1
-    nbytes = slots * width
-    buf = prod.to_bytes(nbytes + width, "little", signed=True)
-    scale = None if dena * denb == 1 else Fraction(1, dena * denb)
-    out = {}
-    carry = 0
-    for k in range(slots):
-        d = int.from_bytes(buf[k * width:(k + 1) * width], "little") + carry
-        if d >= half:
-            d -= full
-            carry = 1
-        else:
-            carry = 0
-        if d:
-            out[base + k] = d if scale is None else _coeff(d * scale)
-    return out
+    digits = unpack_signed(prod, width)
+    if dena * denb == 1:
+        return {base + k: d for k, d in digits.items()}
+    scale = Fraction(1, dena * denb)
+    return {base + k: _coeff(d * scale) for k, d in digits.items()}
 
 
 def _mul_dicts(a, b):
@@ -301,6 +307,9 @@ class LaurentQ:
             return NotImplemented
         if n < 0:
             return self.inverse_monomial() ** (-n)
+        if len(self._t) == 1:
+            ((e, c),) = self._t.items()
+            return _mk({e * n: _coeff(c ** n)})
         result = _LQ_ONE
         base = self
         while n:
@@ -408,14 +417,26 @@ def _strip_high(u):
     return u
 
 
+def _div_coeff(x, y):
+    """x / y, kept an int when both are ints and y divides x."""
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        if not r:
+            return q
+    return Fraction(x) / y
+
+
 def _dense_divmod(u, v):
-    """Quotient and remainder of ordinary polynomials (coefficient lists)."""
-    u = [Fraction(c) for c in u]
-    vlead = Fraction(v[-1])
+    """Quotient and remainder of ordinary polynomials (coefficient lists).
+
+    Integer operands over a divisor with lead +-1 never leave Z.
+    """
+    u = list(u)
+    vlead = v[-1]
     n = len(v)
-    quot = [Fraction(0)] * max(len(u) - n + 1, 0)
+    quot = [0] * max(len(u) - n + 1, 0)
     while len(u) >= n:
-        c = u[-1] / vlead
+        c = _div_coeff(u[-1], vlead)
         off = len(u) - n
         quot[off] = c
         if c:
@@ -483,8 +504,7 @@ def laurent_divexact(a: LaurentQ, b: LaurentQ) -> LaurentQ:
         return _LQ_ZERO
     if len(b._t) == 1:
         ((e, c),) = b._t.items()
-        inv = Fraction(1, 1) / c
-        return _mk({ea - e: _coeff(ca * inv) for ea, ca in a._t.items()})
+        return _mk({ea - e: _coeff(_div_coeff(ca, c)) for ea, ca in a._t.items()})
     step = _support_step(a._t, b._t)
     amin, ua = _to_dense(a._t, step)
     bmin, ub = _to_dense(b._t, step)

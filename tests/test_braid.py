@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homfly3.braid import (
     Braid3Word,
@@ -141,3 +143,41 @@ def test_torus_mixed_block_trace_pattern(n, expect):
     # the n-th transfer power is -1 for n = 3k +- 1 and 2 for n = 3k
     cs = character_coefficients(torus_word(n), 1).coefficients
     assert cs[YoungDiagram([2, 1])] == LaurentQ.const(expect)
+
+
+# ---------------------------------------------------------------------------
+# random knot words: independent oracles for the packed block trace
+
+@st.composite
+def knot_words(draw):
+    """4-8 blocks with |exponent| <= 4, nudged to a one-component closure."""
+    exps = st.integers(-4, 4)
+    (a, b), *rest = draw(st.lists(st.tuples(exps, exps), min_size=4, max_size=8))
+
+    def nudge(x, d):
+        return x + d if x + d <= 4 else x - d
+
+    # flipping the parities of the first block reaches every coset of the
+    # rest's strand permutation that holds a 3-cycle
+    for da, db in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        word = Braid3Word(((nudge(a, da), nudge(b, db)), *rest))
+        if closure_components(word) == 1:
+            return word
+    raise AssertionError("no parity choice closes to a knot")
+
+
+@pytest.mark.parametrize("r,examples", [(2, 25), (3, 12)])
+def test_random_knot_words_against_oracles(r, examples):
+    @settings(max_examples=examples)
+    @given(knot_words(), st.integers(1, 7))
+    def check(word, k):
+        h = reduced_homfly(word, r)
+        h1 = reduced_homfly(word, 1)
+        assert special_polynomial(h) == special_polynomial(h1) ** r
+        k %= len(word.blocks)
+        rotated = Braid3Word(word.blocks[k:] + word.blocks[:k])
+        assert reduced_homfly(rotated, r) == h
+        mirror = Braid3Word(tuple((-a, -b) for a, b in word.blocks))
+        assert reduced_homfly(mirror, r) == substitute(h, "invert")
+
+    check()

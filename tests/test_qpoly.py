@@ -3,17 +3,23 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from homfly3 import qpoly
 from homfly3.qpoly import (
+    InexactDivision,
     LaurentQ,
     LaurentQA,
     PolyParseError,
     RationalQ,
     curly_bracket,
+    curly_q,
+    laurent_divexact,
+    pack_signed,
     quantum_int,
     substitute,
+    unpack_signed,
 )
 
 # ---------------------------------------------------------------------------
@@ -99,6 +105,103 @@ def test_ring_laws_q(x, y):
     assert x + y == y + x
     assert x * y == y * x
     assert x * LaurentQ.zero() == LaurentQ.zero()
+
+
+# ---------------------------------------------------------------------------
+# Kronecker multiplication and the signed-digit format
+
+def schoolbook(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+# coefficients at and next to the byte boundaries of the packed digits
+boundary = st.sampled_from(
+    [s * (2 ** (8 * k) + d) for k in (1, 2, 3) for d in (-1, 0, 1) for s in (1, -1)]
+)
+big_coeffs = st.one_of(
+    st.integers(-9, 9).filter(bool),
+    boundary,
+    st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 12)),
+)
+wide_terms = st.dictionaries(
+    st.integers(-400, 400), big_coeffs, min_size=40, max_size=80
+)
+
+
+# shrinking 40-80-term operands takes minutes; a failure shows as drawn
+@settings(phases=[Phase.explicit, Phase.generate])
+@given(wide_terms, wide_terms)
+def test_kronecker_product_matches_schoolbook(a, b):
+    assert len(a) * len(b) > qpoly._NAIVE_MUL_CUTOFF
+    assert (LaurentQ(a) * LaurentQ(b)).terms == schoolbook(a, b)
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_signed_digits_round_trip_at_the_extremes(width):
+    top = 2 ** (8 * width - 1) - 1
+    digits = {0: -top, 1: -top, 2: -1, 3: -top, 5: top, 6: -top, 7: top,
+              8: -1, 9: -1, 10: -1, 11: top}
+    packed = pack_signed(digits, 0, width)
+    assert packed == sum(d << (8 * width * k) for k, d in digits.items())
+    assert unpack_signed(packed, width) == digits
+
+
+@given(st.integers(1, 3).flatmap(lambda w: st.tuples(
+    st.just(w),
+    st.lists(st.integers(-(2 ** (8 * w - 1) - 1), 2 ** (8 * w - 1) - 1),
+             min_size=1, max_size=30),
+)))
+def test_signed_digits_round_trip(case):
+    width, digits = case
+    value = sum(d << (8 * width * k) for k, d in enumerate(digits))
+    expect = {k: d for k, d in enumerate(digits) if d}
+    assert unpack_signed(value, width) == expect
+    if expect:
+        # exponents on a step-6 lattice starting at -12 pack to the same value
+        terms = {6 * k - 12: d for k, d in expect.items()}
+        assert pack_signed(terms, -12, width, 6) == value
+
+
+# ---------------------------------------------------------------------------
+# exact division
+
+def q(e):
+    return LaurentQ.monomial(1, e)
+
+
+def test_divexact_stays_integral_over_unit_leads():
+    sixth = Fraction(1, 6)
+    quotient = 3 * q(-7 * sixth) - 5 * q(Fraction(-5, 3)) + q(4) - 2
+    for b in (quantum_int(3) * curly_q(2) * q(sixth),
+              -(quantum_int(4) * q(-2)) + q(-5),
+              q(Fraction(-1, 2)) - 1):
+        got = laurent_divexact(quotient * b, b)
+        assert got == quotient
+        assert all(type(c) is int for c in got.terms.values())
+    # the long division itself never leaves Z over a lead of +-1
+    for lead in (1, -1):
+        quot, rem = qpoly._dense_divmod([5, -7, 0, 3, 11, -2], [4, -1, lead])
+        assert all(type(c) is int for c in quot + rem)
+
+
+def test_divexact_non_unit_lead_divides_over_q():
+    b = 2 * q(1) + 1
+    assert laurent_divexact(b * (q(2) - 3), b) == q(2) - 3
+    assert laurent_divexact(q(1) + 2, 2 * q(1) + 4) == LaurentQ.const(Fraction(1, 2))
+    half = LaurentQ.const(Fraction(1, 2))
+    assert laurent_divexact(b * (half * q(-1) + 7), b) == half * q(-1) + 7
+    assert laurent_divexact(3 * q(2), 2 * q(1)) == LaurentQ.monomial(Fraction(3, 2), 1)
+
+
+def test_divexact_refuses_a_remainder():
+    with pytest.raises(InexactDivision):
+        laurent_divexact(q(2) + 1, q(1) + 1)
+    with pytest.raises(InexactDivision):
+        laurent_divexact(curly_q(3) + 1, curly_q(1))
 
 
 # ---------------------------------------------------------------------------
