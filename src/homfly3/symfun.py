@@ -8,17 +8,27 @@ substitution p_k -> {A^k}/{q^k}, and the cut-and-join operator whose
 eigenvalue on S_T is kappa(T).  Everything here is independent of the
 mixing matrices, so it can arbitrate the braid engine's output.
 
-Coefficients are exact rationals by default, but any ring element with
-+,*,- semantics (in particular LaurentQ) is accepted, which is how the
-character expansion carries q-dependence through these functions.
+Coefficients are ints, Fractions or LaurentQ; the LaurentQ ones are how
+the character expansion carries q-dependence through these functions.
+topological_locus works in Z on exactly these three kinds and raises
+TypeError on any other coefficient.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
-from .qpoly import LaurentQA
+from .qpoly import (
+    EXP_DEN,
+    LaurentQ,
+    LaurentQA,
+    curly_q,
+    pack_signed,
+    signed_width,
+    unpack_signed,
+)
 from .young import FractionQA, YoungDiagram, kappa  # noqa: F401  (kappa re-exported for tests)
 
 # ---------------------------------------------------------------------------
@@ -325,51 +335,85 @@ def adams(f: PowerSumPoly, m: int) -> PowerSumPoly:
 # topological locus
 # ---------------------------------------------------------------------------
 
-def _curly_Apow(k: int) -> LaurentQA:
-    return LaurentQA({(k, 0): 1, (-k, 0): -1})
-
-
-def _curly_qpow(k: int) -> LaurentQA:
-    from .qpoly import EXP_DEN
-    return LaurentQA({(0, EXP_DEN * k): 1, (0, -EXP_DEN * k): -1})
-
-
 def topological_locus(f: PowerSumPoly) -> FractionQA:
     """Substitute p_k -> {A^k}/{q^k} and combine over a common denominator.
 
     Returns a FractionQA; equality of two results is cross-multiplication,
-    avoiding any need for bivariate reduction.
+    avoiding any need for bivariate reduction.  The denominator is the
+    product of {q^v} over ``den_atoms``: each part value v repeated as often
+    as it occurs in any one partition.  The numerator is
+
+        sum_lam c_lam * prod_{v in lam} {A^v} * prod_{v missing} {q^v},
+
+    computed in Z on one packed integer.  Every coefficient is scaled by L,
+    the lcm of all coefficient denominators, and each L*c_lam is packed once
+    (qpoly.pack_signed) in the bivariate Kronecker layout
+
+        digit index = (a + n) * qspan + (e - qlo) / step,
+
+    for the term A^a q^(e/6), where n is the largest degree |lam|, qlo the
+    lowest q-exponent any term reaches, step the gcd of all q-exponent
+    offsets and atom shifts, and qspan the number of q-digits.  With
+    X = 2^(8 width) per digit, an atom is a monomial times X^k - 1, so
+    multiplying by it is one shift and one subtraction.  Each atom at most
+    doubles the l1 norm, so no coefficient of the sum exceeds
+    sum_lam |L*c_lam|_1 * 2^(len lam + #missing atoms), and the width is
+    taken from that bound.  The shifted terms are summed, unpacked once
+    (qpoly.unpack_signed) and divided by L.
     """
     if not f._t:
         return FractionQA(LaurentQA.zero(), LaurentQA.one(), (), ())
-    # common denominator: for each part value v, the max multiplicity of v
-    den_mult = {}
-    for lam in f._t:
-        seen = {}
+    scale, polys = _integer_coefficients(f._t)
+    den_mult = Counter()
+    for lam in polys:
+        den_mult |= Counter(lam)
+    den_atoms = sorted(den_mult.elements())
+    missing = {lam: den_mult - Counter(lam) for lam in polys}
+    # prod over the missing atoms {q^v} = q^(-lift/6) * prod (q^(2v) - 1)
+    lift = {lam: EXP_DEN * sum(m.elements()) for lam, m in missing.items()}
+    n = max(sum(lam) for lam in polys)
+    qlo = min(min(p) - lift[lam] for lam, p in polys.items())
+    qhi = max(max(p) + lift[lam] for lam, p in polys.items())
+    step = gcd(*(2 * EXP_DEN * v for v in den_mult),
+               *(e - lift[lam] - qlo for lam, p in polys.items() for e in p)) or 1
+    qspan = (qhi - qlo) // step + 1
+    width = signed_width(sum(
+        sum(map(abs, p.values())) << (len(lam) + sum(missing[lam].values()))
+        for lam, p in polys.items()))
+    bits = 8 * width
+    slot = qspan * bits
+    total = 0
+    for lam, p in polys.items():
+        x = pack_signed(p, qlo + lift[lam], width, step)
+        for v in missing[lam].elements():
+            x = (x << (2 * EXP_DEN * v // step * bits)) - x
         for v in lam:
-            seen[v] = seen.get(v, 0) + 1
-        for v, m in seen.items():
-            if m > den_mult.get(v, 0):
-                den_mult[v] = m
-    den_atoms = []
-    for v in sorted(den_mult):
-        den_atoms.extend([v] * den_mult[v])
-    num = LaurentQA.zero()
-    for lam, c in f._t.items():
-        term = LaurentQA.one() * c
-        for v in lam:
-            term = term * _curly_Apow(v)
-        missing = dict(den_mult)
-        for v in lam:
-            missing[v] -= 1
-        for v, m in missing.items():
-            for _ in range(m):
-                term = term * _curly_qpow(v)
-        num = num + term
-    den = LaurentQA.one()
+            x = (x << (2 * v * slot)) - x
+        total += x << ((n - sum(lam)) * slot)
+    num = {}
+    for k, d in unpack_signed(total, width).items():
+        a, j = divmod(k, qspan)
+        num[(a - n, qlo + j * step)] = d // scale if d % scale == 0 else Fraction(d, scale)
+    den = LaurentQ.one()
     for v in den_atoms:
-        den = den * _curly_qpow(v)
-    return FractionQA(num, den, None, den_atoms)
+        den = den * curly_q(v)
+    return FractionQA(LaurentQA(num), LaurentQA.from_q(den), None, den_atoms)
+
+
+def _integer_coefficients(terms):
+    """(L, {lam: {q-exponent: L*c}}) with L the lcm of all denominators."""
+    polys = {}
+    for lam, c in terms.items():
+        if isinstance(c, LaurentQ):
+            polys[lam] = c._t
+        elif isinstance(c, (int, Fraction)):
+            polys[lam] = {0: c}
+        else:
+            raise TypeError("topological_locus needs int, Fraction or LaurentQ "
+                            "coefficients, got %s" % type(c).__name__)
+    scale = lcm(*(c.denominator for p in polys.values() for c in p.values()))
+    return scale, {lam: {e: c.numerator * (scale // c.denominator) for e, c in p.items()}
+                   for lam, p in polys.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ form of the quantum dimension on the topological locus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .qpoly import LaurentQA, curly_Aq, curly_q
 
@@ -235,10 +236,18 @@ def hook_content_dimension(Q: YoungDiagram) -> FractionQA:
 
     Numerator: prod over cells of {A q^(col-row)}; denominator: prod over
     cells of {q^hook}.  The power-sum substitution in symfun reproduces the
-    same value; the two paths cross-check each other.
+    same value; the two paths cross-check each other.  The value depends on
+    the rows only and is computed once per diagram; callers share the
+    returned FractionQA and must not modify it.
     """
     if not isinstance(Q, YoungDiagram):
         Q = YoungDiagram(Q)
+    return _hook_content_dimension(Q.rows)
+
+
+@lru_cache(maxsize=None)
+def _hook_content_dimension(rows) -> FractionQA:
+    Q = YoungDiagram(rows)
     contents = Q.contents()
     hooks = Q.hooks()
     num = LaurentQA.one()

@@ -1,10 +1,15 @@
 """Schur polynomials in power sums, Adams maps, cut-and-join, locus values."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from homfly3.qpoly import LaurentQA
+from homfly3.braid import extended_homfly
+from homfly3.knotdb import KNOT_NAMES, braid_word
+from homfly3.qpoly import LaurentQ, LaurentQA, curly_q
 from homfly3.symfun import (
     PowerSumPoly,
     adams,
@@ -135,6 +140,85 @@ def test_locus_matches_hook_content_small():
         assert topological_locus(schur_in_powersums(d)).same_value(
             hook_content_dimension(d)
         ), d
+
+
+def schoolbook_locus(f):
+    """(num, den, den_atoms) of the locus value, one LaurentQA product per atom."""
+    if f.is_zero():
+        return LaurentQA.zero(), LaurentQA.one(), ()
+    den_mult = {}
+    for lam in f.terms:
+        for v in set(lam):
+            den_mult[v] = max(den_mult.get(v, 0), lam.count(v))
+    den_atoms = tuple(v for v in sorted(den_mult) for _ in range(den_mult[v]))
+    num = LaurentQA.zero()
+    for lam, c in f.terms.items():
+        term = LaurentQA.one() * c
+        for v in lam:
+            term = term * LaurentQA({(v, 0): 1, (-v, 0): -1})
+        for v in den_mult:
+            for _ in range(den_mult[v] - lam.count(v)):
+                term = term * LaurentQA.from_q(curly_q(v))
+        num = num + term
+    den = LaurentQA.one()
+    for v in den_atoms:
+        den = den * LaurentQA.from_q(curly_q(v))
+    return num, den, den_atoms
+
+
+# small ints, ints next to the byte boundaries of the packed digits, and
+# Fractions of either sign
+locus_ints = st.one_of(st.integers(-9, 9), st.sampled_from(
+    [s * (2 ** (8 * k - 1) + d) for k in (1, 2, 3) for d in (-1, 0, 1) for s in (1, -1)]))
+locus_fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(2, 12))
+locus_laurents = st.dictionaries(
+    st.integers(-30, 30), st.one_of(locus_ints, locus_fractions), min_size=1, max_size=6
+).map(LaurentQ)  # exponents in sixths: the whole 1/6 lattice
+locus_polys = st.dictionaries(
+    st.lists(st.integers(1, 5), max_size=5).map(tuple),  # () and mixed degrees
+    st.one_of(locus_ints, locus_fractions, locus_laurents),
+    max_size=6,
+).map(PowerSumPoly)
+
+
+@given(locus_polys)
+@example(PowerSumPoly.zero())
+@example(PowerSumPoly({(): Fraction(-7, 6)}))
+@example(PowerSumPoly({(): LaurentQ({-1: 2, 5: -3}), (3, 1, 1): 1}))
+def test_locus_matches_schoolbook(f):
+    num, den, den_atoms = schoolbook_locus(f)
+    got = topological_locus(f)
+    assert got.num.terms == num.terms
+    assert got.den.terms == den.terms
+    assert got.den_atoms == den_atoms
+    # coefficients in canonical form: a Fraction only when not integral
+    assert all(type(c) is int or c.denominator != 1 for c in got.num.terms.values())
+
+
+def test_locus_refuses_other_coefficients():
+    with pytest.raises(TypeError):
+        topological_locus(PowerSumPoly({(1,): LaurentQA.monomial(1, a=1)}))
+    with pytest.raises(TypeError):
+        topological_locus(PowerSumPoly({(2,): 1, (1, 1): 0.5}))
+
+
+def _sha256_of_renders(values):
+    return hashlib.sha256("\n".join(v.render() for v in values).encode()).hexdigest()
+
+
+def test_locus_of_schur_polynomials_is_pinned():
+    # recorded from the term-by-term substitution (one bivariate product per atom)
+    got = _sha256_of_renders(
+        topological_locus(schur_in_powersums(d)) for d in diagrams_up_to(9))
+    assert got == "a89ea7836ef7cbdfd35518ed8b1ffc394e590e25d3da8fe78c9a8e75c5044884"
+
+
+def test_locus_of_extended_polynomials_is_pinned():
+    # the knots at r = 2, and 3_1 and 5_2 at r = 3, recorded as above
+    pairs = [(k, 2) for k in KNOT_NAMES] + [("3_1", 3), ("5_2", 3)]
+    got = _sha256_of_renders(
+        topological_locus(extended_homfly(braid_word(k), r)) for k, r in pairs)
+    assert got == "538b25c15e29b9cf37ca92859d4f096a2492477aef90cab4eb114ef15cb52fdf"
 
 
 # ---------------------------------------------------------------------------
