@@ -17,11 +17,20 @@ D_a V D_b V^T / c^2 with D_x = diag(rho_j xi_j^x): plain Laurent
 arithmetic, and the rho-conjugation cancels cyclically, so the trace is
 exactly the original one.
 
-Each factor is packed once into an integer matrix of signed digits (its
-entries at q^step -> 2^(8 width), its lowest exponent shifted out) and the
-trace of the integer product is unpacked once per block.  The width is
-bounded by the trace of the product of the entrywise l1-norm matrices;
-dividing by c^(2L), of leading coefficient +-1, stays in Z.
+Every xi_j is a signed q-monomial, so entry (i, j) of D_a V D_b V^T is
+sum_t +-q^(a e_i + b e_t) T_ijt with T_ijt = rho_i rho_t V_it V_jt: the
+factors are shifted, sign-flipped sums of the products
+racah.trace_products caches once per mixing matrix, with no polynomial
+product per word.  Each factor is packed once into an integer matrix of
+signed digits (its entries at q^step -> 2^(8 width), its lowest exponent
+shifted out) and the trace of the integer product is unpacked once per
+block.  The width is bounded by the trace of the product of the entrywise
+l1-norm matrices; dividing by c^(2L), of leading coefficient +-1, stays
+in Z.
+
+The reduction's numerator over the common hook denominator is one
+qpoly.curly_atom_sum: each C_Q times its curly-bracket atoms on one packed
+integer, by shifts and subtractions.
 """
 
 from __future__ import annotations
@@ -33,10 +42,12 @@ from math import gcd
 from operator import mul
 
 from .qpoly import (
+    EXP_DEN,
     InexactDivision,
     LaurentQ,
     LaurentQA,
-    curly_q,
+    curly_atom_sum,
+    curly_q_product,
     laurent_divexact,
     pack_signed,
     signed_width,
@@ -44,7 +55,7 @@ from .qpoly import (
     unpack_signed,
 )
 from .young import YoungDiagram, cube_blocks, hook_content_dimension
-from .racah import build_block
+from .racah import build_block, trace_products
 from .symfun import PowerSumPoly, schur_in_powersums
 
 __all__ = [
@@ -129,21 +140,25 @@ class CharacterExpansion:
 # radical-free trace engine
 
 def _block_trace(block, word):
-    """C_Q for one mixing block: Tr prod_i R^{a_i} U R^{b_i} U^T."""
+    """C_Q for one mixing block: Tr prod_i R^{a_i} U R^{b_i} U^T.
+
+    The factor of each distinct word block (a, b) is D_a V D_b V^T, whose
+    entry (i, j) is sum_t xi_i^a xi_t^b T_ijt, a sum of shifted and
+    sign-flipped copies of the cached T_ijt (racah.trace_products).
+    """
     xi = block.eigenvalues
     size = len(xi)
     if size == 1:
         return xi[0] ** word.writhe
-    rho, v, c = block.rho, block.V, block.c
-    # entries (term dicts) of D_a V D_b V^T, once per distinct block (a, b)
+    products = trace_products(block.rho, block.V)
+    # xi_j = sign_j q^(e_j / 6), so xi_j^x = sign_j^x q^(x e_j / 6)
+    monos = [next(iter(x._t.items())) for x in xi]
     factors = {}
     for a, b in set(word.blocks):
-        da = [rho[j] * xi[j] ** a for j in range(size)]
-        db = [rho[j] * xi[j] ** b for j in range(size)]
-        vdb = [[v[i][t] * db[t] for t in range(size)] for i in range(size)]
-        factors[a, b] = [[(da[i] * sum(
-            (vdb[i][t] * v[j][t] for t in range(size)), LaurentQ.zero())).terms
-            for j in range(size)] for i in range(size)]
+        ta = [(a * e, s if a % 2 else 1) for e, s in monos]
+        tb = [(b * e, s if b % 2 else 1) for e, s in monos]
+        factors[a, b] = [[_shifted_sum(ta[i], tb, products[i][j])
+                          for j in range(size)] for i in range(size)]
     lo = {ab: min(min(t) for row in m for t in row if t)
           for ab, m in factors.items()}
     step = gcd(*(e - lo[ab] for ab, m in factors.items()
@@ -156,7 +171,22 @@ def _block_trace(block, word):
     digits = unpack_signed(_trace_of_product(word.blocks, packed), width)
     base = sum(lo[ab] for ab in word.blocks)
     trace = LaurentQ({base + step * k: d for k, d in digits.items()})
-    return laurent_divexact(trace, c ** (2 * len(word.blocks)))
+    return laurent_divexact(trace, block.c ** (2 * len(word.blocks)))
+
+
+def _shifted_sum(ta, tb, row):
+    """Terms of sum_t xi_i^a xi_t^b T_ijt, from (shift, sign) of each power."""
+    da, sa = ta
+    acc = {}
+    for (db, sb), (exps, coeffs) in zip(tb, row):
+        d = da + db
+        if sa == sb:
+            for e, c in zip(exps, coeffs):
+                acc[e + d] = acc.get(e + d, 0) + c
+        else:
+            for e, c in zip(exps, coeffs):
+                acc[e + d] = acc.get(e + d, 0) - c
+    return {e: c for e, c in acc.items() if c}
 
 
 def _trace_of_product(keys, mats):
@@ -204,14 +234,6 @@ def expansion_polynomial(expansion):
     acc = PowerSumPoly.zero()
     for Q, c in expansion.coefficients.items():
         acc = acc + c * schur_in_powersums(Q)
-    return acc
-
-
-def _curly_product(atoms):
-    """prod_h {q^h}^atoms[h] for a Counter of hook lengths h."""
-    acc = LaurentQ.one()
-    for h, n in atoms.items():
-        acc = acc * curly_q(h) ** n
     return acc
 
 
@@ -268,10 +290,18 @@ def reduce_expansion(expansion, writhe):
 
     ``expansion`` comes from character_coefficients and ``writhe`` is its
     word's writhe.  The topological-locus values S_Q* enter through their
-    hook/content product form; the division by the quantum dimension of
-    [r] must clear exactly, otherwise NonPolynomialResult is raised
-    (multi-component closures genuinely do this; for knots it would
-    signal a bug).
+    hook/content product form.  Over the common hook denominator, the
+    numerator
+
+        sum_Q C_Q * prod_{c in contents Q} {A q^c}
+                  * prod_{h in fill_Q + hooks [r]} {q^h},
+
+    with fill_Q the hooks the common denominator has beyond those of Q, is
+    one qpoly.curly_atom_sum: packed once, each atom one shift and one
+    subtraction, unpacked once.  The division by the common denominator
+    and by the content atoms of [r] must clear exactly, otherwise
+    NonPolynomialResult is raised (multi-component closures genuinely do
+    this; for knots it would signal a bug).
     """
     r = expansion.r
     dims = {Q: hook_content_dimension(Q) for Q in expansion.coefficients}
@@ -282,22 +312,19 @@ def reduce_expansion(expansion, writhe):
     for d in dims.values():
         common |= Counter(d.den_atoms)
 
-    total = LaurentQA.zero()
-    for Q, c in expansion.coefficients.items():
-        d = dims[Q]
-        fill = _curly_product(common - Counter(d.den_atoms))
-        total = total + d.num * LaurentQA.from_q(c * fill)
-
-    # multiply by the hooks of [r] (numerator of 1/S_[r]*), then divide by
-    # the common q-denominator and by the content atoms of [r]
-    total = total * LaurentQA.from_q(_curly_product(Counter(dim_r.den_atoms)))
-    total = _divide_pure_q(total, _curly_product(common))
+    hooks_r = [(0, h) for h in dim_r.den_atoms]
+    total = LaurentQA(curly_atom_sum(
+        (c._t, [(1, content) for content in dims[Q].num_atoms]
+         + [(0, h) for h in (common - Counter(dims[Q].den_atoms)).elements()]
+         + hooks_r)
+        for Q, c in expansion.coefficients.items()))
+    total = _divide_pure_q(total, curly_q_product(common.elements()))
     for content in dim_r.num_atoms:
         total = _divide_curly_atom(total, content)
 
-    framing = LaurentQA.monomial(
-        1, a=-r * writhe, qexp=-2 * r * (r - 1) * writhe)
-    return total * framing
+    # framing A^(-r w) q^(-2r(r-1)w), a monomial: one shift
+    da, de = -r * writhe, -2 * EXP_DEN * r * (r - 1) * writhe
+    return LaurentQA({(a + da, e + de): c for (a, e), c in total._t.items()})
 
 
 def closure_components(word):

@@ -362,7 +362,9 @@ def _cmd_racah_dump(args, out, err):
 # --------------------------------------------------------------------------
 # entry points
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="homfly3",
         description="Colored reduced/extended polynomial engine for "

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm
 
 EXP_DEN = 6  # fixed denominator of the q-exponent lattice
 
@@ -169,6 +169,77 @@ def _mul_kronecker(a, b):
     return {base + k: _coeff(d * scale) for k, d in digits.items()}
 
 
+def curly_atom_sum(terms):
+    """sum_i p_i * prod_{(alpha, beta) in atoms_i} {A^alpha q^beta}, in Z.
+
+    ``terms`` holds pairs (p, atoms): p a term dict {q-exponent in sixths:
+    int or Fraction}, atoms a sequence of integer pairs (alpha, beta) with
+    alpha > 0, or alpha = 0 and beta > 0, each standing for the atom
+    {A^alpha q^beta} = A^alpha q^beta - A^-alpha q^-beta.  Returns the sum
+    as a term dict {(A-exponent, q-exponent in sixths): coefficient}.
+
+    Every coefficient is scaled by L, the lcm of all denominators, and each
+    L*p_i is packed once (pack_signed) in the bivariate Kronecker layout
+
+        digit index = (a + n) / astep * qspan + (e - qlo) / step,
+
+    for the term A^a q^(e/6), where n is the largest sum of alphas, qlo
+    (qhi) the lowest (highest) q-exponent any term can reach, step the gcd
+    of all q-exponent offsets and atom shifts, astep that of the A-offsets
+    and atom shifts, and qspan = (qhi - qlo) / step + 1.  With X = 2^(8 width)
+    per digit, an atom is the monomial A^-alpha q^-beta times X^s - 1 with
+    s = 2 alpha / astep * qspan + 12 beta / step > 0, so multiplying by it
+    is one shift and one subtraction.  Each atom at most doubles the l1
+    norm, so no coefficient of the sum exceeds
+    sum_i |L*p_i|_1 * 2^(#atoms_i), and the width is taken from that bound.
+    The shifted terms are summed into one integer, unpacked once
+    (unpack_signed) and divided by L.
+    """
+    terms = [(p, tuple(atoms)) for p, atoms in terms if p]
+    if not terms:
+        return {}
+    for _, atoms in terms:
+        for alpha, beta in atoms:
+            if alpha < 0 or (alpha == 0 and beta <= 0):
+                raise ValueError("atom {A^%d q^%d} needs alpha > 0, or alpha = 0 "
+                                 "and beta > 0" % (alpha, beta))
+    scale = lcm(*(c.denominator for p, _ in terms for c in p.values()))
+    polys = [{e: c.numerator * (scale // c.denominator) for e, c in p.items()}
+             for p, _ in terms]
+    alphas = [sum(alpha for alpha, _ in atoms) for _, atoms in terms]
+    lifts = [EXP_DEN * sum(beta for _, beta in atoms) for _, atoms in terms]
+    reach = [EXP_DEN * sum(abs(beta) for _, beta in atoms) for _, atoms in terms]
+    n = max(alphas)
+    qlo = min(min(p) - r for p, r in zip(polys, reach))
+    qhi = max(max(p) + r for p, r in zip(polys, reach))
+    step = _int_gcd(*(2 * EXP_DEN * abs(beta) for _, atoms in terms for _, beta in atoms),
+                    *(e - lift - qlo for p, lift in zip(polys, lifts) for e in p)) or 1
+    astep = _int_gcd(*(2 * alpha for _, atoms in terms for alpha, _ in atoms),
+                     *(n - a for a in alphas)) or 1
+    qspan = (qhi - qlo) // step + 1
+    width = signed_width(sum(sum(map(abs, p.values())) << len(atoms)
+                             for p, (_, atoms) in zip(polys, terms)))
+    bits = 8 * width
+    total = 0
+    for p, (_, atoms), a, lift in zip(polys, terms, alphas, lifts):
+        x = pack_signed(p, qlo + lift, width, step)
+        for alpha, beta in atoms:
+            x = (x << ((2 * alpha // astep * qspan + 2 * EXP_DEN * beta // step) * bits)) - x
+        total += x << ((n - a) // astep * qspan * bits)
+    out = {}
+    for k, d in unpack_signed(total, width).items():
+        a, j = divmod(k, qspan)
+        out[a * astep - n, qlo + j * step] = (
+            d // scale if d % scale == 0 else Fraction(d, scale))
+    return out
+
+
+def curly_q_product(values):
+    """prod_v {q^v} over a sequence of positive integers v (1 if empty)."""
+    return _mk({e: c for (_, e), c in
+                curly_atom_sum([({0: 1}, [(0, v) for v in values])]).items()})
+
+
 def _mul_dicts(a, b):
     if not a or not b:
         return {}
@@ -310,14 +381,19 @@ class LaurentQ:
         if len(self._t) == 1:
             ((e, c),) = self._t.items()
             return _mk({e * n: _coeff(c ** n)})
-        result = _LQ_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if not n:
+            return _LQ_ONE
+        if not self._t:
+            return _LQ_ZERO
+        # one packed integer power: (L p)^n has l1 norm at most |L p|_1^n
+        scale, ints = _int_content(self._t)
+        lo = min(ints)
+        step = _support_step(ints)
+        width = signed_width(sum(map(abs, ints.values())) ** n)
+        digits = unpack_signed(pack_signed(ints, lo, width, step) ** n, width)
+        den = scale ** n
+        return _mk({n * lo + step * k: d if den == 1 else _coeff(Fraction(d, den))
+                    for k, d in digits.items()})
 
     def inverse_monomial(self) -> "LaurentQ":
         """Inverse, defined only for monomials (the units of the ring)."""

@@ -47,6 +47,7 @@ __all__ = [
     "UnsupportedMultiplicity",
     "MixingBlock",
     "twisted_basis",
+    "trace_products",
     "racah_su2",
     "racah_from_eigenvalues",
     "build_block",
@@ -345,6 +346,33 @@ def _certify_basis(rho, v, c):
                     "rows %d and %d of V diag(rho) V^T break U U^T = I"
                     % (i, j)
                 )
+
+
+@lru_cache(maxsize=None)
+def trace_products(rho, v):
+    """T[i][j][t] = rho_i rho_t V_it V_jt for a triple of twisted_basis.
+
+    Entry (i, j) of D_a V D_b V^T is sum_t xi_i^a xi_t^b T[i][j][t], with
+    D_x = diag(rho_j xi_j^x): the trace engine builds its block factors
+    from these by shifts alone.  rho_t V_it V_jt is symmetric in (i, j), so
+    it is formed for i <= j only.  Each T[i][j][t] is stored compactly as a
+    pair of tuples (q-exponents in sixths, coefficients), every exponent
+    and coefficient one shared int object.  Cached per triple, so once per
+    (N, p).
+    """
+    n = len(rho)
+    ints = {}
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            half = [rho[t] * v[i][t] * v[j][t] for t in range(n)]
+            for a, b in ((i, j), (j, i)):
+                terms = [(rho[a] * h)._t for h in half]
+                out[a][b] = tuple(
+                    (tuple(ints.setdefault(e, e) for e in t),
+                     tuple(ints.setdefault(c, c) for c in t.values()))
+                    for t in terms)
+    return tuple(map(tuple, out))
 
 
 def racah_su2(N, p):

@@ -18,17 +18,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial
 
-from .qpoly import (
-    EXP_DEN,
-    LaurentQ,
-    LaurentQA,
-    curly_q,
-    pack_signed,
-    signed_width,
-    unpack_signed,
-)
+from .qpoly import LaurentQ, LaurentQA, curly_atom_sum, curly_q_product
 from .young import FractionQA, YoungDiagram, kappa  # noqa: F401  (kappa re-exported for tests)
 
 # ---------------------------------------------------------------------------
@@ -345,75 +337,31 @@ def topological_locus(f: PowerSumPoly) -> FractionQA:
 
         sum_lam c_lam * prod_{v in lam} {A^v} * prod_{v missing} {q^v},
 
-    computed in Z on one packed integer.  Every coefficient is scaled by L,
-    the lcm of all coefficient denominators, and each L*c_lam is packed once
-    (qpoly.pack_signed) in the bivariate Kronecker layout
-
-        digit index = (a + n) * qspan + (e - qlo) / step,
-
-    for the term A^a q^(e/6), where n is the largest degree |lam|, qlo the
-    lowest q-exponent any term reaches, step the gcd of all q-exponent
-    offsets and atom shifts, and qspan the number of q-digits.  With
-    X = 2^(8 width) per digit, an atom is a monomial times X^k - 1, so
-    multiplying by it is one shift and one subtraction.  Each atom at most
-    doubles the l1 norm, so no coefficient of the sum exceeds
-    sum_lam |L*c_lam|_1 * 2^(len lam + #missing atoms), and the width is
-    taken from that bound.  The shifted terms are summed, unpacked once
-    (qpoly.unpack_signed) and divided by L.
+    computed in Z on one packed integer by qpoly.curly_atom_sum, which
+    documents the layout and the width bound.
     """
     if not f._t:
         return FractionQA(LaurentQA.zero(), LaurentQA.one(), (), ())
-    scale, polys = _integer_coefficients(f._t)
+    polys = {lam: _coefficient_terms(c) for lam, c in f._t.items()}
     den_mult = Counter()
     for lam in polys:
         den_mult |= Counter(lam)
     den_atoms = sorted(den_mult.elements())
-    missing = {lam: den_mult - Counter(lam) for lam in polys}
-    # prod over the missing atoms {q^v} = q^(-lift/6) * prod (q^(2v) - 1)
-    lift = {lam: EXP_DEN * sum(m.elements()) for lam, m in missing.items()}
-    n = max(sum(lam) for lam in polys)
-    qlo = min(min(p) - lift[lam] for lam, p in polys.items())
-    qhi = max(max(p) + lift[lam] for lam, p in polys.items())
-    step = gcd(*(2 * EXP_DEN * v for v in den_mult),
-               *(e - lift[lam] - qlo for lam, p in polys.items() for e in p)) or 1
-    qspan = (qhi - qlo) // step + 1
-    width = signed_width(sum(
-        sum(map(abs, p.values())) << (len(lam) + sum(missing[lam].values()))
-        for lam, p in polys.items()))
-    bits = 8 * width
-    slot = qspan * bits
-    total = 0
-    for lam, p in polys.items():
-        x = pack_signed(p, qlo + lift[lam], width, step)
-        for v in missing[lam].elements():
-            x = (x << (2 * EXP_DEN * v // step * bits)) - x
-        for v in lam:
-            x = (x << (2 * v * slot)) - x
-        total += x << ((n - sum(lam)) * slot)
-    num = {}
-    for k, d in unpack_signed(total, width).items():
-        a, j = divmod(k, qspan)
-        num[(a - n, qlo + j * step)] = d // scale if d % scale == 0 else Fraction(d, scale)
-    den = LaurentQ.one()
-    for v in den_atoms:
-        den = den * curly_q(v)
-    return FractionQA(LaurentQA(num), LaurentQA.from_q(den), None, den_atoms)
+    num = curly_atom_sum(
+        (p, [(0, v) for v in (den_mult - Counter(lam)).elements()] + [(v, 0) for v in lam])
+        for lam, p in polys.items())
+    return FractionQA(LaurentQA(num), LaurentQA.from_q(curly_q_product(den_atoms)),
+                      None, den_atoms)
 
 
-def _integer_coefficients(terms):
-    """(L, {lam: {q-exponent: L*c}}) with L the lcm of all denominators."""
-    polys = {}
-    for lam, c in terms.items():
-        if isinstance(c, LaurentQ):
-            polys[lam] = c._t
-        elif isinstance(c, (int, Fraction)):
-            polys[lam] = {0: c}
-        else:
-            raise TypeError("topological_locus needs int, Fraction or LaurentQ "
-                            "coefficients, got %s" % type(c).__name__)
-    scale = lcm(*(c.denominator for p in polys.values() for c in p.values()))
-    return scale, {lam: {e: c.numerator * (scale // c.denominator) for e, c in p.items()}
-                   for lam, p in polys.items()}
+def _coefficient_terms(c):
+    """{q-exponent: coefficient} of an int, Fraction or LaurentQ coefficient."""
+    if isinstance(c, LaurentQ):
+        return c._t
+    if isinstance(c, (int, Fraction)):
+        return {0: c}
+    raise TypeError("topological_locus needs int, Fraction or LaurentQ "
+                    "coefficients, got %s" % type(c).__name__)
 
 
 # ---------------------------------------------------------------------------

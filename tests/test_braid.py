@@ -1,25 +1,31 @@
 """Braid words, character traces, and the reduced/extended assembly."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homfly3.braid import (
     Braid3Word,
+    CharacterExpansion,
     NonPolynomialResult,
+    _divide_curly_atom,
+    _divide_pure_q,
     antisymmetric_dual,
     character_coefficients,
     closure_components,
     extended_homfly,
     jones_polynomial,
+    reduce_expansion,
     reduced_homfly,
     special_polynomial,
 )
-from homfly3.qpoly import LaurentQ, LaurentQA, substitute
+from homfly3.qpoly import LaurentQ, LaurentQA, curly_q, laurent_divexact, substitute
+from homfly3.racah import build_block
 from homfly3.symfun import adams, expand_in_schur, schur_in_powersums
-from homfly3.young import YoungDiagram, kappa
+from homfly3.young import YoungDiagram, cube_blocks, hook_content_dimension, kappa
 
 UNKNOT_WORDS = ["1,1", "-1,-1", "1,-1", "-1,1", "1,1|-1,-1"]
 
@@ -179,5 +185,117 @@ def test_random_knot_words_against_oracles(r, examples):
         assert reduced_homfly(rotated, r) == h
         mirror = Braid3Word(tuple((-a, -b) for a, b in word.blocks))
         assert reduced_homfly(mirror, r) == substitute(h, "invert")
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# schoolbook references for the shift-built factors and the packed reduction
+
+def reference_coefficients(word, r):
+    """C_Q with every factor D_a V D_b V^T built entry by entry by products."""
+    out = {}
+    for spec in cube_blocks(r):
+        block = build_block(spec)
+        xi, rho, v, c = block.eigenvalues, block.rho, block.V, block.c
+        n = len(xi)
+        if n == 1:
+            out[spec.Q] = xi[0] ** word.writhe
+            continue
+        acc = None
+        for a, b in word.blocks:
+            da = [rho[j] * xi[j] ** a for j in range(n)]
+            db = [rho[j] * xi[j] ** b for j in range(n)]
+            f = [[da[i] * sum((v[i][t] * db[t] * v[j][t] for t in range(n)),
+                              LaurentQ.zero()) for j in range(n)] for i in range(n)]
+            acc = f if acc is None else [
+                [sum((acc[i][t] * f[t][j] for t in range(n)), LaurentQ.zero())
+                 for j in range(n)] for i in range(n)]
+        trace = sum((acc[i][i] for i in range(n)), LaurentQ.zero())
+        den = LaurentQ.one()
+        for _ in range(2 * len(word.blocks)):
+            den = den * c
+        out[spec.Q] = laurent_divexact(trace, den)
+    return out
+
+
+def _curly_product(atoms):
+    acc = LaurentQ.one()
+    for h in atoms.elements():
+        acc = acc * curly_q(h)
+    return acc
+
+
+def reference_reduce(expansion, writhe):
+    """The slice-wise reduction: one LaurentQA product per diagram and atom group."""
+    r = expansion.r
+    dims = {Q: hook_content_dimension(Q) for Q in expansion.coefficients}
+    dim_r = hook_content_dimension(YoungDiagram([r]))
+    common = Counter()
+    for d in dims.values():
+        common |= Counter(d.den_atoms)
+    total = LaurentQA.zero()
+    for Q, c in expansion.coefficients.items():
+        fill = _curly_product(common - Counter(dims[Q].den_atoms))
+        total = total + dims[Q].num * LaurentQA.from_q(c * fill)
+    total = total * LaurentQA.from_q(_curly_product(Counter(dim_r.den_atoms)))
+    total = _divide_pure_q(total, _curly_product(common))
+    for content in dim_r.num_atoms:
+        total = _divide_curly_atom(total, content)
+    return total * LaurentQA.monomial(1, a=-r * writhe, qexp=-2 * r * (r - 1) * writhe)
+
+
+def short_words(max_blocks):
+    exps = st.integers(-3, 3)
+    return st.lists(st.tuples(exps, exps), min_size=1, max_size=max_blocks).map(
+        lambda blocks: Braid3Word(tuple(blocks)))
+
+
+@pytest.mark.parametrize("r,examples", [(1, 25), (2, 20), (3, 10), (4, 4)])
+def test_character_coefficients_match_product_built_factors(r, examples):
+    @settings(max_examples=examples)
+    @given(short_words(3))
+    @example(Braid3Word.parse("0,-2|-1,0"))
+    @example(Braid3Word.parse("0,0|-3,1"))
+    def check(word):
+        got = character_coefficients(word, r).coefficients
+        want = reference_coefficients(word, r)
+        assert {Q: p.terms for Q, p in got.items()} == {Q: p.terms for Q, p in want.items()}
+        assert all(type(x) is int for p in got.values() for x in p.terms.values())
+
+    check()
+
+
+# a common factor keeps every division exact; 2^k +- 1 moves the packed
+# digits across the byte boundaries of the kernel's width
+scales = st.one_of(
+    st.just(1),
+    st.builds(lambda k, d, s: s * (2 ** k + d), st.integers(1, 40),
+              st.sampled_from((-1, 0, 1)), st.sampled_from((1, -1))),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 9)),
+)
+
+
+@pytest.mark.parametrize("r,examples", [(1, 40), (2, 20), (3, 10)])
+def test_reduce_expansion_matches_slice_wise_reference(r, examples):
+    @settings(max_examples=examples)
+    @given(short_words(6), scales)
+    @example(Braid3Word.parse("-1,-1|-1,-1"), 1)  # a knot
+    @example(Braid3Word.parse("1,1|1,1|1,1"), 1)  # three components
+    @example(Braid3Word.parse("2,0|-1,3"), 1)  # two components
+    # at r = 1 these put the packed sum's largest digit in the top byte
+    @example(Braid3Word.parse("-1,-1|-1,-1"), 65)
+    @example(Braid3Word.parse("2,0|-1,3"), -(2 ** 15 + 1))
+    def check(word, scale):
+        expansion = character_coefficients(word, r)
+        expansion = CharacterExpansion(
+            r, {Q: c * scale for Q, c in expansion.coefficients.items()})
+        try:
+            want = reference_reduce(expansion, word.writhe)
+        except NonPolynomialResult:
+            with pytest.raises(NonPolynomialResult):
+                reduce_expansion(expansion, word.writhe)
+            return
+        assert reduce_expansion(expansion, word.writhe).terms == want.terms
 
     check()

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from homfly3 import cli
 from homfly3.cli import run
 from homfly3.knotdb import golden
 from homfly3.qpoly import substitute
@@ -81,6 +82,36 @@ def test_compute_is_deterministic():
     first = invoke("compute", "--knot", "5_2", "--rep", "2", "--format", "json")
     second = invoke("compute", "--knot", "5_2", "--rep", "2", "--format", "json")
     assert first == second
+
+
+# a usage error, no mode, a braid word starting with '-', --out given twice
+# (each twice, so state left behind by one parse would show in the next)
+PARSER_SEQUENCE = [
+    ("compute", "--braid", "-1,-1|-1,-1", "--out", "reduced", "--out", "special"),
+    ("compute", "--knot", "3_1", "--rep", "2", "--bogus"),
+    (),
+    ("verify", "--knot", "4_1", "--knot", "3_1", "--rep", "1"),
+    ("compute", "--braid", "-1,-1|-1,-1", "--out", "reduced", "--out", "special"),
+    ("compute", "--knot", "4_1", "--rep", "1^2", "--format", "json"),
+    ("compute", "--knot", "3_1", "--rep", "2", "--bogus"),
+    (),
+    ("compute", "--rep", "2"),
+    ("compute", "--knot", "4_1", "--out", "coefficients"),
+    ("racah-dump", "--dim", "2", "--p", "1"),
+    ("table", "--rep", "2", "--format", "json"),
+]
+
+
+def test_cached_parser_behaves_like_a_fresh_one():
+    cli._build_parser.cache_clear()
+    shared = [invoke(*argv) for argv in PARSER_SEQUENCE]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in PARSER_SEQUENCE:
+        cli._build_parser.cache_clear()
+        fresh.append(invoke(*argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0]
 
 
 def test_compute_link_note_on_stderr():

@@ -140,6 +140,41 @@ def test_kronecker_product_matches_schoolbook(a, b):
     assert (LaurentQ(a) * LaurentQ(b)).terms == schoolbook(a, b)
 
 
+power_bases = st.dictionaries(
+    st.integers(-40, 40),  # exponents in sixths: the whole 1/6 lattice
+    st.one_of(st.integers(-9, 9).filter(bool), boundary,
+              st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 12))),
+    min_size=2, max_size=8,
+).map(LaurentQ)
+
+
+@given(power_bases, st.integers(0, 9))
+def test_packed_power_matches_repeated_multiplication(p, n):
+    expect = LaurentQ.one()
+    for _ in range(n):
+        expect = expect * p
+    got = p ** n
+    assert got.terms == expect.terms
+    assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+
+
+def test_power_edge_cases():
+    assert LaurentQ.zero() ** 0 == LaurentQ.one()
+    assert LaurentQ.zero() ** 3 == LaurentQ.zero()
+    assert (quantum_int(2) ** 0).is_one()
+    assert (q(Fraction(1, 6)) - 1) ** 2 == q(Fraction(1, 3)) - 2 * q(Fraction(1, 6)) + 1
+    with pytest.raises(InexactDivision):
+        quantum_int(2) ** -1
+
+
+def test_curly_atom_sum_refuses_a_nonpositive_shift():
+    for atom in ((0, 0), (0, -2), (-1, 3)):
+        with pytest.raises(ValueError):
+            qpoly.curly_atom_sum([({0: 1}, [atom])])
+    # {A q^-2} is fine: the A-shift dominates
+    assert qpoly.curly_atom_sum([({0: 1}, [(1, -2)])]) == {(1, -12): 1, (-1, 12): -1}
+
+
 @pytest.mark.parametrize("width", [1, 2, 5])
 def test_signed_digits_round_trip_at_the_extremes(width):
     top = 2 ** (8 * width - 1) - 1
