@@ -9,12 +9,13 @@ A and q.  All arithmetic is exact; nothing here ever touches a float.
 
 Submodules
 ----------
-qpoly   exact Laurent/rational arithmetic in q and (A, q)
-radext  square-root extension scalars: the radical view of the mixing matrices
+qpoly   exact Laurent polynomial arithmetic in q and (A, q)
+radext  factored quantum numbers +-q^(u/6) prod Phi_d(q^2)^e: products,
+        quotients and square roots as exponent arithmetic
 young   Young diagrams, framing weights, block bookkeeping
 symfun  Schur polynomials in power sums, Adams maps, cut-and-join
-racah   mixing matrices: the recoupling sum in factored quantum integers,
-        cross-checked by the eigenvalue construction
+racah   mixing matrices as certified integer triples (rho, V, c): the
+        recoupling sum, cross-checked by the eigenvalue construction
 braid   character expansion and the polynomial invariants themselves
 knotdb  the bundled table of verified polynomials
 cli     the ``homfly3`` command-line tool
@@ -25,7 +26,6 @@ __version__ = "0.1.0"
 from .qpoly import (  # noqa: F401
     LaurentQ,
     LaurentQA,
-    RationalQ,
     quantum_int,
     curly_bracket,
     substitute,

@@ -31,7 +31,7 @@ from .braid import (
     reduced_homfly,
     special_polynomial,
 )
-from .racah import DegenerateP, racah_su2
+from .racah import racah_su2
 from .young import cube_blocks
 
 __all__ = ["main", "run"]
@@ -342,20 +342,20 @@ def _cmd_racah_dump(args, out, err):
         )
     try:
         u = racah_su2(n, p)
-    except DegenerateP as exc:
+    except ValueError as exc:  # p < 1, or a degenerate p < N - 1
         raise _CliError(EXIT_PARSE, str(exc))
     if args.format == "json":
         payload = {
             "N": n,
             "p": p,
-            "entries": [[entry.render() for entry in row] for row in u],
+            "entries": [list(row) for row in u],
         }
         out.write(json.dumps(payload, indent=2) + "\n")
         return EXIT_OK
     out.write("U(%d|%d):\n" % (n, p))
     for i, row in enumerate(u):
         for j, entry in enumerate(row):
-            out.write("[%d][%d] = %s\n" % (i, j, entry.render()))
+            out.write("[%d][%d] = %s\n" % (i, j, entry))
     return EXIT_OK
 
 

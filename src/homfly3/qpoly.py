@@ -541,7 +541,8 @@ def laurent_gcd(a: LaurentQ, b: LaurentQ) -> LaurentQ:
     Computed by clearing the minimal exponent (a unit shift into the
     ordinary polynomial ring), running polynomial gcd there, and shifting
     back.  The result is normalized so its minimal exponent is zero and the
-    lowest-exponent coefficient is +1.
+    lowest-exponent coefficient is +1.  The engine does not call it; the
+    benchmark's tracer (perfbench/tracer.py) looks it up by name.
     """
     if a.is_zero():
         return _canon_unit(b)
@@ -593,97 +594,6 @@ def laurent_divexact(a: LaurentQ, b: LaurentQ) -> LaurentQ:
         if c:
             out[base + i * step] = _coeff(c)
     return _mk(out)
-
-
-def _dense_mul(u, v):
-    out = [Fraction(0)] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                if b:
-                    out[i + j] += a * b
-    return _strip_high(out)
-
-
-def _dense_deriv(u):
-    return _strip_high([i * u[i] for i in range(1, len(u))])
-
-
-def _dense_sub(u, v):
-    n = max(len(u), len(v))
-    return _strip_high([(u[k] if k < len(u) else Fraction(0)) -
-                        (v[k] if k < len(v) else Fraction(0)) for k in range(n)])
-
-
-def _yun_factors(f):
-    """Yun's squarefree factorization: f = lead * prod a_i^i.
-
-    Returns the list [(a_i, i)] with each a_i monic squarefree and the a_i
-    pairwise coprime (factors with a_i = 1 omitted).  Characteristic zero.
-    """
-    f = _strip_high([Fraction(c) for c in f])
-    df = _dense_deriv(f)
-    a0 = _dense_gcd(f, df)
-    if len(a0) <= 1:
-        return [(f, 1)]
-    b, r = _dense_divmod(f, a0)
-    assert not r
-    c, r = _dense_divmod(df, a0)
-    assert not r
-    d = _dense_sub(c, _dense_deriv(b))
-    out = []
-    i = 1
-    while len(b) > 1:
-        ai = _dense_gcd(b, d)
-        if len(ai) > 1:
-            out.append((ai, i))
-        b, r = _dense_divmod(b, ai)
-        assert not r
-        cnext, r = _dense_divmod(d, ai)
-        assert not r
-        d = _dense_sub(cnext, _dense_deriv(b))
-        i += 1
-    return out
-
-
-def _sqfree_dense(u):
-    """Split u = lead * c^2 * d (dense lists), d monic squarefree."""
-    c = [Fraction(1)]
-    d = [Fraction(1)]
-    for ai, i in _yun_factors(u):
-        for _ in range(i // 2):
-            c = _dense_mul(c, ai)
-        if i % 2:
-            d = _dense_mul(d, ai)
-    return c, d
-
-
-def squarefree_decompose(p: LaurentQ):
-    """Split p = unit * c^2 * d with d squarefree, canonically.
-
-    Returns (unit, c, d): ``unit`` is a monomial carrying the residual sign,
-    scalar and q-power; c is a Laurent polynomial; d is the canonical
-    squarefree part (minimal exponent 0, lowest coefficient +1, gcd(d, d')
-    a unit).  Squarefreeness is taken in the variable x = q^(1/6) after the
-    support is compressed to its exponent lattice; extracting perfect
-    squares commutes with that compression, so the split is well defined.
-    """
-    if p.is_zero():
-        raise ValueError("zero has no squarefree decomposition")
-    if len(p._t) == 1:
-        ((e, c),) = p._t.items()
-        return _mk({e: c}), _LQ_ONE, _LQ_ONE
-    step = _support_step(p._t)
-    _, u = _to_dense(p._t, step)
-    c_dense, d_dense = _sqfree_dense(u)
-    cpoly = _mk({i * step: _coeff(v) for i, v in enumerate(c_dense) if v})
-    dpoly = _mk({i * step: _coeff(v) for i, v in enumerate(d_dense) if v})
-    dcan = _canon_unit(dpoly)
-    recon = cpoly * cpoly * dcan
-    unit = laurent_divexact(p, recon)
-    if not unit.is_monomial():
-        raise AssertionError("squarefree decomposition lost a unit factor")
-    return unit, cpoly, dcan
 
 
 # ---------------------------------------------------------------------------
@@ -961,168 +871,6 @@ def substitute(poly: LaurentQA, rule: str) -> LaurentQA:
         return poly.subs_invert()
     raise ValueError("unknown substitution rule %r (expected one of %s)"
                      % (rule, ", ".join(SUBSTITUTION_RULES)))
-
-
-# ---------------------------------------------------------------------------
-# RationalQ
-# ---------------------------------------------------------------------------
-
-class RationalQ:
-    """Ratio of two LaurentQ, kept in canonical reduced form.
-
-    After normalization gcd(num, den) is a unit, the denominator's minimal
-    exponent is zero and its lowest-exponent coefficient is +1.  Equality is
-    then a structural comparison.  A value is a Laurent polynomial exactly
-    when den == 1.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        num = _as_laurent(num)
-        den = _LQ_ONE if den is None else _as_laurent(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self_num, self_den = _LQ_ZERO, _LQ_ONE
-        else:
-            g = laurent_gcd(num, den)
-            if not g.is_one():
-                num = laurent_divexact(num, g)
-                den = laurent_divexact(den, g)
-            lo = den.min6()
-            c = den._t[lo]
-            if lo or c != 1:
-                inv = Fraction(1, 1) / c
-                den = _mk({e - lo: _coeff(v * inv) for e, v in den._t.items()})
-                num = _mk({e - lo: _coeff(v * inv) for e, v in num._t.items()})
-            self_num, self_den = num, den
-        self.num = self_num
-        self.den = self_den
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "RationalQ":
-        return RationalQ(_LQ_ZERO)
-
-    @staticmethod
-    def one() -> "RationalQ":
-        return RationalQ(_LQ_ONE)
-
-    @staticmethod
-    def of(x) -> "RationalQ":
-        return x if isinstance(x, RationalQ) else RationalQ(x)
-
-    # -- inspection -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_laurent(self) -> bool:
-        return self.den.is_one()
-
-    def as_laurent(self) -> LaurentQ:
-        """The value as a Laurent polynomial; raises if the denominator survives."""
-        if not self.den.is_one():
-            raise InexactDivision("value is not a Laurent polynomial: den = %s" % self.den)
-        return self.num
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def __bool__(self):
-        return not self.num.is_zero()
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, LaurentQ)):
-            other = RationalQ(_as_laurent(other))
-        if not isinstance(other, RationalQ):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __neg__(self):
-        r = RationalQ.__new__(RationalQ)
-        r.num = -self.num
-        r.den = self.den
-        return r
-
-    def __add__(self, other):
-        o = RationalQ.of(_as_ratq_operand(other))
-        if o is None:
-            return NotImplemented
-        if self.den == o.den:
-            return RationalQ(self.num + o.num, self.den)
-        return RationalQ(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self.__add__(-RationalQ.of(_as_ratq_operand(other)))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        o = _as_ratq_operand(other)
-        if o is None:
-            return NotImplemented
-        o = RationalQ.of(o)
-        return RationalQ(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = RationalQ.of(_as_ratq_operand(other))
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero RationalQ")
-        return RationalQ(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return RationalQ.of(_as_ratq_operand(other)).__truediv__(self)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return (RationalQ.one() / self) ** (-n)
-        out = RationalQ.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
-    # -- rendering ---------------------------------------------------------------
-
-    def render(self) -> str:
-        if self.den.is_one():
-            return self.num.render()
-        return "(%s)/(%s)" % (self.num.render(), self.den.render())
-
-    def __str__(self):
-        return self.render()
-
-    def __repr__(self):
-        return "RationalQ(%s)" % self.render()
-
-
-def _as_laurent(x) -> LaurentQ:
-    if isinstance(x, LaurentQ):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return LaurentQ.const(x)
-    raise TypeError("cannot interpret %s as LaurentQ" % type(x).__name__)
-
-
-def _as_ratq_operand(x):
-    if isinstance(x, RationalQ):
-        return x
-    if isinstance(x, (int, Fraction, LaurentQ)):
-        return RationalQ(_as_laurent(x))
-    return None
 
 
 # ---------------------------------------------------------------------------

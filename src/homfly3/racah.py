@@ -3,24 +3,23 @@
 Every irreducible block of the 3-strand transfer algebra is described by a
 pair (R, U): R is diagonal and holds the signed twist eigenvalues
 xi_j = (-1)^j q^{kappa}, and U is the orthogonal change of basis between the
-two fusion channels.  U is built one way, by the recoupling sum for three
-equal spins (the q-6j formula of Kirillov and Reshetikhin), evaluated in
-factored quantum integers, and is handed out in two shapes:
+two fusion channels.  U is handed out as the integer Laurent triple
+(rho, V, c) with U = S (V/c) S and S = diag(sqrt(rho_j)), which the trace
+engine of :mod:`homfly3.braid` consumes.  Two constructions produce that
+triple, both in the factored quantum numbers of :mod:`homfly3.radext`:
 
-- ``twisted_basis``: the integer Laurent triple (rho, V, c) with
-  U = S (V/c) S and S = diag(sqrt(rho_j)), which the trace engine of
-  :mod:`homfly3.braid` consumes;
-- ``racah_su2``: the same matrix entry by entry over the radical-extension
-  scalars of :mod:`homfly3.radext`, U_ij = (V_ij/c) sqrt(rho_i rho_j).
+- ``twisted_basis``: the recoupling sum for three equal spins (the q-6j
+  formula of Kirillov and Reshetikhin), the one the engine uses;
+- ``racah_from_eigenvalues``: from nothing but the normalized eigenvalue
+  list, with squared entries given by rational expressions in the
+  eigenvalues and interior signs pinned by exact orthogonality.
 
-``racah_from_eigenvalues`` rebuilds U independently, from nothing but the
-normalized eigenvalue list, with off-diagonal magnitudes given by rational
-expressions in the eigenvalues and signs pinned by exact orthogonality.
-
-Every construction is certified at build time: U * U^T must equal the
-identity exactly, and the sign layout must satisfy sigma U sigma = U^T with
+Every triple is certified before it is returned (``certify_basis``):
+V diag(rho) V^T = c^2 diag(1/rho), which is U U^T = I conjugated by S, and
+the sign layout V_ji = (-1)^(i+j) V_ij, which is sigma U sigma = U^T with
 sigma = diag(+1, -1, +1, ...).  Construction fails loudly rather than
-returning an uncertified matrix.
+returning an uncertified matrix.  ``racah_su2`` renders U entry by entry
+for display.
 """
 
 from __future__ import annotations
@@ -30,14 +29,19 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iterproduct
 
-from .qpoly import (
-    EXP_DEN,
-    InexactDivision,
-    LaurentQ,
-    RationalQ,
-    laurent_divexact,
+from .qpoly import LaurentQ
+from .radext import (
+    NotASquare,
+    NotCyclotomic,
+    _cyclotomic,
+    _expand,
+    _fprod,
+    _qfactorial,
+    _qint,
+    divide_out,
+    factor,
+    sqrt_of,
 )
-from .radext import Radicand, RadicalScalar, sqrt_of
 from .young import BlockSpec, pair_exponent
 
 __all__ = [
@@ -47,14 +51,12 @@ __all__ = [
     "UnsupportedMultiplicity",
     "MixingBlock",
     "twisted_basis",
+    "certify_basis",
     "trace_products",
     "racah_su2",
     "racah_from_eigenvalues",
     "build_block",
     "normalized_eigenvalues",
-    "mat_mul",
-    "mat_transpose",
-    "certify_orthogonal",
 ]
 
 
@@ -72,123 +74,6 @@ class NonOrthogonal(ArithmeticError):
 
 class UnsupportedMultiplicity(ValueError):
     """Mixing matrices of size >= 6 are not implemented."""
-
-
-# --------------------------------------------------------------------------
-# small matrix helpers (tuples of tuples of RadicalScalar)
-
-def mat_transpose(m):
-    return tuple(tuple(row[i] for row in m) for i in range(len(m[0])))
-
-
-def mat_mul(a, b):
-    bt = mat_transpose(b)
-    return tuple(
-        tuple(_dot(row, col) for col in bt)
-        for row in a
-    )
-
-
-def _dot(u, v):
-    acc = RadicalScalar.zero()
-    for x, y in zip(u, v):
-        acc = acc + x * y
-    return acc
-
-
-def certify_orthogonal(u):
-    """Raise NonOrthogonal unless u * u^T is exactly the identity."""
-    n = len(u)
-    one = RadicalScalar.one()
-    for i in range(n):
-        for j in range(i, n):
-            d = _dot(u[i], u[j])
-            want = one if i == j else RadicalScalar.zero()
-            if d != want:
-                raise NonOrthogonal(
-                    "row products (%d,%d) = %s, expected %s" % (i, j, d, want)
-                )
-
-
-def _certify_sigma(u):
-    n = len(u)
-    for i in range(n):
-        for j in range(n):
-            lhs = u[j][i]
-            rhs = u[i][j] if (i + j) % 2 == 0 else -u[i][j]
-            if lhs != rhs:
-                raise NonOrthogonal(
-                    "sign layout breaks the alternating transpose rule at "
-                    "(%d,%d)" % (i, j)
-                )
-
-
-def _apply_diag_flips(u, signs):
-    n = len(u)
-    return tuple(
-        tuple(
-            u[i][j] if signs[i] * signs[j] > 0 else -u[i][j]
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-# --------------------------------------------------------------------------
-# factored quantum numbers
-#
-# A factored value (sign, u6, exps) stands for
-#     sign * q^(u6/6) * prod_d Phi_d(q^2)^exps[d],
-# Phi_d the d-th cyclotomic polynomial.  Since
-#     [k] = q^-(k-1) * prod_{d | k, d > 1} Phi_d(q^2),
-# products, quotients and square roots of quantum integers are exponent
-# arithmetic, and only sums need polynomials, which are divided back by
-# the Phi_d they share with the denominators.
-
-@lru_cache(maxsize=None)
-def _cyclotomic(d):
-    """Phi_d(q^2): x^d - 1 divided by Phi_k(x) for every k | d, k < d."""
-    phi = LaurentQ({2 * EXP_DEN * d: 1, 0: -1})
-    for k in range(1, d):
-        if d % k == 0:
-            phi = laurent_divexact(phi, _cyclotomic(k))
-    return phi
-
-
-def _qint(k):
-    """[k] for k >= 1, factored."""
-    return 1, -EXP_DEN * (k - 1), {d: 1 for d in range(2, k + 1) if k % d == 0}
-
-
-def _fprod(num, den=()):
-    """prod(num) / prod(den) of factored values."""
-    sign, u6, exps = 1, 0, {}
-    for power, values in ((1, num), (-1, den)):
-        for s, u, ex in values:
-            sign *= s
-            u6 += power * u
-            for d, e in ex.items():
-                exps[d] = exps.get(d, 0) + power * e
-    return sign, u6, {d: e for d, e in exps.items() if e}
-
-
-@lru_cache(maxsize=None)
-def _qfactorial(n):
-    """[n]! for n >= 0, factored."""
-    return _fprod([_qint(k) for k in range(1, n + 1)])
-
-
-def _expand(exps, sign=1, u6=0):
-    """sign * q^(u6/6) * prod_d Phi_d(q^2)^exps[d], exps >= 0, as a LaurentQ.
-
-    ``exps`` may also be a set of d, standing for exponents 1.
-    """
-    if not isinstance(exps, dict):
-        exps = dict.fromkeys(exps, 1)
-    acc = LaurentQ({u6: sign})
-    for d in sorted(exps):
-        acc = acc * _cyclotomic(d) ** exps[d]
-    return acc
 
 
 # --------------------------------------------------------------------------
@@ -267,28 +152,21 @@ def _recoupling(N, p):
     nums, dens = {}, {}
     for i in range(N):
         for jj in range(N):
-            _, u6, exps = _fprod([f[i], f[jj]],
-                                 [(1, 0, odd[i]), (1, 0, odd[jj])])
-            if u6 % 2 or any(e % 2 for e in exps.values()):
+            try:
+                root = sqrt_of(_fprod([f[i], f[jj]],
+                                      [(1, 0, odd[i]), (1, 0, odd[jj])]))
+            except NotASquare:
                 raise NonOrthogonal(
                     "radicand of entry (%d,%d) is not rho_i rho_j times a "
                     "square" % (i, jj))
             common, total = _alternating_sum(p, k, spins[i], spins[jj])
             sign = eps * dress[i] * dress[jj] * (-1) ** ((k + i) % 2)
-            sign, u6, exps = _fprod(
-                [(sign, u6 // 2, {d: e // 2 for d, e in exps.items()}),
-                 (1, 0, common)])
-            den = {d: -e for d, e in exps.items() if e < 0} if total else {}
-            for d in den:
-                while den[d]:
-                    try:
-                        total = laurent_divexact(total, _cyclotomic(d))
-                    except InexactDivision:
-                        break
-                    den[d] -= 1
+            sign, u6, exps = _fprod([(sign, 0, {}), root, (1, 0, common)])
+            total, den = divide_out(
+                total, {d: -e for d, e in exps.items() if e < 0})
             pos = {d: e for d, e in exps.items() if e > 0}
             nums[i, jj] = total * _expand(pos, sign, u6)
-            dens[i, jj] = {d: e for d, e in den.items() if e}
+            dens[i, jj] = den
     return odd, nums, dens
 
 
@@ -298,9 +176,8 @@ def twisted_basis(N, p):
 
     U = S (V/c) S with S = diag(sqrt(rho_j)); rho_j, the entries of V and c
     are integer Laurent polynomials, rho_0 = 1, every rho_j is squarefree
-    and c is the least common denominator of V/c.  Certified before it is
-    returned: V diag(rho) V^T = c^2 diag(1/rho), which is U U^T = I
-    conjugated by S, and V_ji = (-1)^(i+j) V_ij.
+    and c is the least common denominator of V/c.  Certified by
+    :func:`certify_basis` before it is returned.
     """
     if not isinstance(N, int) or not isinstance(p, int):
         raise TypeError("mixing matrices need integer N and p")
@@ -313,7 +190,16 @@ def twisted_basis(N, p):
             "size %d needs p >= %d (a denominator [k] vanishes at p = %d)"
             % (N, N - 1, p)
         )
-    odd, nums, dens = _recoupling(N, p)
+    rho, v, c = _triple(*_recoupling(N, p))
+    certify_basis(rho, v, c)
+    return rho, v, c
+
+
+def _triple(odd, nums, dens):
+    """(rho, V, c) from factored rho_j and entries U_ij / sqrt(rho_i rho_j)
+    = nums[i, j] / prod_d Phi_d(q^2)^dens[i, j][d]; c is their least common
+    denominator."""
+    n = len(odd)
     rho = tuple(_expand(o) for o in odd)
     c_exps = {}
     for den in dens.values():
@@ -324,15 +210,30 @@ def twisted_basis(N, p):
         tuple(
             nums[i, j] * _expand(
                 {d: e - dens[i, j].get(d, 0) for d, e in c_exps.items()})
-            for j in range(N)
+            for j in range(n)
         )
-        for i in range(N)
+        for i in range(n)
     )
-    _certify_basis(rho, v, c)
     return rho, v, c
 
 
-def _certify_basis(rho, v, c):
+def _certify_sigma(v):
+    n = len(v)
+    for i in range(n):
+        for j in range(n):
+            if v[j][i] != (v[i][j] if (i + j) % 2 == 0 else -v[i][j]):
+                raise NonOrthogonal(
+                    "sign layout breaks the alternating transpose rule at "
+                    "(%d,%d)" % (i, j)
+                )
+
+
+def certify_basis(rho, v, c):
+    """Raise NonOrthogonal unless (rho, V, c) is an orthogonal U = S (V/c) S.
+
+    Checks V_ji = (-1)^(i+j) V_ij and V diag(rho) V^T = c^2 diag(1/rho),
+    row pair by row pair, exactly.
+    """
     _certify_sigma(v)
     n = len(rho)
     c2 = c * c
@@ -376,11 +277,13 @@ def trace_products(rho, v):
 
 
 def racah_su2(N, p):
-    """The mixing matrix U(N|p) entry by entry over radical scalars.
+    """The mixing matrix U(N|p) rendered entry by entry, for display.
 
-    U_ij = (V_ij / c) * sqrt(rho_i rho_j), read off the certified triple of
-    :func:`twisted_basis` in factored form; the trace engine never builds
-    this view.
+    U_ij = (V_ij / c) * sqrt(rho_i rho_j) is written as r * sqrt(P): the
+    Phi_d that rho_i and rho_j share leave the root, P is the product of
+    those in exactly one of them, and r is rendered as a Laurent polynomial
+    or as (numerator)/(denominator) in lowest terms.  Read off the factored
+    data of :func:`twisted_basis`; the trace engine never builds this view.
     """
     twisted_basis(N, p)  # checks (N, p) and certifies the matrix
     odd, nums, dens = _recoupling(N, p)
@@ -388,18 +291,21 @@ def racah_su2(N, p):
     for i in range(N):
         row = []
         for j in range(N):
-            # sqrt(rho_i rho_j) = prod_{both} Phi_d * sqrt(prod_{one} Phi_d)
-            den = dict(dens[i, j])
-            extra = set()
+            num, den = nums[i, j], dict(dens[i, j])
             for d in odd[i].keys() & odd[j].keys():
                 if den.get(d):
                     den[d] -= 1
                 else:
-                    extra.add(d)
-            coeff = RationalQ(nums[i, j] * _expand(extra), _expand(den))
+                    num = num * _cyclotomic(d)
+            text = num.render()
+            den = _expand(den)
+            if num and not den.is_one():
+                text = "(%s)/(%s)" % (text, den.render())
             radical = odd[i].keys() ^ odd[j].keys()
-            key = Radicand(_expand(radical)) if radical else None
-            row.append(RadicalScalar({key: coeff}))
+            if num and radical:
+                root = "sqrt(%s)" % _expand(radical).render()
+                text = root if text == "1" else "(%s)*%s" % (text, root)
+            row.append(text)
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -407,31 +313,14 @@ def racah_su2(N, p):
 # --------------------------------------------------------------------------
 # eigenvalue-based construction
 
-# Pinned dressing per size, chosen so that the eigenvalue-based matrix
-# coincides entrywise with racah_su2 on the matching eigenvalue set.
+# Pinned dressing per size, chosen so that the eigenvalue-based triple
+# coincides with twisted_basis on the matching eigenvalue set.
 _EV_DRESS = {
     2: (1, 1),
     3: (1, -1, -1),
     4: (1, 1, -1, 1),
     5: (1, 1, 1, 1, 1),
 }
-
-_SAMPLE_T = Fraction(6, 5)  # sample value of t = q^(1/6), generic q > 1
-
-
-def _value_at_sample(f):
-    acc = Fraction(0)
-    for e6, c in f.terms.items():
-        acc += Fraction(c) * _SAMPLE_T ** e6
-    return acc
-
-
-def _sign_at_sample(r):
-    num = _value_at_sample(r.num)
-    den = _value_at_sample(r.den)
-    if num == 0:
-        return 0
-    return 1 if (num > 0) == (den > 0) else -1
 
 
 def normalized_eigenvalues(N, p):
@@ -449,36 +338,36 @@ def normalized_eigenvalues(N, p):
 
 
 def _ev_offdiag_square(xs, i, j):
-    """Squared off-diagonal entry as a ratio of eigenvalue polynomials."""
-    n = len(xs)
+    """Squared off-diagonal entry U_ij^2, factored.
+
+    A ratio of products of binomials and trinomials in the eigenvalues;
+    each factor is factored on its own.
+    """
     xi, xj = xs[i], xs[j]
+    others = [x for k, x in enumerate(xs) if k != i and k != j]
     one = LaurentQ.one()
-    if n == 2:
-        num = xi ** 2 + one + xj ** 2
-    elif n == 3:
-        num = -(xi ** 3 - one) * (xj ** 3 - one) * (xi * xj).inverse_monomial()
-    elif n == 4:
-        num = -(xi ** 2 - one) * (xj ** 2 - one)
-        for k in range(n):
-            if k != i and k != j:
-                m = xi * xs[k]
-                num = num * (m - one + m.inverse_monomial())
+    if len(xs) == 2:
+        num = [xi ** 2 + one + xj ** 2]
+    elif len(xs) == 3:
+        num = [-(xi ** 3 - one), xj ** 3 - one, (xi * xj).inverse_monomial()]
+    elif len(xs) == 4:
+        num = [-(xi ** 2 - one), xj ** 2 - one]
+        for x in others:
+            m = xi * x
+            num.append(m - one + m.inverse_monomial())
     else:
-        num = -(xi * xj)
-        num = num * (xi + one + xi.inverse_monomial())
-        num = num * (xj + one + xj.inverse_monomial())
-        for k in range(n):
-            if k != i and k != j:
-                num = num * (xi * xs[k] + one) * (xj * xs[k] + one)
-    den = (xs[i] - xs[j]) ** 2
-    for k in range(n):
-        if k != i and k != j:
-            den = den * (xs[i] - xs[k]) * (xs[j] - xs[k])
-    return RationalQ(num, den)
+        num = [-(xi * xj), xi + one + xi.inverse_monomial(),
+               xj + one + xj.inverse_monomial()]
+        num += [xi * x + one for x in others] + [xj * x + one for x in others]
+    den = [xi - xj, xi - xj] + [xi - x for x in others] + [xj - x for x in others]
+    return _fprod([factor(f) for f in num], [factor(f) for f in den])
 
 
 def _ev_diag(xs, i):
-    """Signed diagonal entry restored from orthogonality."""
+    """Signed diagonal entry U_ii restored from orthogonality.
+
+    Returns (numerator as a LaurentQ, factored denominator).
+    """
     n = len(xs)
     xi = xs[i]
     others = [xs[k] for k in range(n) if k != i]
@@ -486,17 +375,11 @@ def _ev_diag(xs, i):
     if n == 2:
         fac = one
     elif n == 3:
-        s = LaurentQ.zero()
-        for x in others:
-            s = s + x
-        fac = -(xi * s)
+        fac = -(xi * (others[0] + others[1]))
     elif n == 4:
-        e1 = LaurentQ.zero()
-        e2 = LaurentQ.zero()
-        for a in range(3):
-            e1 = e1 + others[a]
-            for b in range(a + 1, 3):
-                e2 = e2 + others[a] * others[b]
+        e1 = others[0] + others[1] + others[2]
+        e2 = (others[0] * others[1] + others[0] * others[2]
+              + others[1] * others[2])
         fac = xi * (xi * e2 - e1)
     else:
         s1 = LaurentQ.zero()
@@ -509,24 +392,24 @@ def _ev_diag(xs, i):
         fac = xi * ((xi + one) * (one + s1) + s2)
     if i % 2:
         fac = -fac
-    den = one
-    for k in range(n):
-        if k != i:
-            den = den * (xs[i] - xs[k])
-    return RationalQ(fac, den)
+    return fac, _fprod([factor(xi - x) for x in others])
 
 
 def racah_from_eigenvalues(xi, N=None):
-    """Reconstruct the mixing matrix from its normalized twist eigenvalues.
+    """Build the mixing triple (rho, V, c) from normalized twist eigenvalues.
 
     ``xi`` must be pairwise-distinct signed q-monomials (coefficients +-1)
     on the 1/6 exponent lattice, already scaled so that no residual root of
-    unity appears.  Off-diagonal magnitudes come from closed rational
-    expressions in the eigenvalues; interior signs are found by demanding
-    exact orthogonality, with the first row taken positive and the rest of
-    the layout forced by the alternating transpose rule.  The diagonal
-    dressing is pinned per size so the result coincides entrywise with
-    racah_su2 on matching eigenvalue sets.
+    unity appears.  The squared entries U_ij^2 (i < j) come from closed
+    rational expressions in the eigenvalues, factored into Phi_d(q^2);
+    rho_j is the odd part of U_0j^2, and U_ij / sqrt(rho_i rho_j) is their
+    exact square root, taken positive at q > 1.  The diagonal U_ii is a
+    signed rational expression, reduced to lowest terms.  The interior
+    signs (i, j >= 1) are the one assignment that :func:`certify_basis`
+    accepts, with the first row positive and the rest of the layout forced
+    by the alternating transpose rule.  The diagonal dressing is pinned per
+    size so the result equals :func:`twisted_basis` on matching eigenvalue
+    sets.
     """
     xs = [x if isinstance(x, LaurentQ) else LaurentQ.const(x) for x in xi]
     n = len(xs) if N is None else N
@@ -547,85 +430,68 @@ def racah_from_eigenvalues(xi, N=None):
                     "eigenvalues %d and %d coincide: %s" % (i, j, xs[i])
                 )
 
-    # magnitudes and fixed diagonal
-    squares = {}
-    mags = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            sq = _ev_offdiag_square(xs, i, j)
-            if _sign_at_sample(sq) < 0:
-                raise NonOrthogonal(
-                    "squared entry (%d,%d) is negative-valued; eigenvalue "
-                    "set is outside the formulas' validity" % (i, j)
-                )
-            squares[(i, j)] = sq
-            root = sqrt_of(sq)
-            coeff_sign = _rs_sign_at_sample(root)
-            if coeff_sign < 0:
-                root = -root
-            mags[(i, j)] = root
-    diag = [RadicalScalar.rational(_ev_diag(xs, i)) for i in range(n)]
-
-    # row norms are sign-independent; certify them before searching signs
-    for i in range(n):
-        acc = _ev_diag(xs, i) ** 2
-        for k in range(n):
-            if k == i:
-                continue
-            acc = acc + squares[(min(i, k), max(i, k))]
-        if not (acc - RationalQ.one()).is_zero():
+    outside = "; eigenvalue set is outside the formulas' validity"
+    try:
+        squares = {(i, j): _ev_offdiag_square(xs, i, j)
+                   for i in range(n) for j in range(i + 1, n)}
+        diags = [_ev_diag(xs, i) for i in range(n)]
+    except NotCyclotomic as exc:
+        raise NonOrthogonal(str(exc) + outside)
+    for (i, j), (sign, _, _) in squares.items():
+        if sign < 0:
             raise NonOrthogonal(
-                "row %d has norm %s, expected 1; eigenvalue set is outside "
-                "the formulas' validity" % (i, acc)
-            )
+                "squared entry (%d,%d) is negative-valued" % (i, j) + outside)
+
+    # U_ij = W_ij sqrt(rho_i rho_j) with W_ij = nums / prod Phi_d^dens
+    odd = [{}] + [{d: 1 for d, e in squares[0, j][2].items() if e % 2}
+                  for j in range(1, n)]
+    nums, dens = {}, {}
+    for (i, j), square in squares.items():
+        try:
+            sign, u6, exps = sqrt_of(
+                _fprod([square], [(1, 0, odd[i]), (1, 0, odd[j])]))
+        except NotASquare:
+            raise NonOrthogonal(
+                "U_%d%d^2 is not rho_%d rho_%d times a square" % (i, j, i, j)
+                + outside)
+        nums[i, j] = _expand({d: e for d, e in exps.items() if e > 0},
+                             sign, u6)
+        dens[i, j] = {d: -e for d, e in exps.items() if e < 0}
+    for i, (fac, (sign, u6, exps)) in enumerate(diags):
+        nums[i, i], dens[i, i] = divide_out(
+            fac.shift6(-u6) * sign, _fprod([(1, 0, exps), (1, 0, odd[i])])[2])
+
+    for i in range(n):
+        for j in range(i):
+            nums[i, j] = nums[j, i] * (-1) ** (i + j)
+            dens[i, j] = dens[j, i]
+    rho, v, c = _triple(odd, nums, dens)
 
     interior = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
     solutions = []
     for choice in _iterproduct((1, -1), repeat=len(interior)):
-        cand = _assemble(n, mags, diag, dict(zip(interior, choice)))
+        signs = dict(zip(interior, choice))
+        cand = tuple(
+            tuple(x * signs.get((min(i, j), max(i, j)), 1)
+                  for j, x in enumerate(row))
+            for i, row in enumerate(v)
+        )
         try:
-            certify_orthogonal(cand)
+            certify_basis(rho, cand, c)
         except NonOrthogonal:
             continue
         solutions.append(cand)
     if not solutions:
         raise NonOrthogonal(
-            "no sign assignment makes the matrix orthogonal; eigenvalue "
-            "set is outside the formulas' validity"
-        )
-    distinct = [s for k, s in enumerate(solutions) if s not in solutions[:k]]
-    if len(distinct) > 1:
+            "no sign assignment makes the matrix orthogonal" + outside)
+    if len(solutions) > 1:
         raise NonOrthogonal("sign assignment is ambiguous for this input")
-    u = distinct[0]
-    _certify_sigma(u)
-    return _apply_diag_flips(u, _EV_DRESS[n])
-
-
-def _rs_sign_at_sample(scalar):
-    parts = scalar.parts
-    if len(parts) != 1:
-        raise NonOrthogonal("magnitude is not a single radical term")
-    ((_, coeff),) = parts.items()
-    return _sign_at_sample(coeff)
-
-
-def _assemble(n, mags, diag, interior_signs):
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(diag[i])
-                continue
-            a, b = (i, j) if i < j else (j, i)
-            e = mags[(a, b)]
-            if a > 0 and interior_signs[(a, b)] < 0:
-                e = -e
-            if i > j and (i + j) % 2:
-                e = -e
-            row.append(e)
-        rows.append(tuple(row))
-    return tuple(rows)
+    dress = _EV_DRESS[n]
+    v = tuple(
+        tuple(x if dress[i] == dress[j] else -x for j, x in enumerate(row))
+        for i, row in enumerate(solutions[0])
+    )
+    return rho, v, c
 
 
 # --------------------------------------------------------------------------

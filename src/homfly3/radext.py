@@ -1,339 +1,162 @@
-"""Square-root extension scalars over the rational-function field in q.
+"""Factored quantum numbers: sign * q^(u6/6) * prod_d Phi_d(q^2)^e.
 
-Scalars are sums  c0 + c1*sqrt(P1) + c2*sqrt(P2) + ...  where the ci
-are rational functions of q and the Pi are canonical radicands.  They are
-the entries of the mixing matrices as :func:`homfly3.racah.racah_su2` and
-the eigenvalue reconstruction hand them out; the trace engine works on
-the integer form of :func:`homfly3.racah.twisted_basis` instead.
+A factored value is a triple (sign, u6, exps): sign is +1 or -1, u6 the
+q-exponent in sixths and exps a dict {d: e} of nonzero exponents of the
+cyclotomic polynomials Phi_d(q^2).  Since
 
-A radicand is kept in the factored shape
+    [k] = q^-(k-1) * prod_{d | k, d > 1} Phi_d(q^2),
 
-    sign_unit * content * body
+products, quotients and square roots of quantum integers are exponent
+arithmetic (``_fprod``, ``sqrt_of``); only sums need polynomials, which are
+expanded (``_expand``) and divided back by the Phi_d they share with a
+denominator (``divide_out``).  ``factor`` goes the other way: it writes an
+integer Laurent polynomial in this form by exact trial division, or
+raises.  Every Phi_d(x) is positive for x > 1, so the sign of a factored
+value at every q > 1 is its sign field.
 
-with sign_unit in {+1, -1}, content a positive squarefree integer and
-body a squarefree Laurent polynomial normalized to minimal exponent
-zero and lowest coefficient +1.  Keying radicands by this canonical
-form guarantees that sqrt(P)*sqrt(P) always collapses into the rational
-part and that distinct radicands never alias.
-
-The unit -1 inside a root is kept as a formal factor (never expanded
-into a complex unit); for the sign conventions used by the mixing
-matrices every entry is real and any -1 radicand surviving a
-computation that must be rational is reported as an error.
-
-``assert_rational`` is a radical-freeness certificate: it returns the
-rational part when every radical part has cancelled, and raises
-``NonVanishingRadical`` otherwise.
+These are the scalars of both mixing-matrix constructions in
+:mod:`homfly3.racah`: the recoupling sum and the eigenvalue formulas.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd as _int_gcd
+from functools import lru_cache
 
-from .qpoly import (
-    LaurentQ,
-    RationalQ,
-    laurent_divexact,
-    laurent_gcd,
-    squarefree_decompose,
-)
+from .qpoly import EXP_DEN, InexactDivision, LaurentQ, laurent_divexact
+
+# q^2 in sixths: the exponent step of Phi_d(q^2)
+_Q2 = 2 * EXP_DEN
 
 
-class NonVanishingRadical(ArithmeticError):
-    """A value that had to be rational still carries square roots."""
+class NotCyclotomic(ArithmeticError):
+    """A polynomial is not a signed monomial times a product of Phi_d(q^2)."""
 
 
-def _sq_split_int(n: int):
-    """n = s^2 * m with m squarefree; returns (s, m) for n > 0."""
-    s, m = 1, 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            s *= d ** (e // 2)
-            if e % 2:
-                m *= d
-        d += 1 if d == 2 else 2
-    return s, m * n
+class NotASquare(ArithmeticError):
+    """A factored value has an odd exponent or a negative sign under a root."""
 
 
-class Radicand:
-    """Canonical key for a square root: sign_unit * content * body."""
-
-    __slots__ = ("body", "sign_unit", "content", "_h")
-
-    def __init__(self, body: LaurentQ, sign_unit: int = 1, content: int = 1):
-        if sign_unit not in (1, -1):
-            raise ValueError("sign_unit must be +1 or -1")
-        if content < 1:
-            raise ValueError("content must be a positive integer")
-        if body.is_one() and content == 1 and sign_unit == 1:
-            raise ValueError("trivial radicand: that is the rational part")
-        self.body = body
-        self.sign_unit = sign_unit
-        self.content = content
-        self._h = None
-
-    def value(self) -> LaurentQ:
-        """The polynomial under the root, sign and content included."""
-        return self.body * (self.sign_unit * self.content)
-
-    def __eq__(self, other):
-        return (isinstance(other, Radicand)
-                and self.sign_unit == other.sign_unit
-                and self.content == other.content
-                and self.body == other.body)
-
-    def __hash__(self):
-        if self._h is None:
-            self._h = hash((self.sign_unit, self.content, self.body))
-        return self._h
-
-    def render(self) -> str:
-        return self.value().render()
-
-    def __repr__(self):
-        return "Radicand(%s)" % self.render()
+@lru_cache(maxsize=None)
+def _cyclotomic(d):
+    """Phi_d(q^2): x^d - 1 divided by Phi_k(x) for every k | d, k < d."""
+    phi = LaurentQ({_Q2 * d: 1, 0: -1})
+    for k in range(1, d):
+        if d % k == 0:
+            phi = laurent_divexact(phi, _cyclotomic(k))
+    return phi
 
 
-def _mul_radicands(r1: Radicand, r2: Radicand):
-    """sqrt(r1)*sqrt(r2) = factor * sqrt(key); key None when fully rational.
+@lru_cache(maxsize=None)
+def _totient(d):
+    """Euler's phi(d), the degree of Phi_d."""
+    n, out, k = d, d, 2
+    while k * k <= n:
+        if n % k == 0:
+            out -= out // k
+            while n % k == 0:
+                n //= k
+        k += 1
+    return out - out // n if n > 1 else out
 
-    Uses gcd extraction: identical factors of the two radicands leave the
-    root pairwise, so the result's radicand is again squarefree canonical.
+
+def _qint(k):
+    """[k] for k >= 1, factored."""
+    return 1, -EXP_DEN * (k - 1), {d: 1 for d in range(2, k + 1) if k % d == 0}
+
+
+def _fprod(num, den=()):
+    """prod(num) / prod(den) of factored values."""
+    sign, u6, exps = 1, 0, {}
+    for power, values in ((1, num), (-1, den)):
+        for s, u, ex in values:
+            sign *= s
+            u6 += power * u
+            for d, e in ex.items():
+                exps[d] = exps.get(d, 0) + power * e
+    return sign, u6, {d: e for d, e in exps.items() if e}
+
+
+@lru_cache(maxsize=None)
+def _qfactorial(n):
+    """[n]! for n >= 0, factored."""
+    return _fprod([_qint(k) for k in range(1, n + 1)])
+
+
+def _expand(exps, sign=1, u6=0):
+    """sign * q^(u6/6) * prod_d Phi_d(q^2)^exps[d], exps >= 0, as a LaurentQ.
+
+    ``exps`` may also be a set of d, standing for exponents 1.
     """
-    if r1 is r2 or r1 == r2:
-        return None, RationalQ(r1.value())
-    sign = r1.sign_unit * r2.sign_unit
-    g = _int_gcd(r1.content, r2.content)
-    content = (r1.content // g) * (r2.content // g)
-    e = laurent_gcd(r1.body, r2.body)
-    if e.is_one():
-        body = r1.body * r2.body
-        factor = RationalQ(LaurentQ.const(g))
-    else:
-        body = laurent_divexact(r1.body, e) * laurent_divexact(r2.body, e)
-        factor = RationalQ(e * g)
-    if body.is_one() and content == 1 and sign == 1:
-        return None, factor
-    return Radicand(body, sign, content), factor
+    if not isinstance(exps, dict):
+        exps = dict.fromkeys(exps, 1)
+    acc = LaurentQ({u6: sign})
+    for d in sorted(exps):
+        acc = acc * _cyclotomic(d) ** exps[d]
+    return acc
 
 
-class RadicalScalar:
-    """Finite sum of rational multiples of canonical square roots."""
+def divide_out(poly, exps):
+    """poly / prod_d Phi_d(q^2)^exps[d] in lowest terms.
 
-    __slots__ = ("_parts", "_h")
-
-    def __init__(self, parts=None):
-        p = {}
-        if parts:
-            for key, c in parts.items():
-                c = RationalQ.of(c)
-                if not c.is_zero():
-                    p[key] = c
-        self._parts = p
-        self._h = None
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "RadicalScalar":
-        return _RS_ZERO
-
-    @staticmethod
-    def one() -> "RadicalScalar":
-        return _RS_ONE
-
-    @staticmethod
-    def rational(x) -> "RadicalScalar":
-        c = RationalQ.of(_to_rational(x))
-        return _mkrs({None: c}) if not c.is_zero() else _RS_ZERO
-
-    # -- inspection -----------------------------------------------------------
-
-    @property
-    def parts(self):
-        """{Radicand or None: RationalQ} (a copy; None keys the rational part)."""
-        return dict(self._parts)
-
-    def is_zero(self) -> bool:
-        return not self._parts
-
-    def is_rational(self) -> bool:
-        return all(k is None for k in self._parts)
-
-    def radicands(self):
-        return [k for k in self._parts if k is not None]
-
-    # -- certificate -----------------------------------------------------------
-
-    def assert_rational(self) -> RationalQ:
-        """Return the value as a RationalQ, certifying no root survived."""
-        bad = [k for k in self._parts if k is not None]
-        if bad:
-            raise NonVanishingRadical(
-                "radical parts survive: %s" % ", ".join(
-                    "sqrt(%s)" % k.render() for k in bad))
-        return self._parts.get(None, RationalQ.zero())
-
-    # -- ring operations ---------------------------------------------------------
-
-    def __bool__(self):
-        return bool(self._parts)
-
-    def __eq__(self, other):
-        o = _coerce_rs(other)
-        if o is None:
-            return NotImplemented
-        return self._parts == o._parts
-
-    def __hash__(self):
-        if self._h is None:
-            self._h = hash(frozenset(self._parts.items()))
-        return self._h
-
-    def __neg__(self):
-        return _mkrs({k: -c for k, c in self._parts.items()})
-
-    def __add__(self, other):
-        o = _coerce_rs(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self._parts)
-        for k, c in o._parts.items():
-            v = out.get(k)
-            v = c if v is None else v + c
-            if v.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = v
-        return _mkrs(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _coerce_rs(other)
-        if o is None:
-            return NotImplemented
-        return self.__add__(-o)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        o = _coerce_rs(other)
-        if o is None:
-            return NotImplemented
-        out = {}
-        for k1, c1 in self._parts.items():
-            for k2, c2 in o._parts.items():
-                c = c1 * c2
-                if k1 is None:
-                    key, extra = k2, None
-                elif k2 is None:
-                    key, extra = k1, None
-                else:
-                    key, extra = _mul_radicands(k1, k2)
-                if extra is not None:
-                    c = c * extra
-                v = out.get(key)
-                v = c if v is None else v + c
-                if v.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = v
-        return _mkrs(out)
-
-    __rmul__ = __mul__
-
-    # -- rendering ----------------------------------------------------------------
-
-    def render(self) -> str:
-        if not self._parts:
-            return "0"
-        chunks = []
-        if None in self._parts:
-            chunks.append(self._parts[None].render())
-        for k in sorted((k for k in self._parts if k is not None),
-                        key=lambda r: r.render()):
-            c = self._parts[k]
-            cs = c.render()
-            if cs == "1":
-                chunks.append("sqrt(%s)" % k.render())
-            else:
-                chunks.append("(%s)*sqrt(%s)" % (cs, k.render()))
-        return " + ".join(chunks)
-
-    def __str__(self):
-        return self.render()
-
-    def __repr__(self):
-        return "RadicalScalar(%s)" % self.render()
-
-
-def _mkrs(parts) -> RadicalScalar:
-    s = RadicalScalar.__new__(RadicalScalar)
-    s._parts = parts
-    s._h = None
-    return s
-
-
-_RS_ZERO = _mkrs({})
-_RS_ONE = _mkrs({None: RationalQ.one()})
-
-
-def _to_rational(x) -> RationalQ:
-    if isinstance(x, RationalQ):
-        return x
-    if isinstance(x, (int, Fraction, LaurentQ)):
-        return RationalQ.of(x)
-    raise TypeError("cannot interpret %s as RationalQ" % type(x).__name__)
-
-
-def _coerce_rs(x):
-    if isinstance(x, RadicalScalar):
-        return x
-    if isinstance(x, (int, Fraction, LaurentQ, RationalQ)):
-        return RadicalScalar.rational(x)
-    return None
-
-
-def sqrt_of(r) -> RadicalScalar:
-    """Square root of a rational function, squares fully extracted.
-
-    Returns c*sqrt(d) with r = c^2*d and d squarefree canonical; in
-    particular sqrt_of(x*x) has only a rational part.  The zero input
-    yields zero.
-
-    >>> from homfly3.qpoly import quantum_int
-    >>> str(sqrt_of(RationalQ(quantum_int(3) * quantum_int(3))))
-    'q^2 + 1 + q^-2'
+    Divides poly by each Phi_d as often as the division is exact and
+    returns (quotient, {d: exponent left in the denominator}).
     """
-    r = _to_rational(r)
-    if r.is_zero():
-        return _RS_ZERO
-    # sqrt(num/den) = sqrt(num*den)/den
-    p = r.num * r.den
-    unit, c, body = squarefree_decompose(p)
-    ((e6, u),) = unit.terms.items()
-    if e6 % 2:
-        raise ValueError(
-            "radicand needs q^(1/12), which is off the exponent lattice")
-    sign = 1 if u > 0 else -1
-    mag = Fraction(abs(u))
-    s_num, m_num = _sq_split_int(mag.numerator)
-    s_den, m_den = _sq_split_int(mag.denominator)
-    # sqrt(a/b) = (sa*sb*g) * sqrt(m) / b  with m = (ma/g)*(mb/g)
-    g = _int_gcd(m_num, m_den)
-    m = (m_num // g) * (m_den // g)
-    coeff = RationalQ(
-        c * LaurentQ.monomial(Fraction(s_num * s_den * g, mag.denominator),
-                              Fraction(e6, 12)),
-        r.den)
-    if m == 1 and sign == 1 and body.is_one():
-        return _mkrs({None: coeff})
-    return _mkrs({Radicand(body, sign, m): coeff})
+    left = {}
+    for d, e in exps.items():
+        while e:
+            try:
+                poly = laurent_divexact(poly, _cyclotomic(d))
+            except InexactDivision:
+                break
+            e -= 1
+        if e:
+            left[d] = e
+    return poly, left
+
+
+def factor(poly):
+    """An integer Laurent polynomial as a factored value, by trial division.
+
+    Shifts out the lowest power of q, then divides by Phi_d(q^2) for
+    d = 1, 2, ... as often as each division is exact, stopping once the
+    cofactor is a constant.  A Phi_d of degree at most D has d <= 2 D^2,
+    since phi(d) >= sqrt(d/2), so the search is finite.  Raises
+    NotCyclotomic if poly is zero, is not a monomial times a polynomial in
+    q^2, or leaves a cofactor other than +-1.
+    """
+    if not poly:
+        raise NotCyclotomic("zero has no factored form")
+    terms = poly.terms
+    lo = min(terms)
+    if any((e - lo) % _Q2 for e in terms):
+        raise NotCyclotomic("%s is not a monomial times a polynomial in q^2"
+                            % poly)
+    rest = poly.shift6(-lo)
+    degree = (max(terms) - lo) // _Q2
+    exps = {}
+    d = 1
+    while degree and d <= 2 * degree * degree:
+        if _totient(d) <= degree:
+            while True:
+                try:
+                    rest = laurent_divexact(rest, _cyclotomic(d))
+                except InexactDivision:
+                    break
+                exps[d] = exps.get(d, 0) + 1
+                degree -= _totient(d)
+        d += 1
+    if degree or rest.terms[0] not in (1, -1):
+        raise NotCyclotomic("%s leaves the cofactor %s" % (poly, rest))
+    return rest.terms[0], lo, exps
+
+
+def sqrt_of(value):
+    """The square root of a factored value: every exponent halved.
+
+    Raises NotASquare on a negative sign or an odd exponent of q^(1/6) or
+    of some Phi_d, so the root is the positive one at every q > 1.
+    """
+    sign, u6, exps = value
+    if sign < 0 or u6 % 2 or any(e % 2 for e in exps.values()):
+        raise NotASquare("%d * q^(%d/6) * %s is not a square" % (sign, u6, exps))
+    return 1, u6 // 2, {d: e // 2 for d, e in exps.items()}

@@ -31,10 +31,10 @@ from homfly3.knotdb import (
 )
 from homfly3.qpoly import LaurentQ, LaurentQA, substitute
 from homfly3.racah import (
-    certify_orthogonal,
+    certify_basis,
     normalized_eigenvalues,
     racah_from_eigenvalues,
-    racah_su2,
+    twisted_basis,
 )
 from homfly3.symfun import (
     adams,
@@ -102,41 +102,48 @@ def test_criterion_1_golden_tables():
 
 
 def test_criterion_2_racah_certificates():
+    # U = S (V/c) S with S = diag(sqrt(rho_j)): V diag(rho) V^T =
+    # c^2 diag(1/rho) is U U^T = I conjugated by the invertible S, and
+    # V_ji = (-1)^(i+j) V_ij is sigma U sigma = U^T
     checked = 0
     for N in (2, 3, 4, 5):
         for p in range(N - 1, 7):
-            u = racah_su2(N, p)
-            certify_orthogonal(u)
+            rho, v, c = twisted_basis(N, p)
+            certify_basis(rho, v, c)
             for i in range(N):
                 for j in range(N):
-                    want = u[i][j] if (i + j) % 2 == 0 else -u[i][j]
-                    assert u[j][i] == want, (N, p, i, j)
+                    want = v[i][j] if (i + j) % 2 == 0 else -v[i][j]
+                    assert v[j][i] == want, (N, p, i, j)
             checked += 1
     record_acceptance(
         2,
         "mixing-matrix certificates",
         checked == 18,
         "U U^T = I and sigma U sigma = U^T exact for %d matrices "
-        "(N=2..5, p=N-1..6)" % checked,
+        "(N=2..5, p=N-1..6), as V diag(rho) V^T = c^2 diag(1/rho) and "
+        "V_ji = (-1)^(i+j) V_ij on the integer triples" % checked,
     )
     assert checked == 18
 
 
 def test_criterion_3_conjecture_form_equivalence():
-    entrywise = 0
+    # the triple (rho, V, c) determines U = S (V/c) S, so equal triples
+    # are equal matrices
+    equal = 0
     for N in (2, 3, 4, 5):
         for p in range(N - 1, 6):
-            assert racah_su2(N, p) == racah_from_eigenvalues(
+            assert twisted_basis(N, p) == racah_from_eigenvalues(
                 normalized_eigenvalues(N, p), N
             ), (N, p)
-            entrywise += 1
+            equal += 1
     record_acceptance(
         3,
         "recoupling sum vs eigenvalue forms",
-        entrywise == 14,
-        "entrywise for %d matrices (N=2..5, p=N-1..5)" % entrywise,
+        equal == 14,
+        "equal certified triples (rho, V, c) for %d matrices "
+        "(N=2..5, p=N-1..5)" % equal,
     )
-    assert entrywise == 14
+    assert equal == 14
 
 
 def test_criterion_4_torus_oracle():

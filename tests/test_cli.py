@@ -144,6 +144,8 @@ def test_compute_link_reduced_fails_cleanly():
         ("compute", "--braid", "1,1", "--rep", "0"),
         ("table",),  # table requires --rep
         ("racah-dump", "--dim", "3", "--p", "1"),  # degenerate denominator
+        ("racah-dump", "--dim", "5", "--p", "0"),  # p must be positive
+        ("racah-dump", "--dim", "2", "--p", "-1"),
     ],
 )
 def test_parse_errors_exit_1(argv):

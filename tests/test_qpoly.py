@@ -1,4 +1,4 @@
-"""Exact Laurent/rational arithmetic in q and (A, q)."""
+"""Exact Laurent arithmetic in q and (A, q)."""
 
 from fractions import Fraction
 
@@ -12,10 +12,10 @@ from homfly3.qpoly import (
     LaurentQ,
     LaurentQA,
     PolyParseError,
-    RationalQ,
     curly_bracket,
     curly_q,
     laurent_divexact,
+    laurent_gcd,
     pack_signed,
     quantum_int,
     substitute,
@@ -240,47 +240,17 @@ def test_divexact_refuses_a_remainder():
 
 
 # ---------------------------------------------------------------------------
-# rational functions
+# gcd (not used by the engine; kept for the benchmark's tracer)
 
-def test_rationalq_normalization_idempotent():
-    n = quantum_int(4) * quantum_int(6)
-    d = quantum_int(2) * quantum_int(3)
-    r = RationalQ(n, d)
-    r2 = RationalQ(r.num, r.den)
-    assert r2.num == r.num and r2.den == r.den
-
-
-def test_rationalq_cancels_common_factor():
-    # [2][3]/[3] == [2] after normalization
-    r = RationalQ(quantum_int(2) * quantum_int(3), quantum_int(3))
-    assert r.is_laurent()
-    assert r.as_laurent() == quantum_int(2)
-
-
-def test_rationalq_canonical_denominator():
-    # den is normalized so its lowest-exponent term has coefficient +1;
-    # equal values are structurally equal regardless of construction.
-    a = RationalQ(quantum_int(2), quantum_int(3))
-    b = RationalQ(-quantum_int(2), -quantum_int(3))
-    c = RationalQ(
-        quantum_int(2) * quantum_int(5), quantum_int(3) * quantum_int(5)
-    )
-    assert a == b == c
-    assert a.den == b.den == c.den
-    lowest = min(a.den.terms)
-    assert a.den.terms[lowest] == 1
-
-
-@given(laurent_q(max_terms=3, max_exp=3), laurent_q(max_terms=3, max_exp=3))
-def test_rationalq_product_canonical(x, y):
-    d1 = quantum_int(2)
-    d2 = quantum_int(3)
-    r1 = RationalQ(x, d1)
-    r2 = RationalQ(y, d2)
-    prod = r1 * r2
-    direct = RationalQ(x * y, d1 * d2)
-    assert prod == direct
-    assert prod.num == direct.num and prod.den == direct.den
+def test_laurent_gcd_basic():
+    a = quantum_int(2) * quantum_int(6)
+    b = quantum_int(2) * quantum_int(4)
+    g = laurent_gcd(a, b)
+    # [2] divides both; the gcd must make both quotients exact
+    laurent_divexact(a, g)
+    laurent_divexact(b, g)
+    # and [2] must divide the gcd
+    laurent_divexact(g, quantum_int(2))
 
 
 # ---------------------------------------------------------------------------

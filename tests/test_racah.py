@@ -1,5 +1,5 @@
 """Mixing matrices: the recoupling sum, its certificates, the eigenvalue
-reconstruction."""
+reconstruction, and the factored quantum numbers both are built from."""
 
 import hashlib
 import json
@@ -7,25 +7,32 @@ from dataclasses import replace
 
 import pytest
 
+from homfly3 import racah
 from homfly3.braid import Braid3Word, _block_trace, character_coefficients
-from homfly3.qpoly import LaurentQ, RationalQ, quantum_int
+from homfly3.qpoly import LaurentQ, quantum_int
 from homfly3.racah import (
     DegenerateP,
     MixingBlock,
     NonOrthogonal,
     RepeatedEigenvalue,
     UnsupportedMultiplicity,
-    _certify_basis,
     build_block,
-    certify_orthogonal,
-    mat_mul,
-    mat_transpose,
+    certify_basis,
     normalized_eigenvalues,
     racah_from_eigenvalues,
     racah_su2,
     twisted_basis,
 )
-from homfly3.radext import RadicalScalar, sqrt_of
+from homfly3.radext import (
+    NotASquare,
+    NotCyclotomic,
+    _expand,
+    _fprod,
+    _qint,
+    divide_out,
+    factor,
+    sqrt_of,
+)
 from homfly3.young import cube_blocks
 
 # sha256 of the triples (rho, V, c) of U(N|p) for N = 2..5, p = N-1..6, as
@@ -37,18 +44,44 @@ TWISTED_BASIS_SHA256 = (
 FAST_GRID = [(2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (5, 4)]
 
 
-def as_radical(lq):
-    return RadicalScalar.rational(RationalQ(lq, LaurentQ.one()))
-
-
-def qint_ratio(num, den):
-    """prod [k] over num divided by prod [k] over den, as a RationalQ."""
-    acc = RationalQ.one()
-    for k in num:
+def qint_product(ks):
+    """prod [k] over ks, as a plain LaurentQ."""
+    acc = LaurentQ.one()
+    for k in ks:
         acc = acc * quantum_int(k)
-    for k in den:
-        acc = acc / quantum_int(k)
     return acc
+
+
+def lead_sign(x):
+    """Sign of x at q -> infinity: the sign of its top coefficient."""
+    terms = x.terms
+    return 1 if terms[max(terms)] > 0 else -1
+
+
+def same_root(x, p, y, r):
+    """x sqrt(p) == y sqrt(r) at every q > 1, for p, r positive there.
+
+    Equal squares x^2 p = y^2 r make the two sides agree up to one global
+    sign, because the Laurent ring has unique factorization; the top
+    coefficients fix that sign.
+    """
+    return x * x * p == y * y * r and (not x or lead_sign(x) == lead_sign(y))
+
+
+def mat_mul(a, b):
+    n = len(b)
+    return [[sum((a[i][t] * b[t][j] for t in range(n)), LaurentQ.zero())
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def diag(entries):
+    zero = LaurentQ.zero()
+    return [[x if i == j else zero for j, x in enumerate(entries)]
+            for i, _ in enumerate(entries)]
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)]
 
 
 # ---------------------------------------------------------------------------
@@ -56,13 +89,13 @@ def qint_ratio(num, den):
 
 @pytest.mark.parametrize("N,p", FAST_GRID)
 def test_closed_forms_certified(N, p):
-    u = racah_su2(N, p)
-    certify_orthogonal(u)
+    rho, v, c = twisted_basis(N, p)
+    certify_basis(rho, v, c)
     # sigma U sigma = U^T with sigma = diag(+1, -1, +1, ...)
     for i in range(N):
         for j in range(N):
-            want = u[i][j] if (i + j) % 2 == 0 else -u[i][j]
-            assert u[j][i] == want
+            want = v[i][j] if (i + j) % 2 == 0 else -v[i][j]
+            assert v[j][i] == want
 
 
 def test_degenerate_p_raises():
@@ -88,35 +121,51 @@ def test_twisted_basis_refuses_like_racah_su2():
         twisted_basis(6, 6)
 
 
+def parse_entry(text):
+    """(num, den, radicand) of a rendered entry (num/den) * sqrt(radicand)."""
+    one = LaurentQ.one()
+    root = one
+    if text.endswith(")") and "sqrt(" in text:
+        k = text.index("sqrt(")
+        text, root = text[:k], LaurentQ.parse(text[k + 5:-1])
+        text = "1" if not text else text[1:-2]  # "(r)*" around the ratio
+    if text.startswith("(") and ")/(" in text:
+        num, den = text[1:-1].split(")/(")
+        return LaurentQ.parse(num), LaurentQ.parse(den), root
+    return LaurentQ.parse(text), one, root
+
+
 @pytest.mark.parametrize("N,p", FAST_GRID)
 def test_twisted_basis_is_the_radical_view(N, p):
-    # U_ij = (V_ij / c) sqrt(rho_i rho_j), with rho_0 = 1
+    # racah_su2 renders U_ij = (V_ij / c) sqrt(rho_i rho_j), with rho_0 = 1
     rho, v, c = twisted_basis(N, p)
     u = racah_su2(N, p)
     assert rho[0] == LaurentQ.one()
     for i in range(N):
         for j in range(N):
-            want = RadicalScalar.rational(RationalQ(v[i][j], c))
-            assert u[i][j] == want * sqrt_of(rho[i] * rho[j]), (i, j)
+            num, den, root = parse_entry(u[i][j])
+            assert same_root(num * c, root, v[i][j] * den, rho[i] * rho[j]), (i, j)
 
 
 @pytest.mark.parametrize("N,p", FAST_GRID)
 def test_closed_forms_match_recoupling_sum(N, p):
     # the corner entries of U(N|p) have closed product forms in [k], written
-    # here without the factored arithmetic that evaluates the sum
+    # here with plain quantum integers, cross-multiplied against V/c and rho
+    rho, v, c = twisted_basis(N, p)
     n = N - 1
-    u = racah_su2(N, p)
-    top = [p - k for k in range(n)]
+    top = qint_product(p - k for k in range(n))
     corner = -1 if N == 4 else 1
-    assert u[0][0] == corner * RadicalScalar.rational(
-        qint_ratio(top, [2 * p - k for k in range(n)]))
-    assert u[n][n] == corner * RadicalScalar.rational(
-        qint_ratio(top, [2 * p - k for k in range(n - 1, 2 * n - 1)]))
-    radicand = qint_ratio(
-        top + [3 * p - k for k in range(n - 1, 2 * n - 1)],
-        [2 * p - k for k in range(2 * n - 1) if k != n - 1])
-    off = RadicalScalar.rational(qint_ratio([], [2 * p - n + 1]))
-    assert u[0][n] == (-1 if N == 3 else 1) * off * sqrt_of(radicand)
+    # U_00 = corner * prod [p-k] / prod_{k < n} [2p-k]
+    assert v[0][0] * qint_product(2 * p - k for k in range(n)) == corner * c * top
+    # U_nn = V_nn rho_n / c = corner * prod [p-k] / prod_{n-1 <= k < 2n-1} [2p-k]
+    assert (v[n][n] * rho[n] * qint_product(2 * p - k for k in range(n - 1, 2 * n - 1))
+            == corner * c * top)
+    # U_0n = V_0n sqrt(rho_n) / c = sign * sqrt(radicand) / [2p-n+1]
+    rad_num = top * qint_product(3 * p - k for k in range(n - 1, 2 * n - 1))
+    rad_den = qint_product(2 * p - k for k in range(2 * n - 1) if k != n - 1)
+    sign = -1 if N == 3 else 1
+    assert same_root(v[0][n] * quantum_int(2 * p - n + 1), rho[n] * rad_den,
+                     sign * c, rad_num)
 
 
 def test_twisted_basis_is_pinned():
@@ -140,18 +189,18 @@ def test_twisted_basis_is_pinned():
 
 def test_basis_certificate_rejects_broken_triples():
     rho, v, c = twisted_basis(3, 2)
-    _certify_basis(rho, v, c)
+    certify_basis(rho, v, c)
     rows = [list(row) for row in v]
     rows[1][2] = -rows[1][2]
     rows[2][1] = -rows[2][1]  # keeps the sign layout, breaks orthogonality
     with pytest.raises(NonOrthogonal):
-        _certify_basis(rho, tuple(map(tuple, rows)), c)
+        certify_basis(rho, tuple(map(tuple, rows)), c)
     rows = [list(row) for row in v]
     rows[0][1] = -rows[0][1]  # breaks the sign layout
     with pytest.raises(NonOrthogonal):
-        _certify_basis(rho, tuple(map(tuple, rows)), c)
+        certify_basis(rho, tuple(map(tuple, rows)), c)
     with pytest.raises(NonOrthogonal):
-        _certify_basis(rho, v, c * 2)
+        certify_basis(rho, v, c * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +208,28 @@ def test_basis_certificate_rejects_broken_triples():
 
 @pytest.mark.parametrize("N,p", [(2, 1), (2, 3), (3, 2), (3, 4)])
 def test_eigenvalue_reconstruction_entrywise(N, p):
-    u = racah_su2(N, p)
-    v = racah_from_eigenvalues(normalized_eigenvalues(N, p), N)
-    assert u == v
+    # equal triples: (rho, V, c) determines U = S (V/c) S
+    assert racah_from_eigenvalues(normalized_eigenvalues(N, p), N) == \
+        twisted_basis(N, p)
 
 
 @pytest.mark.parametrize("N,p", [(4, 3), (5, 4)])
 def test_eigenvalue_reconstruction_squared(N, p):
-    # sizes 4 and 5 agree entrywise too, which implies agreement of the
+    # sizes 4 and 5 agree as triples too, which implies agreement of the
     # diagonals and of the squared off-diagonals this test is named after
-    u = racah_su2(N, p)
-    v = racah_from_eigenvalues(normalized_eigenvalues(N, p), N)
-    assert u == v
+    assert racah_from_eigenvalues(normalized_eigenvalues(N, p), N) == \
+        twisted_basis(N, p)
+
+
+@pytest.mark.parametrize("N,p", [(2, 2), (3, 3), (4, 3), (5, 4)])
+def test_eigenvalue_reconstruction_rejects_corrupted_lists(N, p):
+    xs = normalized_eigenvalues(N, p)
+    flipped = list(xs)
+    flipped[1] = -flipped[1]
+    with pytest.raises(NonOrthogonal):
+        racah_from_eigenvalues(flipped, N)
+    # the reversed list passes every certificate but is another matrix
+    assert racah_from_eigenvalues(xs[::-1], N) != twisted_basis(N, p)
 
 
 def test_normalized_eigenvalues_product_is_sign():
@@ -189,6 +248,60 @@ def test_repeated_eigenvalue_rejected():
         racah_from_eigenvalues([q, q], 2)
 
 
+def test_sign_search_refuses_ambiguity(monkeypatch):
+    # were every interior sign choice certified, none would be preferred
+    monkeypatch.setattr(racah, "certify_basis", lambda rho, v, c: None)
+    with pytest.raises(NonOrthogonal, match="ambiguous"):
+        racah_from_eigenvalues(normalized_eigenvalues(3, 2), 3)
+
+
+# ---------------------------------------------------------------------------
+# factored quantum numbers
+
+def test_factor_roundtrip():
+    value = -quantum_int(3) ** 2 * quantum_int(4) * LaurentQ.monomial(1, 5)
+    sign, u6, exps = factor(value)
+    assert sign == -1 and exps == {2: 1, 3: 2, 4: 1}
+    assert _expand(exps, sign, u6) == value
+    for k in range(1, 12):
+        assert factor(quantum_int(k)) == _qint(k)
+    assert factor(LaurentQ.monomial(-1, 1)) == (-1, 6, {})
+    # Phi_1(q^2) = q^2 - 1 is a factor too
+    assert factor(LaurentQ.parse("q^2 - q^-2")) == (1, -12, {1: 1, 2: 1})
+
+
+@pytest.mark.parametrize("text", [
+    "0",
+    "q + 1",            # not a polynomial in q^2
+    "q^2 + 3",          # no cyclotomic factor
+    "2*q^2 - 2",        # cofactor 2
+    "q^4 + q^2 + 2",
+])
+def test_factor_refuses_non_cyclotomic(text):
+    with pytest.raises(NotCyclotomic):
+        factor(LaurentQ.parse(text))
+
+
+def test_sqrt_of_perfect_square():
+    x = _fprod([_qint(3), _qint(5)], [_qint(4)])
+    assert sqrt_of(_fprod([x, x])) == x
+    with pytest.raises(NotASquare):
+        sqrt_of(_fprod([x, _qint(3)]))       # odd exponent of Phi_3
+    with pytest.raises(NotASquare):
+        sqrt_of((-1, 0, {}))                 # negative
+    with pytest.raises(NotASquare):
+        sqrt_of((1, 3, {}))                  # q^(1/4) is off the 1/6 lattice
+
+
+def test_divide_out_reaches_lowest_terms():
+    # [6] = q^-5 Phi_2 Phi_3 Phi_6, so [6] / (Phi_2^2 Phi_3) keeps one Phi_2
+    # below the line
+    num = quantum_int(6)
+    poly, left = divide_out(num, {2: 2, 3: 1})
+    assert left == {2: 1}
+    assert poly * _expand({2: 1, 3: 1}) == num
+
+
 # ---------------------------------------------------------------------------
 # block assembly
 
@@ -203,22 +316,60 @@ def test_build_block_r1():
     assert b.R[0][1] == LaurentQ.zero()
 
 
+def twisted_factors(eigenvalues, rho, v):
+    """D = diag(xi_j), rho D = diag(rho_j xi_j), V and V^T as lists."""
+    return (diag(eigenvalues), diag([r * x for r, x in zip(rho, eigenvalues)]),
+            [list(row) for row in v], transpose(v))
+
+
 def test_braid_relation_cube_root_block():
     # In the 2-dimensional r=1 block, M = R U R U^T satisfies M^2 + M + 1 = 0:
     # the two twist eigenvalues q and -1/q multiply to -1, so M has unit
-    # determinant and trace -1.
+    # determinant and trace -1.  With U = S (V/c) S, M = S K S / c^2 for
+    # K = D V rhoD V^T, and the identity becomes
+    # rho K rho K + c^2 rho K + c^4 = 0 in integer Laurent polynomials.
     (spec,) = [s for s in cube_blocks(1) if s.multiplicity == 2]
     block = build_block(spec)
-    u = racah_su2(2, spec.p)
-    r_mat = tuple(tuple(as_radical(e) for e in row) for row in block.R)
-    m = mat_mul(mat_mul(mat_mul(r_mat, u), r_mat), mat_transpose(u))
-    m2 = mat_mul(m, m)
-    one = RadicalScalar.one()
-    zero = RadicalScalar.zero()
+    d, rd, v, vt = twisted_factors(block.eigenvalues, block.rho, block.V)
+    rk = mat_mul(diag(block.rho), mat_mul(mat_mul(d, v), mat_mul(rd, vt)))
+    rkrk = mat_mul(rk, rk)
+    c2 = block.c * block.c
     for i in range(2):
         for j in range(2):
-            ident = one if i == j else zero
-            assert m2[i][j] + m[i][j] + ident == zero
+            ident = c2 * c2 if i == j else LaurentQ.zero()
+            assert rkrk[i][j] + c2 * rk[i][j] + ident == LaurentQ.zero()
+
+
+def braid_relation_holds(eigenvalues, rho, v, c):
+    """R1 R2 R1 = R2 R1 R2 for R1 = D, R2 = U D U^T in twisted integer form:
+    c^2 D V rhoD V^T D = V rhoD V^T rhoD V rhoD V^T."""
+    d, rd, v, vt = twisted_factors(eigenvalues, rho, v)
+    w = mat_mul(mat_mul(v, rd), vt)  # V rhoD V^T
+    lhs = mat_mul(mat_mul(d, w), d)
+    rhs = mat_mul(mat_mul(w, rd), w)
+    c2 = c * c
+    return all(c2 * x == y for lrow, rrow in zip(lhs, rhs)
+               for x, y in zip(lrow, rrow))
+
+
+def test_braid_relation_twisted_form():
+    checked = 0
+    for r in (1, 2, 3, 4):
+        for spec in cube_blocks(r):
+            if spec.multiplicity < 2:
+                continue
+            b = build_block(spec)
+            assert braid_relation_holds(b.eigenvalues, b.rho, b.V, b.c), spec.Q
+            flipped = [list(row) for row in b.V]
+            flipped[0][1] = -flipped[0][1]
+            assert not braid_relation_holds(b.eigenvalues, b.rho, flipped, b.c)
+            # a 2x2 block satisfies the relation with its eigenvalues swapped
+            # as well, so reversal is a mutation from size 3 on
+            if spec.multiplicity > 2:
+                assert not braid_relation_holds(
+                    b.eigenvalues[::-1], b.rho, b.V, b.c)
+            checked += 1
+    assert checked == 23
 
 
 def test_character_coefficients_invariant_under_dressing():
