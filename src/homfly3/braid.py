@@ -26,11 +26,15 @@ signed digits (its entries at q^step -> 2^(8 width), its lowest exponent
 shifted out) and the trace of the integer product is unpacked once per
 block.  The width is bounded by the trace of the product of the entrywise
 l1-norm matrices; dividing by c^(2L), of leading coefficient +-1, stays
-in Z.
+in Z.  A trace whose packed integers would exceed TRACE_BYTES is refused
+with TraceTooLarge before anything is packed.
 
-The reduction's numerator over the common hook denominator is one
-qpoly.curly_atom_sum: each C_Q times its curly-bracket atoms on one packed
-integer, by shifts and subtractions.
+The reduction divides sum_Q C_Q S_Q* by S_[r]* with the atoms of S_[r]*
+cancelled up front: each S_Q* already holds the content atoms of [r], and
+the common hook denominator the hooks of [r].  The numerator is one
+qpoly.curly_atom_sum, each C_Q times its remaining curly-bracket atoms
+on one packed integer, by shifts and subtractions; one exact division by
+the remaining pure-q denominator, one synthetic pass per atom, is left.
 """
 
 from __future__ import annotations
@@ -43,18 +47,16 @@ from operator import mul
 
 from .qpoly import (
     EXP_DEN,
-    InexactDivision,
     LaurentQ,
     LaurentQA,
     curly_atom_sum,
-    curly_q_product,
     laurent_divexact,
     pack_signed,
     signed_width,
     substitute,
     unpack_signed,
 )
-from .young import YoungDiagram, cube_blocks, hook_content_dimension
+from .young import YoungDiagram, cube_blocks
 from .racah import build_block, trace_products
 from .symfun import PowerSumPoly, schur_in_powersums
 
@@ -62,6 +64,8 @@ __all__ = [
     "Braid3Word",
     "CharacterExpansion",
     "NonPolynomialResult",
+    "TRACE_BYTES",
+    "TraceTooLarge",
     "character_coefficients",
     "closure_components",
     "extended_homfly",
@@ -76,6 +80,16 @@ __all__ = [
 
 class NonPolynomialResult(ArithmeticError):
     """Division by the quantum dimension left a nontrivial denominator."""
+
+
+# the most bytes one packed integer of a block trace may take; a word
+# needing 1 MiB already traces for minutes (the heaviest Tier-1 and
+# benchmark words need under 18 KiB)
+TRACE_BYTES = 1 << 20
+
+
+class TraceTooLarge(Exception):
+    """A block trace would pack integers over TRACE_BYTES."""
 
 
 @dataclass(frozen=True)
@@ -161,11 +175,20 @@ def _block_trace(block, word):
                           for j in range(size)] for i in range(size)]
     lo = {ab: min(min(t) for row in m for t in row if t)
           for ab, m in factors.items()}
+    hi = {ab: max(max(t) for row in m for t in row if t)
+          for ab, m in factors.items()}
     step = gcd(*(e - lo[ab] for ab, m in factors.items()
                  for row in m for t in row for e in t)) or 1
     norms = {ab: [[sum(map(abs, t.values())) for t in row] for row in m]
              for ab, m in factors.items()}
     width = signed_width(_trace_of_product(word.blocks, norms))
+    # the factors' digit spans add up in the product: no packed integer
+    # below is longer than the trace's
+    nbytes = width * (1 + sum((hi[ab] - lo[ab]) // step for ab in word.blocks))
+    if nbytes > TRACE_BYTES:
+        raise TraceTooLarge(
+            "block %s: the packed trace needs %d bytes, over the budget of %d"
+            % (block.spec.Q, nbytes, TRACE_BYTES))
     packed = {ab: [[pack_signed(t, lo[ab], width, step) if t else 0
                     for t in row] for row in m] for ab, m in factors.items()}
     digits = unpack_signed(_trace_of_product(word.blocks, packed), width)
@@ -237,47 +260,36 @@ def expansion_polynomial(expansion):
     return acc
 
 
-def _divide_pure_q(f, d):
-    """Exact division of a two-variable polynomial by a pure-q polynomial."""
-    slices = f.a_slices()
+def _divide_curly_q(terms, hooks):
+    """Exact division of {(a, e): c} by prod_h {q^h}, one A-slice at a time.
+
+    On a slice's dense digits (X = q^step) each atom is q^-h (X^k - 1)
+    with k = 12 h / step: one synthetic-division pass, which must leave
+    the k lowest digits zero.
+    """
+    slices = {}
+    for (a, e), c in terms.items():
+        slices.setdefault(a, {})[e] = c
     out = {}
     for a, s in slices.items():
-        try:
-            out[a] = laurent_divexact(s, d)
-        except InexactDivision:
-            raise NonPolynomialResult(
-                "quantum-dimension denominator does not divide the "
-                "character sum (A-slice %d)" % a
-            )
-    return LaurentQA.from_slices(out)
-
-
-def _divide_curly_atom(f, content):
-    """Exact synthetic division by (A q^c - A^{-1} q^{-c})."""
-    if f.is_zero():
-        return f
-    slices = {a: s for a, s in f.a_slices().items()}
-    span = max(slices) - min(slices)
-    out = {}
-    steps = 0
-    while slices:
-        steps += 1
-        if steps > span + 1:
-            raise NonPolynomialResult(
-                "quantum-dimension atom {A q^%d} does not divide the "
-                "character sum" % content
-            )
-        k = max(slices)
-        top = slices.pop(k)
-        g = top.shift6(-6 * content)
-        out[k - 1] = out.get(k - 1, LaurentQ.zero()) + g
-        lower = g.shift6(-6 * content)
-        prev = slices.get(k - 2, LaurentQ.zero()) + lower
-        if prev.is_zero():
-            slices.pop(k - 2, None)
-        else:
-            slices[k - 2] = prev
-    return LaurentQA.from_slices(out)
+        lo = min(s)
+        step = gcd(*(e - lo for e in s), *(2 * EXP_DEN * h for h in hooks)) or 1
+        dense = [0] * ((max(s) - lo) // step + 1)
+        for e, c in s.items():
+            dense[(e - lo) // step] = c
+        for h in hooks:
+            k = 2 * EXP_DEN * h // step
+            for i in range(len(dense) - 1, k - 1, -1):
+                dense[i - k] += dense[i]
+            if any(dense[:k]):
+                raise NonPolynomialResult(
+                    "quantum-dimension denominator does not divide the "
+                    "character sum (A-slice %d)" % a
+                )
+            del dense[:k]
+        lo += EXP_DEN * sum(hooks)
+        out.update(((a, lo + i * step), c) for i, c in enumerate(dense) if c)
+    return out
 
 
 def reduced_homfly(word, r):
@@ -289,42 +301,38 @@ def reduce_expansion(expansion, writhe):
     """Reduced polynomial: framing times sum C_Q S_Q* over S_[r]*.
 
     ``expansion`` comes from character_coefficients and ``writhe`` is its
-    word's writhe.  The topological-locus values S_Q* enter through their
-    hook/content product form.  Over the common hook denominator, the
-    numerator
+    word's writhe.  S_Q* is the hook-content product of the atoms
+    {A q^c}, c in contents(Q), over the atoms {q^h}, h in hooks(Q).
+    Every block Q has first row >= r, so its contents contain those of
+    [r], and the block [3r] puts the hooks of [r] into the common hook
+    denominator: both cancel before anything is packed.  The numerator
 
-        sum_Q C_Q * prod_{c in contents Q} {A q^c}
-                  * prod_{h in fill_Q + hooks [r]} {q^h},
+        sum_Q C_Q * prod_{c in contents Q - contents [r]} {A q^c}
+                  * prod_{h in common - hooks Q} {q^h}
 
-    with fill_Q the hooks the common denominator has beyond those of Q, is
-    one qpoly.curly_atom_sum: packed once, each atom one shift and one
-    subtraction, unpacked once.  The division by the common denominator
-    and by the content atoms of [r] must clear exactly, otherwise
-    NonPolynomialResult is raised (multi-component closures genuinely do
-    this; for knots it would signal a bug).
+    is one qpoly.curly_atom_sum: packed once, each atom one shift and one
+    subtraction, unpacked once.  Its division by the remaining
+    denominator, prod {q^h} over h in common - hooks [r], must clear
+    exactly, otherwise NonPolynomialResult is raised (multi-component
+    closures genuinely do this; for knots it would signal a bug).
     """
     r = expansion.r
-    dims = {Q: hook_content_dimension(Q) for Q in expansion.coefficients}
-    dim_r = hook_content_dimension(YoungDiagram([r]))
-
-    # common pure-q denominator: max multiset of hook atoms across blocks
+    color = YoungDiagram([r])
+    hooks = {Q: Counter(Q.hooks()) for Q in expansion.coefficients}
     common = Counter()
-    for d in dims.values():
-        common |= Counter(d.den_atoms)
-
-    hooks_r = [(0, h) for h in dim_r.den_atoms]
-    total = LaurentQA(curly_atom_sum(
-        (c._t, [(1, content) for content in dims[Q].num_atoms]
-         + [(0, h) for h in (common - Counter(dims[Q].den_atoms)).elements()]
-         + hooks_r)
-        for Q, c in expansion.coefficients.items()))
-    total = _divide_pure_q(total, curly_q_product(common.elements()))
-    for content in dim_r.num_atoms:
-        total = _divide_curly_atom(total, content)
+    for hq in hooks.values():
+        common |= hq
+    contents_r = Counter(color.contents())
+    numerator = curly_atom_sum(
+        (c._t, [(1, k) for k in (Counter(Q.contents()) - contents_r).elements()]
+         + [(0, h) for h in (common - hooks[Q]).elements()])
+        for Q, c in expansion.coefficients.items())
+    quotient = _divide_curly_q(
+        numerator, list((common - Counter(color.hooks())).elements()))
 
     # framing A^(-r w) q^(-2r(r-1)w), a monomial: one shift
     da, de = -r * writhe, -2 * EXP_DEN * r * (r - 1) * writhe
-    return LaurentQA({(a + da, e + de): c for (a, e), c in total._t.items()})
+    return LaurentQA({(a + da, e + de): c for (a, e), c in quotient.items()})
 
 
 def closure_components(word):

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 malformed request (bad flags, bad braid word,
 unknown knot), 2 verification failure (a golden mismatch, a checksum
 mismatch, or a closure whose reduced polynomial does not exist), 3
-well-formed but unsupported request (rank r >= 5, mixing-matrix size >= 6).
+well-formed but unsupported request (rank r >= 5, mixing-matrix size >= 6,
+or a braid word whose block trace would pack integers over
+braid.TRACE_BYTES, refused before anything is packed).
 
 Identical requests produce byte-identical output: every iteration below
 runs in a fixed, sorted order and no timestamps or machine state enter the
@@ -22,6 +24,7 @@ from . import knotdb
 from .braid import (
     Braid3Word,
     NonPolynomialResult,
+    TraceTooLarge,
     antisymmetric_dual,
     character_coefficients,
     closure_components,
@@ -92,8 +95,9 @@ def _parse_rep_range(text):
     text = text.strip()
     m = re.fullmatch(r"(\d+)\s*\.\.\s*(\d+)", text)
     if m:
+        # check the ends before the range is built
         lo, hi = int(m.group(1)), int(m.group(2))
-        ranks = list(range(lo, hi + 1))
+        ranks = [lo, hi] if lo <= hi else []
     else:
         try:
             ranks = [int(p) for p in text.split(",")]
@@ -110,6 +114,8 @@ def _parse_rep_range(text):
                 "rank r=%d is unsupported (this build handles r <= %d)"
                 % (r, MAX_RANK),
             )
+    if m:
+        ranks = range(lo, hi + 1)
     return tuple(sorted(set(ranks)))
 
 
@@ -172,7 +178,10 @@ def _cmd_compute(args, out, err):
     # each request traces the word at most once and reduces at most once
     @lru_cache(maxsize=None)
     def expansion():
-        return character_coefficients(word, r)
+        try:
+            return character_coefficients(word, r)
+        except TraceTooLarge as exc:
+            raise _CliError(EXIT_UNSUPPORTED, "braid word too large: %s" % exc)
 
     @lru_cache(maxsize=None)
     def reduced():

@@ -639,15 +639,6 @@ class LaurentQA:
     def from_q(p: LaurentQ) -> "LaurentQA":
         return _mkqa({(0, e): c for e, c in p._t.items()})
 
-    @staticmethod
-    def from_slices(slices) -> "LaurentQA":
-        """Build from {A-exponent: LaurentQ}."""
-        out = {}
-        for a, p in slices.items():
-            for e, c in p._t.items():
-                out[(a, e)] = c
-        return _mkqa(out)
-
     # -- inspection ----------------------------------------------------------
 
     @property

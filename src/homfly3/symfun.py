@@ -332,8 +332,8 @@ def topological_locus(f: PowerSumPoly) -> FractionQA:
 
     Returns a FractionQA; equality of two results is cross-multiplication,
     avoiding any need for bivariate reduction.  The denominator is the
-    product of {q^v} over ``den_atoms``: each part value v repeated as often
-    as it occurs in any one partition.  The numerator is
+    product of {q^v} over each part value v, repeated as often as it
+    occurs in any one partition.  The numerator is
 
         sum_lam c_lam * prod_{v in lam} {A^v} * prod_{v missing} {q^v},
 
@@ -341,17 +341,15 @@ def topological_locus(f: PowerSumPoly) -> FractionQA:
     documents the layout and the width bound.
     """
     if not f._t:
-        return FractionQA(LaurentQA.zero(), LaurentQA.one(), (), ())
+        return FractionQA(LaurentQA.zero(), LaurentQA.one())
     polys = {lam: _coefficient_terms(c) for lam, c in f._t.items()}
     den_mult = Counter()
     for lam in polys:
         den_mult |= Counter(lam)
-    den_atoms = sorted(den_mult.elements())
     num = curly_atom_sum(
         (p, [(0, v) for v in (den_mult - Counter(lam)).elements()] + [(v, 0) for v in lam])
         for lam, p in polys.items())
-    return FractionQA(LaurentQA(num), LaurentQA.from_q(curly_q_product(den_atoms)),
-                      None, den_atoms)
+    return FractionQA(LaurentQA(num), LaurentQA.from_q(curly_q_product(den_mult.elements())))
 
 
 def _coefficient_terms(c):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .qpoly import LaurentQA, curly_Aq, curly_q
+from .qpoly import LaurentQA, curly_Aq, curly_q_product
 
 SUPPORTED_R = (1, 2, 3, 4)
 
@@ -198,20 +198,17 @@ class FractionQA:
     """A fraction over the (A, q) Laurent ring, kept unreduced.
 
     Equality is cross-multiplication, so no bivariate gcd is ever needed.
-    ``num_atoms``/``den_atoms`` remember the product structure when the
-    fraction was assembled from curly-bracket atoms ({A q^c} upstairs,
-    {q^h} downstairs); they are None for general fractions.
+    The reduced polynomial does not go through this class: braid cancels
+    the hook-content atoms of S_Q* and S_[r]* itself.
     """
 
-    __slots__ = ("num", "den", "num_atoms", "den_atoms")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentQA, den: LaurentQA, num_atoms=None, den_atoms=None):
+    def __init__(self, num: LaurentQA, den: LaurentQA):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         self.num = num
         self.den = den
-        self.num_atoms = tuple(num_atoms) if num_atoms is not None else None
-        self.den_atoms = tuple(den_atoms) if den_atoms is not None else None
 
     def same_value(self, other: "FractionQA") -> bool:
         return self.num * other.den == other.num * self.den
@@ -248,15 +245,7 @@ def hook_content_dimension(Q: YoungDiagram) -> FractionQA:
 @lru_cache(maxsize=None)
 def _hook_content_dimension(rows) -> FractionQA:
     Q = YoungDiagram(rows)
-    contents = Q.contents()
-    hooks = Q.hooks()
     num = LaurentQA.one()
-    for c in contents:
+    for c in Q.contents():
         num = num * curly_Aq(c)
-    den_q = None
-    for h in hooks:
-        den_q = curly_q(h) if den_q is None else den_q * curly_q(h)
-    if den_q is None:  # empty diagram
-        return FractionQA(LaurentQA.one(), LaurentQA.one(), (), ())
-    return FractionQA(num, LaurentQA.from_q(den_q),
-                      num_atoms=sorted(contents), den_atoms=sorted(hooks))
+    return FractionQA(num, LaurentQA.from_q(curly_q_product(Q.hooks())))

@@ -11,8 +11,6 @@ from homfly3.braid import (
     Braid3Word,
     CharacterExpansion,
     NonPolynomialResult,
-    _divide_curly_atom,
-    _divide_pure_q,
     antisymmetric_dual,
     character_coefficients,
     closure_components,
@@ -22,7 +20,14 @@ from homfly3.braid import (
     reduced_homfly,
     special_polynomial,
 )
-from homfly3.qpoly import LaurentQ, LaurentQA, curly_q, laurent_divexact, substitute
+from homfly3.qpoly import (
+    InexactDivision,
+    LaurentQ,
+    LaurentQA,
+    curly_q,
+    laurent_divexact,
+    substitute,
+)
 from homfly3.racah import build_block
 from homfly3.symfun import adams, expand_in_schur, schur_in_powersums
 from homfly3.young import YoungDiagram, cube_blocks, hook_content_dimension, kappa
@@ -226,21 +231,64 @@ def _curly_product(atoms):
     return acc
 
 
+def _from_slices(slices):
+    return LaurentQA({(a, e): c for a, p in slices.items() for e, c in p.terms.items()})
+
+
+def _divide_pure_q(f, d):
+    """Exact division of a two-variable polynomial by a pure-q polynomial."""
+    out = {}
+    for a, s in f.a_slices().items():
+        try:
+            out[a] = laurent_divexact(s, d)
+        except InexactDivision:
+            raise NonPolynomialResult("A-slice %d" % a)
+    return _from_slices(out)
+
+
+def _divide_curly_atom(f, content):
+    """Exact synthetic division by (A q^c - A^{-1} q^{-c})."""
+    if f.is_zero():
+        return f
+    slices = f.a_slices()
+    span = max(slices) - min(slices)
+    out = {}
+    steps = 0
+    while slices:
+        steps += 1
+        if steps > span + 1:
+            raise NonPolynomialResult("atom {A q^%d}" % content)
+        k = max(slices)
+        g = slices.pop(k).shift6(-6 * content)
+        out[k - 1] = out.get(k - 1, LaurentQ.zero()) + g
+        prev = slices.get(k - 2, LaurentQ.zero()) + g.shift6(-6 * content)
+        if prev.is_zero():
+            slices.pop(k - 2, None)
+        else:
+            slices[k - 2] = prev
+    return _from_slices(out)
+
+
 def reference_reduce(expansion, writhe):
-    """The slice-wise reduction: one LaurentQA product per diagram and atom group."""
+    """The slice-wise reduction: one LaurentQA product per diagram and atom group.
+
+    It keeps the full common hook denominator and the content atoms of
+    [r], and divides them out again: first by prod {q^h}, one long
+    division per A-slice, then by each {A q^c} synthetically.
+    """
     r = expansion.r
+    color = YoungDiagram([r])
     dims = {Q: hook_content_dimension(Q) for Q in expansion.coefficients}
-    dim_r = hook_content_dimension(YoungDiagram([r]))
     common = Counter()
-    for d in dims.values():
-        common |= Counter(d.den_atoms)
+    for Q in dims:
+        common |= Counter(Q.hooks())
     total = LaurentQA.zero()
     for Q, c in expansion.coefficients.items():
-        fill = _curly_product(common - Counter(dims[Q].den_atoms))
+        fill = _curly_product(common - Counter(Q.hooks()))
         total = total + dims[Q].num * LaurentQA.from_q(c * fill)
-    total = total * LaurentQA.from_q(_curly_product(Counter(dim_r.den_atoms)))
+    total = total * LaurentQA.from_q(_curly_product(Counter(color.hooks())))
     total = _divide_pure_q(total, _curly_product(common))
-    for content in dim_r.num_atoms:
+    for content in color.contents():
         total = _divide_curly_atom(total, content)
     return total * LaurentQA.monomial(1, a=-r * writhe, qexp=-2 * r * (r - 1) * writhe)
 

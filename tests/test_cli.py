@@ -3,10 +3,12 @@
 import hashlib
 import io
 import json
+import re
 
 import pytest
 
 from homfly3 import cli
+from homfly3.braid import TRACE_BYTES
 from homfly3.cli import run
 from homfly3.knotdb import golden
 from homfly3.qpoly import substitute
@@ -146,6 +148,7 @@ def test_compute_link_reduced_fails_cleanly():
         ("racah-dump", "--dim", "3", "--p", "1"),  # degenerate denominator
         ("racah-dump", "--dim", "5", "--p", "0"),  # p must be positive
         ("racah-dump", "--dim", "2", "--p", "-1"),
+        ("verify", "--rep", "0..100000000000"),
     ],
 )
 def test_parse_errors_exit_1(argv):
@@ -160,12 +163,20 @@ def test_parse_errors_exit_1(argv):
         ("compute", "--braid", "1,1", "--rep", "5"),
         ("compute", "--braid", "1,1", "--rep", "1^5"),
         ("racah-dump", "--dim", "6", "--p", "6"),
+        ("verify", "--rep", "1..100000000000"),  # refused before the range is built
     ],
 )
 def test_unsupported_exit_3(argv):
     code, _, err = invoke(*argv)
     assert code == 3
     assert err != ""
+
+
+def test_oversized_braid_word_exits_3_before_packing():
+    code, out, err = invoke("compute", "--braid", "99999999999,1", "--rep", "1")
+    assert (code, out) == (3, "")
+    m = re.search(r"needs (\d+) bytes", err)
+    assert m and int(m.group(1)) > TRACE_BYTES
 
 
 # ---------------------------------------------------------------------------

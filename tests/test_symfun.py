@@ -190,7 +190,6 @@ def test_locus_matches_schoolbook(f):
     got = topological_locus(f)
     assert got.num.terms == num.terms
     assert got.den.terms == den.terms
-    assert got.den_atoms == den_atoms
     # coefficients in canonical form: a Fraction only when not integral
     assert all(type(c) is int or c.denominator != 1 for c in got.num.terms.values())
 
