@@ -121,15 +121,17 @@ class Braid3Word:
         blocks = []
         for chunk in text.split("|"):
             parts = [p.strip() for p in chunk.split(",")]
+            # a block of thousands of digits is cut in the message
+            shown = chunk if len(chunk) <= 40 else chunk[:40] + "..."
             if len(parts) != 2:
                 raise ValueError(
                     "each |-separated block needs exactly two integers, "
-                    "got %r" % (chunk,)
+                    "got %r" % (shown,)
                 )
             try:
                 blocks.append((int(parts[0]), int(parts[1])))
             except ValueError:
-                raise ValueError("bad integer in braid word: %r" % (chunk,))
+                raise ValueError("bad integer in braid word: %r" % (shown,))
         return cls(tuple(blocks))
 
     def render(self):
@@ -186,9 +188,12 @@ def _block_trace(block, word):
     # below is longer than the trace's
     nbytes = width * (1 + sum((hi[ab] - lo[ab]) // step for ab in word.blocks))
     if nbytes > TRACE_BYTES:
+        # a size past 2^64 is named by its bit length: str() of an int is
+        # itself refused past 4,300 digits
+        size = nbytes if nbytes < 1 << 64 else "over 2^%d" % (nbytes.bit_length() - 1)
         raise TraceTooLarge(
-            "block %s: the packed trace needs %d bytes, over the budget of %d"
-            % (block.spec.Q, nbytes, TRACE_BYTES))
+            "block %s: the packed trace needs %s bytes, over the budget of %d"
+            % (block.spec.Q, size, TRACE_BYTES))
     packed = {ab: [[pack_signed(t, lo[ab], width, step) if t else 0
                     for t in row] for row in m] for ab, m in factors.items()}
     digits = unpack_signed(_trace_of_product(word.blocks, packed), width)

@@ -65,57 +65,62 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(EXIT_PARSE, "%s: error: %s" % (self.prog, message))
 
 
+def _clip(text):
+    """User text for a message, cut after 40 characters."""
+    if len(text) <= 40:
+        return text
+    return "%s... (%d characters)" % (text[:40], len(text))
+
+
+def _rank(digits, text):
+    """The rank 1..MAX_RANK spelled by a digit string of --rep text.
+
+    The digit string's length is compared before int() runs, so a rank of
+    any length is refused without being converted.
+    """
+    digits = digits.lstrip("0") or "0"
+    if len(digits) <= len(str(MAX_RANK)):
+        r = int(digits)
+        if r < 1:
+            raise _CliError(EXIT_PARSE, "--rep %r: rank must be positive" % _clip(text))
+        if r <= MAX_RANK:
+            return r
+    raise _CliError(
+        EXIT_UNSUPPORTED,
+        "rank r=%s is unsupported (this build handles r <= %d)"
+        % (_clip(digits), MAX_RANK),
+    )
+
+
 def _parse_rep(text):
     """'3' -> (3, False); '1^3' -> (3, True).  Ranks 1..4 only."""
     m = re.fullmatch(r"\s*(\d+)\s*(?:\^\s*(\d+)\s*)?", text)
     if not m:
-        raise _CliError(EXIT_PARSE, "cannot parse --rep %r" % text)
+        raise _CliError(EXIT_PARSE, "cannot parse --rep %r" % _clip(text))
     if m.group(2) is None:
-        r, antisym = int(m.group(1)), False
-    else:
-        if m.group(1) != "1":
-            raise _CliError(
-                EXIT_PARSE,
-                "--rep %r: only single-column reps '1^r' take a power" % text,
-            )
-        r, antisym = int(m.group(2)), True
-    if r < 1:
-        raise _CliError(EXIT_PARSE, "--rep %r: rank must be positive" % text)
-    if r > MAX_RANK:
+        return _rank(m.group(1), text), False
+    if m.group(1) != "1":
         raise _CliError(
-            EXIT_UNSUPPORTED,
-            "rank r=%d is unsupported (this build handles r <= %d)"
-            % (r, MAX_RANK),
+            EXIT_PARSE,
+            "--rep %r: only single-column reps '1^r' take a power" % _clip(text),
         )
-    return r, antisym
+    return _rank(m.group(2), text), True
 
 
 def _parse_rep_range(text):
     """'1..4' | '2' | '1,3' -> sorted tuple of ranks."""
-    text = text.strip()
-    m = re.fullmatch(r"(\d+)\s*\.\.\s*(\d+)", text)
+    m = re.fullmatch(r"\s*(\d+)\s*\.\.\s*(\d+)\s*", text)
     if m:
         # check the ends before the range is built
-        lo, hi = int(m.group(1)), int(m.group(2))
-        ranks = [lo, hi] if lo <= hi else []
-    else:
-        try:
-            ranks = [int(p) for p in text.split(",")]
-        except ValueError:
-            raise _CliError(EXIT_PARSE, "cannot parse --rep range %r" % text)
-    if not ranks:
-        raise _CliError(EXIT_PARSE, "--rep range %r selects nothing" % text)
-    for r in ranks:
-        if r < 1:
-            raise _CliError(EXIT_PARSE, "--rep %r: ranks must be positive" % text)
-        if r > MAX_RANK:
-            raise _CliError(
-                EXIT_UNSUPPORTED,
-                "rank r=%d is unsupported (this build handles r <= %d)"
-                % (r, MAX_RANK),
-            )
-    if m:
+        lo, hi = (_rank(d, text) for d in m.groups())
         ranks = range(lo, hi + 1)
+    else:
+        parts = [re.fullmatch(r"\s*(\d+)\s*", p) for p in text.split(",")]
+        if not all(parts):
+            raise _CliError(EXIT_PARSE, "cannot parse --rep range %r" % _clip(text))
+        ranks = [_rank(p.group(1), text) for p in parts]
+    if not ranks:
+        raise _CliError(EXIT_PARSE, "--rep range %r selects nothing" % _clip(text))
     return tuple(sorted(set(ranks)))
 
 

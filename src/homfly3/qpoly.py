@@ -12,13 +12,18 @@ Coefficients are exact rationals; no floating point is used anywhere.
 Internally a coefficient may be held as a plain ``int`` when it happens
 to be integral -- ints and ``Fraction``s mix transparently and integer
 arithmetic is considerably faster on the hot paths.
+
+LaurentQ and LaurentQA share one implementation of their operators
+(_Laurent); an (A, q) product or power runs on the q-kernel under
+A -> q^S, one packed integer product once the operands are large.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm
+from math import comb, gcd as _int_gcd, lcm
+from operator import mul
 
 EXP_DEN = 6  # fixed denominator of the q-exponent lattice
 
@@ -146,27 +151,14 @@ def unpack_signed(value, width):
     return out
 
 
-def _mul_kronecker(a, b):
-    """Multiply two term dicts by packing into big integers.
-
-    Coefficients are packed into fixed-width signed digits of one huge
-    integer per operand; a single big-int multiplication then performs the
-    whole convolution exactly.  Digit width is chosen from an a-priori bound
-    on the result's coefficients, so unpacking is unambiguous.
-    """
-    dena, ia = _int_content(a)
-    denb, ib = _int_content(b)
-    amin, bmin = min(ia), min(ib)
-    suma = sum(abs(c) for c in ia.values())
-    maxb = max(abs(c) for c in ib.values())
-    width = signed_width(suma * maxb)
-    prod = pack_signed(ia, amin, width) * pack_signed(ib, bmin, width)
-    base = amin + bmin
-    digits = unpack_signed(prod, width)
-    if dena * denb == 1:
-        return {base + k: d for k, d in digits.items()}
-    scale = Fraction(1, dena * denb)
-    return {base + k: _coeff(d * scale) for k, d in digits.items()}
+def _support_step(*dicts) -> int:
+    """gcd of all exponent offsets from each dict's minimum (0 if all trivial)."""
+    g = 0
+    for d in dicts:
+        lo = min(d)
+        for e in d:
+            g = _int_gcd(g, e - lo)
+    return g
 
 
 def curly_atom_sum(terms):
@@ -189,9 +181,12 @@ def curly_atom_sum(terms):
     and atom shifts, and qspan = (qhi - qlo) / step + 1.  With X = 2^(8 width)
     per digit, an atom is the monomial A^-alpha q^-beta times X^s - 1 with
     s = 2 alpha / astep * qspan + 12 beta / step > 0, so multiplying by it
-    is one shift and one subtraction.  Each atom at most doubles the l1
-    norm, so no coefficient of the sum exceeds
-    sum_i |L*p_i|_1 * 2^(#atoms_i), and the width is taken from that bound.
+    is one shift and one subtraction.  A coefficient of a product of k
+    such binomials counts, with signs, the subsets of shifts with one sum,
+    at most C(k, k // 2) of them (Erdos's Littlewood-Offord bound, all
+    s >= 1), so no coefficient of the sum exceeds
+    sum_i |L*p_i|_1 * C(k_i, k_i // 2), k_i = #atoms_i, and the width is
+    taken from that bound.
     The shifted terms are summed into one integer, unpacked once
     (unpack_signed) and divided by L.
     """
@@ -217,7 +212,7 @@ def curly_atom_sum(terms):
     astep = _int_gcd(*(2 * alpha for _, atoms in terms for alpha, _ in atoms),
                      *(n - a for a in alphas)) or 1
     qspan = (qhi - qlo) // step + 1
-    width = signed_width(sum(sum(map(abs, p.values())) << len(atoms)
+    width = signed_width(sum(sum(map(abs, p.values())) * comb(len(atoms), len(atoms) // 2)
                              for p, (_, atoms) in zip(polys, terms)))
     bits = 8 * width
     total = 0
@@ -236,32 +231,99 @@ def curly_atom_sum(terms):
 
 def curly_q_product(values):
     """prod_v {q^v} over a sequence of positive integers v (1 if empty)."""
-    return _mk({e: c for (_, e), c in
-                curly_atom_sum([({0: 1}, [(0, v) for v in values])]).items()})
+    return _new(LaurentQ, {e: c for (_, e), c in
+                           curly_atom_sum([({0: 1}, [(0, v) for v in values])]).items()})
 
 
 def _mul_dicts(a, b):
+    """Product of two term dicts {exponent: coefficient}.
+
+    Small products are schoolbook.  A larger one packs each operand into
+    fixed-width signed digits of one integer, exponent e at digit
+    (e - min) / step with step the common exponent step of both operands,
+    so that one big-int multiplication performs the whole convolution
+    exactly; the width comes from an a-priori bound on the result's
+    coefficients, so unpacking is unambiguous.
+    """
     if not a or not b:
         return {}
     if len(a) * len(b) <= _NAIVE_MUL_CUTOFF:
         return _mul_naive(a, b)
-    # Kronecker packing needs a bounded span; fall back for pathological gaps.
-    span = (max(a) - min(a)) + (max(b) - min(b))
-    if span > 1 << 22:
+    step = _support_step(a, b)
+    # Kronecker packing needs a bounded number of digits; fall back for pathological gaps.
+    if (max(a) - min(a) + max(b) - min(b)) // step > 1 << 22:
         return _mul_naive(a, b)
-    return _mul_kronecker(a, b)
+    dena, ia = _int_content(a)
+    denb, ib = _int_content(b)
+    amin, bmin = min(ia), min(ib)
+    width = signed_width(sum(map(abs, ia.values())) * max(map(abs, ib.values())))
+    digits = unpack_signed(
+        pack_signed(ia, amin, width, step) * pack_signed(ib, bmin, width, step), width)
+    den = dena * denb
+    return {amin + bmin + step * k: d if den == 1 else _coeff(Fraction(d, den))
+            for k, d in digits.items()}
+
+
+def _pow_dict(t, n):
+    """t^n (n >= 0) for a term dict of at least two terms, as one packed power.
+
+    (L t)^n, with L the lcm of the denominators, has l1 norm at most
+    |L t|_1^n, which fixes the digit width; the power is unpacked once and
+    divided by L^n.
+    """
+    scale, ints = _int_content(t)
+    lo = min(ints)
+    step = _support_step(ints)
+    width = signed_width(sum(map(abs, ints.values())) ** n)
+    digits = unpack_signed(pack_signed(ints, lo, width, step) ** n, width)
+    den = scale ** n
+    return {n * lo + step * k: d if den == 1 else _coeff(Fraction(d, den))
+            for k, d in digits.items()}
+
+
+def _on_q_kernel(op, dicts, n=1):
+    """op on nonempty (A, q) term dicts, run on the q-kernel under A -> q^S.
+
+    op is the product of two term dicts (n = 1) or the n-th power of one.
+    Each key (a, e) becomes the q-exponent a*S + e, where S is the least
+    multiple of the q-exponents' common step that exceeds the q-span of
+    the result, so no two A-slices of the result meet and the packed
+    kernel keeps that step.  A result exponent f decodes as
+    a = (f - lo) // S, e = f - a*S, with lo the result's lowest q-exponent.
+    """
+    qs = [[e for _, e in d] for d in dicts]
+    lo = n * sum(map(min, qs))
+    span = n * sum(map(max, qs)) - lo
+    step = _support_step(*qs) or 1
+    S = (span // step + 1) * step
+    out = {}
+    for f, c in op(*({a * S + e: c for (a, e), c in d.items()} for d in dicts)).items():
+        a = (f - lo) // S
+        out[a, f - a * S] = c
+    return out
 
 
 # ---------------------------------------------------------------------------
-# LaurentQ
+# the shared operators, and LaurentQ
 # ---------------------------------------------------------------------------
 
-class LaurentQ:
-    """Laurent polynomial in q, exponents on the 1/6 lattice.
+def _new(cls, d):
+    """An element of ring cls around the term dict d (nonzero coefficients)."""
+    p = object.__new__(cls)
+    p._t = d
+    p._h = None
+    return p
 
-    The term map sends the integer numerator e (actual exponent e/6) to a
-    nonzero rational coefficient.  Instances are immutable; all operators
-    return fresh objects.
+
+class _Laurent:
+    """Laurent polynomial over exact rationals: the shared operators.
+
+    The term map ``_t`` sends a key to a nonzero int or Fraction.  Each
+    ring supplies its key type (``_key``, and ``_scale_key`` for the key of
+    a monomial's n-th power), the operands it accepts (``_coerce``), its
+    product (``__mul__``/``__rmul__``, written in its own body), its packed
+    power (``_power``) and its rendering (``_triples``).  Instances are
+    immutable; all operators return fresh objects.
     """
 
     __slots__ = ("_t", "_h")
@@ -269,12 +331,104 @@ class LaurentQ:
     def __init__(self, terms=None):
         t = {}
         if terms:
-            for e, c in terms.items():
+            key = self._key
+            for k, c in terms.items():
                 c = _coeff(c)
                 if c:
-                    t[int(e)] = c
+                    t[key(k)] = c
         self._t = t
         self._h = None
+
+    @property
+    def terms(self):
+        """Term map {key: coefficient} (a copy)."""
+        return dict(self._t)
+
+    def is_zero(self) -> bool:
+        return not self._t
+
+    def __bool__(self):
+        return bool(self._t)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._t == o._t
+
+    def __hash__(self):
+        if self._h is None:
+            self._h = hash(frozenset(self._t.items()))
+        return self._h
+
+    def __neg__(self):
+        return _new(type(self), {k: -c for k, c in self._t.items()})
+
+    def __add__(self, other):
+        cls = type(self)
+        if type(other) is not cls:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _new(cls, _add_dicts(self._t, other._t))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        if len(self._t) == 1:
+            ((k, c),) = self._t.items()
+            return _new(type(self), {self._scale_key(k, n): _coeff(
+                c ** n if n >= 0 else Fraction(1, c ** -n))})
+        if n < 0:
+            raise InexactDivision("only monomials are invertible in the Laurent ring")
+        if not n:
+            return self.one()
+        if not self._t:
+            return self
+        return _new(type(self), self._power(n))
+
+    def inverse_monomial(self):
+        """Inverse, defined only for monomials (the units of the ring)."""
+        return self ** -1
+
+    def render(self) -> str:
+        return _render_terms(self._triples())
+
+    def __str__(self):
+        return self.render()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self.render())
+
+
+class LaurentQ(_Laurent):
+    """Laurent polynomial in q, exponents on the 1/6 lattice.
+
+    The term map sends the integer numerator e (actual exponent e/6) to a
+    nonzero rational coefficient.
+    """
+
+    __slots__ = ()
+
+    # a key is the q-exponent in sixths
+    _key = int
+    _scale_key = staticmethod(mul)
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, LaurentQ):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return LaurentQ.const(other)
+        return None
 
     # -- constructors ------------------------------------------------------
 
@@ -292,7 +446,7 @@ class LaurentQ:
         c = _coeff(coeff)
         if not c:
             return _LQ_ZERO
-        return _mk({_lattice6(qexp): c})
+        return _new(LaurentQ, {_lattice6(qexp): c})
 
     @staticmethod
     def const(c) -> "LaurentQ":
@@ -303,17 +457,9 @@ class LaurentQ:
         qa = LaurentQA.parse(s)
         if any(a for (a, _) in qa._t):
             raise PolyParseError("unexpected variable A in a q-only polynomial")
-        return _mk({e: c for (_, e), c in qa._t.items()})
+        return _new(LaurentQ, {e: c for (_, e), c in qa._t.items()})
 
     # -- inspection ---------------------------------------------------------
-
-    @property
-    def terms(self):
-        """Term map {exponent numerator over 6: coefficient} (a copy)."""
-        return dict(self._t)
-
-    def is_zero(self) -> bool:
-        return not self._t
 
     def is_one(self) -> bool:
         return self._t == {0: 1}
@@ -321,126 +467,32 @@ class LaurentQ:
     def is_monomial(self) -> bool:
         return len(self._t) == 1
 
-    def min6(self) -> int:
-        return min(self._t)
-
     # -- ring operations ----------------------------------------------------
-
-    def __bool__(self):
-        return bool(self._t)
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentQ):
-            return self._t == other._t
-        if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            return self._t == ({0: c} if c else {})
-        return NotImplemented
-
-    def __hash__(self):
-        if self._h is None:
-            self._h = hash(frozenset(self._t.items()))
-        return self._h
-
-    def __neg__(self):
-        return _mk({e: -c for e, c in self._t.items()})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentQ.const(other)
-        if not isinstance(other, LaurentQ):
-            return NotImplemented
-        return _mk(_add_dicts(self._t, other._t))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentQ.const(other)
-        if not isinstance(other, LaurentQ):
-            return NotImplemented
-        return _mk(_add_dicts(self._t, {e: -c for e, c in other._t.items()}))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _mk(_scale_dict(self._t, _coeff(other)))
+            return _new(LaurentQ, _scale_dict(self._t, _coeff(other)))
         if not isinstance(other, LaurentQ):
             return NotImplemented
-        return _mk(_mul_dicts(self._t, other._t))
+        return _new(LaurentQ, _mul_dicts(self._t, other._t))
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse_monomial() ** (-n)
-        if len(self._t) == 1:
-            ((e, c),) = self._t.items()
-            return _mk({e * n: _coeff(c ** n)})
-        if not n:
-            return _LQ_ONE
-        if not self._t:
-            return _LQ_ZERO
-        # one packed integer power: (L p)^n has l1 norm at most |L p|_1^n
-        scale, ints = _int_content(self._t)
-        lo = min(ints)
-        step = _support_step(ints)
-        width = signed_width(sum(map(abs, ints.values())) ** n)
-        digits = unpack_signed(pack_signed(ints, lo, width, step) ** n, width)
-        den = scale ** n
-        return _mk({n * lo + step * k: d if den == 1 else _coeff(Fraction(d, den))
-                    for k, d in digits.items()})
-
-    def inverse_monomial(self) -> "LaurentQ":
-        """Inverse, defined only for monomials (the units of the ring)."""
-        if len(self._t) != 1:
-            raise InexactDivision("only monomials are invertible in the Laurent ring")
-        ((e, c),) = self._t.items()
-        return _mk({-e: _coeff(Fraction(1, 1) / c)})
+    def _power(self, n):
+        return _pow_dict(self._t, n)
 
     def shift6(self, d: int) -> "LaurentQ":
         """Multiply by q^(d/6)."""
         if not d:
             return self
-        return _mk({e + d: c for e, c in self._t.items()})
+        return _new(LaurentQ, {e + d: c for e, c in self._t.items()})
 
-    # -- substitutions ------------------------------------------------------
-
-    def subs_q_neg_inv(self) -> "LaurentQ":
-        """q -> -q^(-1); requires all exponents integral."""
-        out = {}
-        for e, c in self._t.items():
-            if e % EXP_DEN:
-                raise ValueError(
-                    "fractional q-exponent %s/6 under a parity-sensitive substitution" % e)
-            out[-e] = c if (e // EXP_DEN) % 2 == 0 else -c
-        return _mk(out)
-
-    # -- rendering ----------------------------------------------------------
-
-    def render(self) -> str:
-        return _render_terms([(0, e, c) for e, c in self._t.items()])
-
-    def __str__(self):
-        return self.render()
-
-    def __repr__(self):
-        return "LaurentQ(%s)" % self.render()
+    def _triples(self):
+        return [(0, e, c) for e, c in self._t.items()]
 
 
-def _mk(d) -> LaurentQ:
-    p = LaurentQ.__new__(LaurentQ)
-    p._t = d
-    p._h = None
-    return p
-
-
-_LQ_ZERO = _mk({})
-_LQ_ONE = _mk({0: 1})
+_LQ_ZERO = _new(LaurentQ, {})
+_LQ_ONE = _new(LaurentQ, {0: 1})
 
 
 def quantum_int(n: int) -> LaurentQ:
@@ -455,29 +507,24 @@ def quantum_int(n: int) -> LaurentQ:
         return _LQ_ZERO
     s = 1 if n > 0 else -1
     m = abs(n)
-    return _mk({EXP_DEN * k: s for k in range(m - 1, -m, -2)})
+    return _new(LaurentQ, {EXP_DEN * k: s for k in range(m - 1, -m, -2)})
 
 
 def curly_q(k: int) -> LaurentQ:
-    """{q^k} = q^k - q^-k."""
+    """{q^k} = q^k - q^-k.
+
+    The engine forms products of these atoms on the packed kernel
+    (curly_atom_sum, curly_q_product); this single atom stays as the tests'
+    independent reference for them.
+    """
     if k == 0:
         return _LQ_ZERO
-    return _mk({EXP_DEN * k: 1, -EXP_DEN * k: -1})
+    return _new(LaurentQ, {EXP_DEN * k: 1, -EXP_DEN * k: -1})
 
 
 # ---------------------------------------------------------------------------
 # dense helpers (ordinary polynomials over Q, index = degree)
 # ---------------------------------------------------------------------------
-
-def _support_step(*dicts) -> int:
-    """gcd of all exponent offsets from each dict's minimum (0 if all trivial)."""
-    g = 0
-    for d in dicts:
-        lo = min(d)
-        for e in d:
-            g = _int_gcd(g, e - lo)
-    return g
-
 
 def _to_dense(t, step):
     lo = min(t)
@@ -558,19 +605,19 @@ def laurent_gcd(a: LaurentQ, b: LaurentQ) -> LaurentQ:
     for i, c in enumerate(g):
         if c:
             out[i * step] = _coeff(c)
-    return _canon_unit(_mk(out))
+    return _canon_unit(_new(LaurentQ, out))
 
 
 def _canon_unit(p: LaurentQ) -> LaurentQ:
     """Normalize by a unit: minimal exponent 0, lowest coefficient +1."""
     if p.is_zero():
         return p
-    lo = p.min6()
+    lo = min(p._t)
     c = p._t[lo]
     if lo == 0 and c == 1:
         return p
     inv = Fraction(1, 1) / c
-    return _mk({e - lo: _coeff(v * inv) for e, v in p._t.items()})
+    return _new(LaurentQ, {e - lo: _coeff(v * inv) for e, v in p._t.items()})
 
 
 def laurent_divexact(a: LaurentQ, b: LaurentQ) -> LaurentQ:
@@ -581,7 +628,7 @@ def laurent_divexact(a: LaurentQ, b: LaurentQ) -> LaurentQ:
         return _LQ_ZERO
     if len(b._t) == 1:
         ((e, c),) = b._t.items()
-        return _mk({ea - e: _coeff(_div_coeff(ca, c)) for ea, ca in a._t.items()})
+        return _new(LaurentQ, {ea - e: _coeff(_div_coeff(ca, c)) for ea, ca in a._t.items()})
     step = _support_step(a._t, b._t)
     amin, ua = _to_dense(a._t, step)
     bmin, ub = _to_dense(b._t, step)
@@ -593,30 +640,41 @@ def laurent_divexact(a: LaurentQ, b: LaurentQ) -> LaurentQ:
     for i, c in enumerate(quot):
         if c:
             out[base + i * step] = _coeff(c)
-    return _mk(out)
+    return _new(LaurentQ, out)
 
 
 # ---------------------------------------------------------------------------
 # LaurentQA: Laurent polynomials in A and q
 # ---------------------------------------------------------------------------
 
-class LaurentQA:
+class LaurentQA(_Laurent):
     """Laurent polynomial in A and q; q-exponents on the 1/6 lattice.
 
     Term map: (A-exponent, q-exponent numerator over 6) -> coefficient.
+    Products and powers run on the q-kernel under A -> q^S (_on_q_kernel).
     """
 
-    __slots__ = ("_t", "_h")
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for (a, e), c in terms.items():
-                c = _coeff(c)
-                if c:
-                    t[(int(a), int(e))] = c
-        self._t = t
-        self._h = None
+    @staticmethod
+    def _key(key):
+        """(A-exponent, q-exponent in sixths)."""
+        a, e = key
+        return int(a), int(e)
+
+    @staticmethod
+    def _scale_key(key, n):
+        return key[0] * n, key[1] * n
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, LaurentQA):
+            return other
+        if isinstance(other, LaurentQ):
+            return LaurentQA.from_q(other)
+        if isinstance(other, (int, Fraction)):
+            return LaurentQA.monomial(other)
+        return None
 
     # -- constructors -------------------------------------------------------
 
@@ -633,126 +691,40 @@ class LaurentQA:
         c = _coeff(coeff)
         if not c:
             return _QA_ZERO
-        return _mkqa({(a, _lattice6(qexp)): c})
+        return _new(LaurentQA, {(a, _lattice6(qexp)): c})
 
     @staticmethod
     def from_q(p: LaurentQ) -> "LaurentQA":
-        return _mkqa({(0, e): c for e, c in p._t.items()})
+        return _new(LaurentQA, {(0, e): c for e, c in p._t.items()})
+
+    @classmethod
+    def parse(cls, s: str) -> "LaurentQA":
+        return _parse_terms(s)
 
     # -- inspection ----------------------------------------------------------
-
-    @property
-    def terms(self):
-        return dict(self._t)
-
-    def is_zero(self) -> bool:
-        return not self._t
-
-    def a_slices(self):
-        """Decompose as {A-exponent: LaurentQ coefficient}."""
-        out = {}
-        for (a, e), c in self._t.items():
-            out.setdefault(a, {})[e] = c
-        return {a: _mk(d) for a, d in sorted(out.items())}
 
     def pure_q(self) -> LaurentQ:
         """Forget A, requiring that no term actually involves A."""
         if any(a for (a, _) in self._t):
             raise ValueError("polynomial still involves A")
-        return _mk({e: c for (_, e), c in self._t.items()})
+        return _new(LaurentQ, {e: c for (_, e), c in self._t.items()})
 
     # -- ring operations -----------------------------------------------------
 
-    def __bool__(self):
-        return bool(self._t)
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentQA):
-            return self._t == other._t
-        if isinstance(other, LaurentQ):
-            return self._t == {(0, e): c for e, c in other._t.items()}
-        if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            return self._t == ({(0, 0): c} if c else {})
-        return NotImplemented
-
-    def __hash__(self):
-        if self._h is None:
-            self._h = hash(frozenset(self._t.items()))
-        return self._h
-
-    def __neg__(self):
-        return _mkqa({k: -c for k, c in self._t.items()})
-
-    def _coerce(self, other):
-        if isinstance(other, LaurentQA):
-            return other
-        if isinstance(other, LaurentQ):
-            return LaurentQA.from_q(other)
-        if isinstance(other, (int, Fraction)):
-            return LaurentQA.monomial(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _mkqa(_add_dicts(self._t, o._t))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _mkqa(_add_dicts(self._t, {k: -c for k, c in o._t.items()}))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _mkqa(_scale_dict(self._t, _coeff(other)))
+            return _new(LaurentQA, _scale_dict(self._t, _coeff(other)))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if not self._t or not o._t:
             return _QA_ZERO
-        # multiply A-slice-wise so the q-direction can use the fast path
-        sa = self.a_slices()
-        sb = o.a_slices()
-        acc = {}
-        for a1, p1 in sa.items():
-            for a2, p2 in sb.items():
-                k = a1 + a2
-                prod = p1 * p2
-                acc[k] = acc[k] + prod if k in acc else prod
-        out = {}
-        for a, p in acc.items():
-            for e, c in p._t.items():
-                out[(a, e)] = c
-        return _mkqa(out)
+        return _new(LaurentQA, _on_q_kernel(_mul_dicts, (self._t, o._t)))
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            if len(self._t) != 1:
-                raise InexactDivision("only monomials are invertible")
-            ((key, c),) = self._t.items()
-            a, e = key
-            inv = _mkqa({(-a, -e): _coeff(Fraction(1, 1) / c)})
-            return inv ** (-n)
-        result = _QA_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+    def _power(self, n):
+        return _on_q_kernel(lambda t: _pow_dict(t, n), (self._t,), n)
 
     # -- substitutions -------------------------------------------------------
 
@@ -766,7 +738,7 @@ class LaurentQA:
                 out[k] = v
             elif k in out:
                 del out[k]
-        return _mkqa(out)
+        return _new(LaurentQA, out)
 
     def subs_q_neg_inv(self) -> "LaurentQA":
         """q -> -q^(-1) (A untouched); all q-exponents must be integral."""
@@ -776,7 +748,7 @@ class LaurentQA:
                 raise ValueError(
                     "fractional q-exponent %s/6 under a parity-sensitive substitution" % e)
             out[(a, -e)] = c if (e // EXP_DEN) % 2 == 0 else -c
-        return _mkqa(out)
+        return _new(LaurentQA, out)
 
     def subs_q_one(self) -> "LaurentQA":
         """q -> 1, leaving a Laurent polynomial in A."""
@@ -788,37 +760,20 @@ class LaurentQA:
                 out[k] = v
             elif k in out:
                 del out[k]
-        return _mkqa(out)
+        return _new(LaurentQA, out)
 
     def subs_invert(self) -> "LaurentQA":
         """A -> A^(-1) together with q -> q^(-1) (the mirror map)."""
-        return _mkqa({(-a, -e): c for (a, e), c in self._t.items()})
+        return _new(LaurentQA, {(-a, -e): c for (a, e), c in self._t.items()})
 
     # -- rendering -----------------------------------------------------------
 
-    def render(self) -> str:
-        return _render_terms([(a, e, c) for (a, e), c in self._t.items()])
-
-    def __str__(self):
-        return self.render()
-
-    def __repr__(self):
-        return "LaurentQA(%s)" % self.render()
-
-    @classmethod
-    def parse(cls, s: str) -> "LaurentQA":
-        return _parse_terms(s)
+    def _triples(self):
+        return [(a, e, c) for (a, e), c in self._t.items()]
 
 
-def _mkqa(d) -> LaurentQA:
-    p = LaurentQA.__new__(LaurentQA)
-    p._t = d
-    p._h = None
-    return p
-
-
-_QA_ZERO = _mkqa({})
-_QA_ONE = _mkqa({(0, 0): 1})
+_QA_ZERO = _new(LaurentQA, {})
+_QA_ONE = _new(LaurentQA, {(0, 0): 1})
 
 
 def curly_bracket(x: LaurentQA) -> LaurentQA:
@@ -831,15 +786,7 @@ def curly_bracket(x: LaurentQA) -> LaurentQA:
         x = LaurentQA.from_q(x)
     if len(x._t) != 1:
         raise ValueError("curly bracket is defined for monomials only")
-    ((key, c),) = x._t.items()
-    a, e = key
-    inv = _coeff(Fraction(1, 1) / c)
-    return _mkqa(_add_dicts({(a, e): c}, {(-a, -e): -inv}))
-
-
-def curly_Aq(cont: int) -> LaurentQA:
-    """{A q^cont} = A q^cont - A^-1 q^-cont."""
-    return _mkqa({(1, EXP_DEN * cont): 1, (-1, -EXP_DEN * cont): -1})
+    return x - x ** -1
 
 
 SUBSTITUTION_RULES = ("A->q^2", "q->-1/q", "q->1", "invert")
@@ -982,4 +929,4 @@ def _parse_terms(s: str) -> LaurentQA:
             acc[key] = _coeff(v)
         elif key in acc:
             del acc[key]
-    return _mkqa(acc)
+    return _new(LaurentQA, acc)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .qpoly import LaurentQA, curly_Aq, curly_q_product
+from .qpoly import LaurentQA, curly_atom_sum, curly_q_product
 
 SUPPORTED_R = (1, 2, 3, 4)
 
@@ -135,7 +135,9 @@ def pair_decomposition(r: int):
     """[r] x [r] on two strands: [(diagram [2r-j, j], sign (-1)^j, exponent)].
 
     The eigenvalue attached to [2r-j, j] is sign * q^exponent with
-    exponent = kappa([2r-j, j]).
+    exponent = kappa([2r-j, j]).  The engine reads the exponents from
+    pair_exponent alone; this function stays as the tests' reference that
+    the closed form is kappa of the two-strand diagrams.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -245,7 +247,5 @@ def hook_content_dimension(Q: YoungDiagram) -> FractionQA:
 @lru_cache(maxsize=None)
 def _hook_content_dimension(rows) -> FractionQA:
     Q = YoungDiagram(rows)
-    num = LaurentQA.one()
-    for c in Q.contents():
-        num = num * curly_Aq(c)
-    return FractionQA(num, LaurentQA.from_q(curly_q_product(Q.hooks())))
+    num = curly_atom_sum([({0: 1}, [(1, c) for c in Q.contents()])])
+    return FractionQA(LaurentQA(num), LaurentQA.from_q(curly_q_product(Q.hooks())))

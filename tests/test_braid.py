@@ -231,6 +231,14 @@ def _curly_product(atoms):
     return acc
 
 
+def _slices(f):
+    """f as {A-exponent: LaurentQ coefficient}."""
+    out = {}
+    for (a, e), c in f.terms.items():
+        out.setdefault(a, {})[e] = c
+    return {a: LaurentQ(d) for a, d in out.items()}
+
+
 def _from_slices(slices):
     return LaurentQA({(a, e): c for a, p in slices.items() for e, c in p.terms.items()})
 
@@ -238,7 +246,7 @@ def _from_slices(slices):
 def _divide_pure_q(f, d):
     """Exact division of a two-variable polynomial by a pure-q polynomial."""
     out = {}
-    for a, s in f.a_slices().items():
+    for a, s in _slices(f).items():
         try:
             out[a] = laurent_divexact(s, d)
         except InexactDivision:
@@ -250,7 +258,7 @@ def _divide_curly_atom(f, content):
     """Exact synthetic division by (A q^c - A^{-1} q^{-c})."""
     if f.is_zero():
         return f
-    slices = f.a_slices()
+    slices = _slices(f)
     span = max(slices) - min(slices)
     out = {}
     steps = 0

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import re
+import sys
 
 import pytest
 
@@ -170,6 +171,43 @@ def test_unsupported_exit_3(argv):
     code, _, err = invoke(*argv)
     assert code == 3
     assert err != ""
+
+
+# more digits than int() converts by default (4,300 since Python 3.11)
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--braid", "1,1", "--rep", NINES),
+        ("verify", "--rep", "1.." + NINES),
+        ("table", "--rep", NINES),
+    ],
+)
+def test_rank_of_any_length_exits_3_with_a_short_message(argv):
+    code, out, err = invoke(*argv)
+    assert (code, out) == (3, "")
+    assert "unsupported" in err and len(err) < 200
+
+
+def test_braid_exponent_of_any_length_gets_a_short_message():
+    code, out, err = invoke("compute", "--braid", NINES + ",1", "--rep", "1")
+    assert len(err) < 200
+    # int() refuses the exponent under a digit limit; without one the
+    # trace budget refuses the word
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < len(NINES):
+        assert (code, out) == (1, "") and "bad integer" in err
+    else:
+        assert (code, out) == (3, "")
+
+
+def test_braid_exponent_of_4300_digits_exits_3_with_a_short_message():
+    # int() converts it, but the packed size has more than 4,300 digits
+    code, out, err = invoke("compute", "--braid", "9" * 4300 + ",1", "--rep", "1")
+    assert (code, out) == (3, "")
+    assert "needs over 2^" in err and len(err) < 200
 
 
 def test_oversized_braid_word_exits_3_before_packing():

@@ -1,6 +1,7 @@
 """Exact Laurent arithmetic in q and (A, q)."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -110,12 +111,18 @@ def test_ring_laws_q(x, y):
 # ---------------------------------------------------------------------------
 # Kronecker multiplication and the signed-digit format
 
-def schoolbook(a, b):
+def schoolbook(a, b, add=lambda x, y: x + y):
+    """Product of plain term dicts; add combines two keys."""
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+            k = add(e1, e2)
+            out[k] = out.get(k, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+def add_pairs(x, y):
+    return x[0] + y[0], x[1] + y[1]
 
 
 # coefficients at and next to the byte boundaries of the packed digits
@@ -158,9 +165,53 @@ def test_packed_power_matches_repeated_multiplication(p, n):
     assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
 
 
+# (A, q) keys: negative A-exponents, q-exponents in sixths on the whole
+# lattice or on a coarser step of it (integral q-powers are step 6)
+@st.composite
+def wide_qa_terms(draw):
+    step = draw(st.sampled_from([1, 2, 3, 6]))
+    keys = st.integers(0, 13 * 81 - 1).map(lambda i: (i // 81 - 6, step * (i % 81 - 40)))
+    return draw(st.dictionaries(keys, big_coeffs, min_size=33, max_size=60))
+
+
+@settings(phases=[Phase.explicit, Phase.generate])
+@given(wide_qa_terms(), wide_qa_terms())
+def test_packed_qa_product_matches_schoolbook(a, b):
+    assert len(a) * len(b) > qpoly._NAIVE_MUL_CUTOFF
+    assert (LaurentQA(a) * LaurentQA(b)).terms == schoolbook(a, b, add_pairs)
+
+
+qa_power_bases = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-40, 40)),
+    st.one_of(st.integers(-9, 9).filter(bool), boundary,
+              st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 12))),
+    min_size=1, max_size=6,
+)
+
+
+@given(qa_power_bases, st.integers(0, 6))
+def test_packed_qa_power_matches_repeated_multiplication(t, n):
+    expect = {(0, 0): 1}
+    for _ in range(n):
+        expect = schoolbook(expect, t, add_pairs)
+    p = LaurentQA(t)
+    assert (p ** n).terms == expect
+    if len(t) == 1:
+        (((a, e), c),) = t.items()
+        assert (p ** -n).terms == {(-n * a, -n * e): 1 / Fraction(c) ** n}
+        assert p ** -n * p ** n == LaurentQA.one()
+    else:
+        with pytest.raises(InexactDivision):
+            p ** -max(n, 1)
+
+
 def test_power_edge_cases():
     assert LaurentQ.zero() ** 0 == LaurentQ.one()
     assert LaurentQ.zero() ** 3 == LaurentQ.zero()
+    assert LaurentQA.zero() ** 0 == LaurentQA.one()
+    assert LaurentQA.zero() ** 2 == LaurentQA.zero()
+    with pytest.raises(InexactDivision):
+        LaurentQA.zero() ** -1
     assert (quantum_int(2) ** 0).is_one()
     assert (q(Fraction(1, 6)) - 1) ** 2 == q(Fraction(1, 3)) - 2 * q(Fraction(1, 6)) + 1
     with pytest.raises(InexactDivision):
@@ -173,6 +224,25 @@ def test_curly_atom_sum_refuses_a_nonpositive_shift():
             qpoly.curly_atom_sum([({0: 1}, [atom])])
     # {A q^-2} is fine: the A-shift dominates
     assert qpoly.curly_atom_sum([({0: 1}, [(1, -2)])]) == {(1, -12): 1, (-1, 12): -1}
+
+
+@pytest.mark.parametrize("k", range(9))
+@pytest.mark.parametrize("atom", [(0, 1), (1, 0), (1, -2)])
+def test_curly_atom_sum_width_at_the_littlewood_offord_bound(k, atom):
+    # {X}^k = X^-k (X^2 - 1)^k: its largest coefficient is C(k, k // 2), the
+    # bound the width is taken from, so c * {X}^k puts a digit at (or just
+    # past) a byte boundary
+    top = comb(k, k // 2)
+    cs = [s * (2 ** (8 * w - 1) // top + d)
+          for w in (1, 2, 3) for d in (-1, 0, 1) for s in (1, -1)]
+    cs += [s * (2 ** (8 * w) + d) for w in (1, 2) for d in (-1, 0, 1) for s in (1, -1)]
+    alpha, beta = atom
+    bracket = {(alpha, 6 * beta): 1, (-alpha, -6 * beta): -1}
+    for c in cs:
+        expect = {(0, 0): c}
+        for _ in range(k):
+            expect = schoolbook(expect, bracket, add_pairs)
+        assert qpoly.curly_atom_sum([({0: c}, [atom] * k)]) == expect
 
 
 @pytest.mark.parametrize("width", [1, 2, 5])
