@@ -20,13 +20,13 @@ exactly the original one.
 Every xi_j is a signed q-monomial, so entry (i, j) of D_a V D_b V^T is
 sum_t +-q^(a e_i + b e_t) T_ijt with T_ijt = rho_i rho_t V_it V_jt: the
 factors are shifted, sign-flipped sums of the products
-racah.trace_products caches once per mixing matrix, with no polynomial
-product per word.  Each factor is packed once into an integer matrix of
-signed digits (its entries at q^step -> 2^(8 width), its lowest exponent
-shifted out) and the trace of the integer product is unpacked once per
-block.  The width is bounded by the trace of the product of the entrywise
-l1-norm matrices; dividing by c^(2L), of leading coefficient +-1, stays
-in Z.  A trace whose packed integers would exceed TRACE_BYTES is refused
+racah.trace_products forms once per mixing matrix while certifying it,
+with no polynomial product per word.  Each factor is packed once into an
+integer matrix of signed digits (its entries at q^step -> 2^(8 width), its
+lowest exponent shifted out) and the trace of the integer product is
+unpacked once per block.  The width is bounded by the trace of the product
+of the entrywise l1-norm matrices; dividing by c^(2L), of leading
+coefficient +-1, stays in Z.  A trace whose packed integers would exceed TRACE_BYTES is refused
 with TraceTooLarge before anything is packed.
 
 The reduction divides sum_Q C_Q S_Q* by S_[r]* with the atoms of S_[r]*
@@ -160,13 +160,15 @@ def _block_trace(block, word):
 
     The factor of each distinct word block (a, b) is D_a V D_b V^T, whose
     entry (i, j) is sum_t xi_i^a xi_t^b T_ijt, a sum of shifted and
-    sign-flipped copies of the cached T_ijt (racah.trace_products).
+    sign-flipped copies of the cached T_ijt (racah.trace_products).  The
+    products are the triple's certificate, so a block whose (rho, V, c) is
+    not an orthogonal U raises racah.NonOrthogonal.
     """
     xi = block.eigenvalues
     size = len(xi)
     if size == 1:
         return xi[0] ** word.writhe
-    products = trace_products(block.rho, block.V)
+    products = trace_products(block.rho, block.V, block.c)
     # xi_j = sign_j q^(e_j / 6), so xi_j^x = sign_j^x q^(x e_j / 6)
     monos = [next(iter(x._t.items())) for x in xi]
     factors = {}

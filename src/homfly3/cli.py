@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 malformed request (bad flags, bad braid word,
 unknown knot), 2 verification failure (a golden mismatch, a checksum
 mismatch, or a closure whose reduced polynomial does not exist), 3
 well-formed but unsupported request (rank r >= 5, mixing-matrix size >= 6,
-or a braid word whose block trace would pack integers over
-braid.TRACE_BYTES, refused before anything is packed).
+a racah-dump argument p above MAX_P = 50, or a braid word whose block
+trace would pack integers over braid.TRACE_BYTES, refused before anything
+is packed).
 
 Identical requests produce byte-identical output: every iteration below
 runs in a fixed, sorted order and no timestamps or machine state enter the
@@ -34,8 +35,8 @@ from .braid import (
     reduced_homfly,
     special_polynomial,
 )
-from .racah import racah_su2
-from .young import cube_blocks
+from .racah import MAX_SIZE, racah_su2
+from .young import SUPPORTED_R, cube_blocks
 
 __all__ = ["main", "run"]
 
@@ -44,8 +45,11 @@ EXIT_PARSE = 1
 EXIT_VERIFY = 2
 EXIT_UNSUPPORTED = 3
 
-MAX_RANK = 4
-MAX_MATRIX = 5
+MAX_RANK = max(SUPPORTED_R)
+MAX_MATRIX = MAX_SIZE
+# the largest p racah-dump builds U(N|p) for: its cost grows steeply with p
+# (seconds at p = 50 for N = 5, minutes past p = 500)
+MAX_P = 50
 
 _OUTPUTS = ("reduced", "extended", "special", "jones", "coefficients")
 
@@ -354,6 +358,12 @@ def _cmd_racah_dump(args, out, err):
             "matrix size %d is unsupported (this build handles sizes 2..%d)"
             % (n, MAX_MATRIX),
         )
+    if p > MAX_P:
+        raise _CliError(
+            EXIT_UNSUPPORTED,
+            "p = %s is unsupported (this build handles p <= %d)"
+            % (_clip(str(p)), MAX_P),
+        )
     try:
         u = racah_su2(n, p)
     except ValueError as exc:  # p < 1, or a degenerate p < N - 1
@@ -430,7 +440,9 @@ def _build_parser():
         "racah-dump", help="print the mixing matrix U(N|p)"
     )
     p_dump.add_argument("--dim", type=int, required=True, help="matrix size N (2..5)")
-    p_dump.add_argument("--p", type=int, required=True, help="family argument p (>= N-1)")
+    p_dump.add_argument(
+        "--p", type=int, required=True, help="family argument p (N-1..%d)" % MAX_P
+    )
     p_dump.add_argument(
         "--format", choices=("text", "json"), default="text"
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
 from math import comb, gcd as _int_gcd, lcm
 from operator import mul
 
@@ -133,22 +134,17 @@ def pack_signed(terms, emin, width, step=1):
 def unpack_signed(value, width):
     """Inverse of pack_signed: {digit index: nonzero digit} of value.
 
-    The digits are read back one byte slice at a time, carrying a borrow.
+    Half a digit's range is added to every slot first, so each slot of the
+    biased integer holds its digit plus that half with no borrow between
+    slots, and every slot is read on its own.
     """
     half = 1 << (8 * width - 1)
-    full = half << 1
     slots = abs(value).bit_length() // (8 * width) + 1
-    buf = value.to_bytes(slots * width, "little", signed=True)
-    out = {}
-    carry = 0
-    for k in range(slots):
-        d = int.from_bytes(buf[k * width:(k + 1) * width], "little") + carry
-        carry = d >= half
-        if carry:
-            d -= full
-        if d:
-            out[k] = d
-    return out
+    bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    buf = (value + bias).to_bytes(slots * width, "little")
+    biased = map(int.from_bytes, [buf[i:i + width] for i in range(0, len(buf), width)],
+                 repeat("little"))
+    return {k: d - half for k, d in enumerate(biased) if d != half}
 
 
 def _support_step(*dicts) -> int:
@@ -728,43 +724,38 @@ class LaurentQA(_Laurent):
 
     # -- substitutions -------------------------------------------------------
 
-    def subs_A_to_q2(self) -> "LaurentQA":
-        """A -> q^2."""
+    def _subs(self, image):
+        """The polynomial with each term (a, e): c sent to image(a, e, c),
+        a pair (key, coefficient); equal keys merge and zeros drop."""
         out = {}
         for (a, e), c in self._t.items():
-            k = (0, e + 12 * a)
+            k, c = image(a, e, c)
             v = out.get(k, 0) + c
             if v:
                 out[k] = v
             elif k in out:
                 del out[k]
         return _new(LaurentQA, out)
+
+    def subs_A_to_q2(self) -> "LaurentQA":
+        """A -> q^2."""
+        return self._subs(lambda a, e, c: ((0, e + 12 * a), c))
 
     def subs_q_neg_inv(self) -> "LaurentQA":
         """q -> -q^(-1) (A untouched); all q-exponents must be integral."""
-        out = {}
-        for (a, e), c in self._t.items():
+        for _, e in self._t:
             if e % EXP_DEN:
                 raise ValueError(
                     "fractional q-exponent %s/6 under a parity-sensitive substitution" % e)
-            out[(a, -e)] = c if (e // EXP_DEN) % 2 == 0 else -c
-        return _new(LaurentQA, out)
+        return self._subs(lambda a, e, c: ((a, -e), -c if e // EXP_DEN % 2 else c))
 
     def subs_q_one(self) -> "LaurentQA":
         """q -> 1, leaving a Laurent polynomial in A."""
-        out = {}
-        for (a, e), c in self._t.items():
-            k = (a, 0)
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return _new(LaurentQA, out)
+        return self._subs(lambda a, e, c: ((a, 0), c))
 
     def subs_invert(self) -> "LaurentQA":
         """A -> A^(-1) together with q -> q^(-1) (the mirror map)."""
-        return _new(LaurentQA, {(-a, -e): c for (a, e), c in self._t.items()})
+        return self._subs(lambda a, e, c: ((-a, -e), c))
 
     # -- rendering -----------------------------------------------------------
 

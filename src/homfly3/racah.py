@@ -12,14 +12,18 @@ triple, both in the factored quantum numbers of :mod:`homfly3.radext`:
   formula of Kirillov and Reshetikhin), the one the engine uses;
 - ``racah_from_eigenvalues``: from nothing but the normalized eigenvalue
   list, with squared entries given by rational expressions in the
-  eigenvalues and interior signs pinned by exact orthogonality.
+  eigenvalues, every factor a monomial or a binomial factored in closed
+  form, and interior signs fixed row by row by exact orthogonality.
 
-Every triple is certified before it is returned (``certify_basis``):
+Every triple is certified once before it is returned (``certify_basis``):
 V diag(rho) V^T = c^2 diag(1/rho), which is U U^T = I conjugated by S, and
 the sign layout V_ji = (-1)^(i+j) V_ij, which is sigma U sigma = U^T with
-sigma = diag(+1, -1, +1, ...).  Construction fails loudly rather than
-returning an uncertified matrix.  ``racah_su2`` renders U entry by entry
-for display.
+sigma = diag(+1, -1, +1, ...).  The certificate is summed from the
+products T_ijt = rho_i rho_t V_it V_jt and returns them: cached per triple
+(``trace_products``), they are what the trace engine builds every block
+factor from, so the engine reads only certified products.  Construction
+fails loudly rather than returning an uncertified matrix.  ``racah_su2``
+renders U entry by entry for display.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _iterproduct
 
 from .qpoly import LaurentQ
 from .radext import (
@@ -38,13 +41,14 @@ from .radext import (
     _fprod,
     _qfactorial,
     _qint,
+    binomial,
     divide_out,
-    factor,
     sqrt_of,
 )
 from .young import BlockSpec, pair_exponent
 
 __all__ = [
+    "MAX_SIZE",
     "DegenerateP",
     "RepeatedEigenvalue",
     "NonOrthogonal",
@@ -73,7 +77,7 @@ class NonOrthogonal(ArithmeticError):
 
 
 class UnsupportedMultiplicity(ValueError):
-    """Mixing matrices of size >= 6 are not implemented."""
+    """Mixing matrices of sizes above MAX_SIZE are not implemented."""
 
 
 # --------------------------------------------------------------------------
@@ -130,6 +134,10 @@ _SUM_DRESS = {
     5: (1, 1, 1, 1, 1),
 }
 
+# the largest mixing matrix either construction builds; every block of
+# the ranks young.SUPPORTED_R fits
+MAX_SIZE = max(_SUM_DRESS)
+
 
 @lru_cache(maxsize=None)
 def _recoupling(N, p):
@@ -181,7 +189,7 @@ def twisted_basis(N, p):
     """
     if not isinstance(N, int) or not isinstance(p, int):
         raise TypeError("mixing matrices need integer N and p")
-    if not 2 <= N <= 5:
+    if not 2 <= N <= MAX_SIZE:
         raise UnsupportedMultiplicity("no mixing matrix for size %r" % (N,))
     if p < 1:
         raise ValueError("p must be a positive integer, got %r" % (p,))
@@ -191,7 +199,7 @@ def twisted_basis(N, p):
             % (N, N - 1, p)
         )
     rho, v, c = _triple(*_recoupling(N, p))
-    certify_basis(rho, v, c)
+    trace_products(rho, v, c)
     return rho, v, c
 
 
@@ -217,63 +225,50 @@ def _triple(odd, nums, dens):
     return rho, v, c
 
 
-def _certify_sigma(v):
-    n = len(v)
+def certify_basis(rho, v, c):
+    """Certify (rho, V, c) as an orthogonal U = S (V/c) S; return its T_ijt.
+
+    Checks the sign layout V_ji = (-1)^(i+j) V_ij and, from the sums of the
+    products rho_t V_it V_jt (formed once, for i <= j), V diag(rho) V^T =
+    c^2 diag(1/rho); raises NonOrthogonal on the first failure.  Returns
+    T[i][j][t] = rho_i rho_t V_it V_jt: entry (i, j) of D_a V D_b V^T is
+    sum_t xi_i^a xi_t^b T[i][j][t], with D_x = diag(rho_j xi_j^x).  Each
+    T[i][j][t] is a pair of tuples (q-exponents in sixths, coefficients),
+    every exponent and coefficient one shared int object.
+    """
+    n = len(rho)
+    c2 = c * c
+    zero = LaurentQ.zero()
+    ints = {}
+
+    def compact(products):
+        return tuple((tuple(ints.setdefault(e, e) for e in x._t),
+                      tuple(ints.setdefault(k, k) for k in x._t.values()))
+                     for x in products)
+
+    out = [[None] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):
             if v[j][i] != (v[i][j] if (i + j) % 2 == 0 else -v[i][j]):
                 raise NonOrthogonal(
                     "sign layout breaks the alternating transpose rule at "
                     "(%d,%d)" % (i, j)
                 )
-
-
-def certify_basis(rho, v, c):
-    """Raise NonOrthogonal unless (rho, V, c) is an orthogonal U = S (V/c) S.
-
-    Checks V_ji = (-1)^(i+j) V_ij and V diag(rho) V^T = c^2 diag(1/rho),
-    row pair by row pair, exactly.
-    """
-    _certify_sigma(v)
-    n = len(rho)
-    c2 = c * c
-    for i in range(n):
-        for j in range(i, n):
-            acc = LaurentQ.zero()
-            for t in range(n):
-                acc = acc + v[i][t] * rho[t] * v[j][t]
-            if acc * rho[i] != (c2 if i == j else LaurentQ.zero()):
+            half = [rho[t] * v[i][t] * v[j][t] for t in range(n)]
+            row = [rho[i] * h for h in half]
+            if sum(row, zero) != (c2 if i == j else zero):
                 raise NonOrthogonal(
                     "rows %d and %d of V diag(rho) V^T break U U^T = I"
                     % (i, j)
                 )
-
-
-@lru_cache(maxsize=None)
-def trace_products(rho, v):
-    """T[i][j][t] = rho_i rho_t V_it V_jt for a triple of twisted_basis.
-
-    Entry (i, j) of D_a V D_b V^T is sum_t xi_i^a xi_t^b T[i][j][t], with
-    D_x = diag(rho_j xi_j^x): the trace engine builds its block factors
-    from these by shifts alone.  rho_t V_it V_jt is symmetric in (i, j), so
-    it is formed for i <= j only.  Each T[i][j][t] is stored compactly as a
-    pair of tuples (q-exponents in sixths, coefficients), every exponent
-    and coefficient one shared int object.  Cached per triple, so once per
-    (N, p).
-    """
-    n = len(rho)
-    ints = {}
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            half = [rho[t] * v[i][t] * v[j][t] for t in range(n)]
-            for a, b in ((i, j), (j, i)):
-                terms = [(rho[a] * h)._t for h in half]
-                out[a][b] = tuple(
-                    (tuple(ints.setdefault(e, e) for e in t),
-                     tuple(ints.setdefault(c, c) for c in t.values()))
-                    for t in terms)
+            out[i][j] = compact(row)
+            out[j][i] = compact(rho[j] * h for h in half) if j > i else out[i][j]
     return tuple(map(tuple, out))
+
+
+# certify_basis once per triple, so once per (N, p): twisted_basis
+# certifies through it and the trace engine reads the same products
+trace_products = lru_cache(maxsize=None)(certify_basis)
 
 
 def racah_su2(N, p):
@@ -337,36 +332,59 @@ def normalized_eigenvalues(N, p):
     return out
 
 
-def _ev_offdiag_square(xs, i, j):
+# the factors of the eigenvalue formulas, with eigenvalues as factored
+# signed monomials (sign, u6, {}): every factor is a monomial or a binomial
+# y - 1, which radext.binomial factors in closed form
+
+_NEG = (-1, 0, {})
+
+
+def _plus_one(y):
+    """y + 1 = -((-y) - 1)."""
+    return _fprod([_NEG, binomial(_fprod([_NEG, y]))])
+
+
+def _balanced(y, sign):
+    """y + s + 1/y for s = sign = +-1, as (s y^3 - 1) / (y (s y - 1))."""
+    s = (sign, 0, {})
+    return _fprod([binomial(_fprod([s, y, y, y]))], [y, binomial(_fprod([s, y]))])
+
+
+def _minus(x, y):
+    """x - y = y (x/y - 1)."""
+    return _fprod([y, binomial(_fprod([x], [y]))])
+
+
+def _ev_offdiag_square(ms, i, j):
     """Squared off-diagonal entry U_ij^2, factored.
 
-    A ratio of products of binomials and trinomials in the eigenvalues;
-    each factor is factored on its own.
+    ``ms`` holds the eigenvalues as factored monomials.  U_ij^2 is a ratio
+    of products of eigenvalue monomials and binomials in them.
     """
-    xi, xj = xs[i], xs[j]
-    others = [x for k, x in enumerate(xs) if k != i and k != j]
-    one = LaurentQ.one()
-    if len(xs) == 2:
-        num = [xi ** 2 + one + xj ** 2]
-    elif len(xs) == 3:
-        num = [-(xi ** 3 - one), xj ** 3 - one, (xi * xj).inverse_monomial()]
-    elif len(xs) == 4:
-        num = [-(xi ** 2 - one), xj ** 2 - one]
-        for x in others:
-            m = xi * x
-            num.append(m - one + m.inverse_monomial())
+    xi, xj = ms[i], ms[j]
+    others = [x for k, x in enumerate(ms) if k != i and k != j]
+    if len(ms) == 2:
+        # xi^2 + 1 + xj^2 = y + 1 + 1/y with y = xi^2, since xi xj = +-1
+        num = [_balanced(_fprod([xi, xi]), 1)]
+    elif len(ms) == 3:
+        num = [_NEG, binomial(_fprod([xi] * 3)), binomial(_fprod([xj] * 3)),
+               _fprod([], [xi, xj])]
+    elif len(ms) == 4:
+        num = [_NEG, binomial(_fprod([xi, xi])), binomial(_fprod([xj, xj]))]
+        num += [_balanced(_fprod([xi, x]), -1) for x in others]
     else:
-        num = [-(xi * xj), xi + one + xi.inverse_monomial(),
-               xj + one + xj.inverse_monomial()]
-        num += [xi * x + one for x in others] + [xj * x + one for x in others]
-    den = [xi - xj, xi - xj] + [xi - x for x in others] + [xj - x for x in others]
-    return _fprod([factor(f) for f in num], [factor(f) for f in den])
+        num = [_NEG, xi, xj, _balanced(xi, 1), _balanced(xj, 1)]
+        num += [_plus_one(_fprod([y, x])) for y in (xi, xj) for x in others]
+    den = [_minus(xi, xj), _minus(xi, xj)]
+    den += [_minus(y, x) for y in (xi, xj) for x in others]
+    return _fprod(num, den)
 
 
-def _ev_diag(xs, i):
+def _ev_diag(xs, ms, i):
     """Signed diagonal entry U_ii restored from orthogonality.
 
-    Returns (numerator as a LaurentQ, factored denominator).
+    Returns (numerator as a LaurentQ in the eigenvalues ``xs``, factored
+    denominator from their factored monomials ``ms``).
     """
     n = len(xs)
     xi = xs[i]
@@ -392,37 +410,42 @@ def _ev_diag(xs, i):
         fac = xi * ((xi + one) * (one + s1) + s2)
     if i % 2:
         fac = -fac
-    return fac, _fprod([factor(xi - x) for x in others])
+    return fac, _fprod([_minus(ms[i], x) for k, x in enumerate(ms) if k != i])
 
 
-def racah_from_eigenvalues(xi, N=None):
+def _orthogonal(a, b, rho):
+    """Whether rows a and b of V are orthogonal: sum_t a_t rho_t b_t = 0."""
+    return not sum((x * r * y for x, r, y in zip(a, rho, b)), LaurentQ.zero())
+
+
+def racah_from_eigenvalues(xi):
     """Build the mixing triple (rho, V, c) from normalized twist eigenvalues.
 
     ``xi`` must be pairwise-distinct signed q-monomials (coefficients +-1)
-    on the 1/6 exponent lattice, already scaled so that no residual root of
-    unity appears.  The squared entries U_ij^2 (i < j) come from closed
-    rational expressions in the eigenvalues, factored into Phi_d(q^2);
-    rho_j is the odd part of U_0j^2, and U_ij / sqrt(rho_i rho_j) is their
-    exact square root, taken positive at q > 1.  The diagonal U_ii is a
-    signed rational expression, reduced to lowest terms.  The interior
-    signs (i, j >= 1) are the one assignment that :func:`certify_basis`
-    accepts, with the first row positive and the rest of the layout forced
-    by the alternating transpose rule.  The diagonal dressing is pinned per
-    size so the result equals :func:`twisted_basis` on matching eigenvalue
-    sets.
+    on the 1/6 exponent lattice with product +-1, as
+    :func:`normalized_eigenvalues` returns them.  The squared entries
+    U_ij^2 (i < j) are closed rational expressions in the eigenvalues,
+    factored into Phi_d(q^2); rho_j is the odd part of U_0j^2, and
+    U_ij / sqrt(rho_i rho_j) their exact square root, positive at q > 1.
+    The diagonal U_ii is a signed rational expression in lowest terms.
+    With the first row positive and the alternating transpose rule, the
+    interior signs (i, j >= 1) are fixed row by row, each row orthogonal
+    to the rows above; exactly one assignment may survive.  The dressing
+    is pinned per size so the result equals :func:`twisted_basis` on
+    matching eigenvalue sets; it is certified once before it is returned.
     """
     xs = [x if isinstance(x, LaurentQ) else LaurentQ.const(x) for x in xi]
-    n = len(xs) if N is None else N
-    if n != len(xs):
-        raise ValueError("got %d eigenvalues for size %d" % (len(xs), n))
+    n = len(xs)
     if n not in _EV_DRESS:
         raise UnsupportedMultiplicity("no eigenvalue formulas for size %r" % (n,))
+    ms = []
     for x in xs:
         if not x.is_monomial():
             raise ValueError("eigenvalues must be signed q-monomials: %s" % x)
-        ((_, c),) = x.terms.items()
+        ((u6, c),) = x.terms.items()
         if c not in (1, -1):
             raise ValueError("eigenvalue coefficient must be +-1: %s" % x)
+        ms.append((c, u6, {}))
     for i in range(n):
         for j in range(i + 1, n):
             if xs[i] == xs[j]:
@@ -431,10 +454,14 @@ def racah_from_eigenvalues(xi, N=None):
                 )
 
     outside = "; eigenvalue set is outside the formulas' validity"
+    sign, u6, _ = _fprod(ms)
+    if u6:
+        raise NonOrthogonal("the eigenvalues multiply to %s, not +-1"
+                            % LaurentQ({u6: sign}) + outside)
     try:
-        squares = {(i, j): _ev_offdiag_square(xs, i, j)
+        squares = {(i, j): _ev_offdiag_square(ms, i, j)
                    for i in range(n) for j in range(i + 1, n)}
-        diags = [_ev_diag(xs, i) for i in range(n)]
+        diags = [_ev_diag(xs, ms, i) for i in range(n)]
     except NotCyclotomic as exc:
         raise NonOrthogonal(str(exc) + outside)
     for (i, j), (sign, _, _) in squares.items():
@@ -467,30 +494,34 @@ def racah_from_eigenvalues(xi, N=None):
             dens[i, j] = dens[j, i]
     rho, v, c = _triple(odd, nums, dens)
 
-    interior = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
-    solutions = []
-    for choice in _iterproduct((1, -1), repeat=len(interior)):
-        signs = dict(zip(interior, choice))
-        cand = tuple(
-            tuple(x * signs.get((min(i, j), max(i, j)), 1)
-                  for j, x in enumerate(row))
-            for i, row in enumerate(v)
-        )
-        try:
-            certify_basis(rho, cand, c)
-        except NonOrthogonal:
-            continue
-        solutions.append(cand)
-    if not solutions:
+    # interior signs, row by row: row i takes the signs of its entries
+    # right of the diagonal, the transpose rule gives those left of it from
+    # the rows above, and a partial assignment survives only while its
+    # rows are pairwise orthogonal
+    partial = [(v[0],)]
+    for i in range(1, n):
+        tails = [()]
+        for x in v[i][i + 1:]:
+            tails = [tail + (y,) for tail in tails for y in (x, -x)]
+        grown = []
+        for rows in partial:
+            left = tuple(rows[t][i] if (i + t) % 2 == 0 else -rows[t][i]
+                         for t in range(i)) + (v[i][i],)
+            grown += [rows + (left + tail,) for tail in tails
+                      if all(_orthogonal(left + tail, above, rho)
+                             for above in rows)]
+        partial = grown
+    if not partial:
         raise NonOrthogonal(
             "no sign assignment makes the matrix orthogonal" + outside)
-    if len(solutions) > 1:
+    if len(partial) > 1:
         raise NonOrthogonal("sign assignment is ambiguous for this input")
     dress = _EV_DRESS[n]
     v = tuple(
         tuple(x if dress[i] == dress[j] else -x for j, x in enumerate(row))
-        for i, row in enumerate(solutions[0])
+        for i, row in enumerate(partial[0])
     )
+    certify_basis(rho, v, c)
     return rho, v, c
 
 
@@ -530,10 +561,10 @@ class MixingBlock:
 def build_block(spec):
     """Twist eigenvalues and mixing triple of one young.cube_blocks block."""
     size = spec.multiplicity
-    if size >= 6:
+    if size > MAX_SIZE:
         raise UnsupportedMultiplicity(
-            "block %s has multiplicity %d; sizes >= 6 are not implemented"
-            % (spec.Q, size)
+            "block %s has multiplicity %d; sizes >= %d are not implemented"
+            % (spec.Q, size, MAX_SIZE + 1)
         )
     eigenvalues = tuple(
         LaurentQ.monomial((-1) ** j, pair_exponent(spec.r, j))

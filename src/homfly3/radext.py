@@ -9,10 +9,10 @@ cyclotomic polynomials Phi_d(q^2).  Since
 products, quotients and square roots of quantum integers are exponent
 arithmetic (``_fprod``, ``sqrt_of``); only sums need polynomials, which are
 expanded (``_expand``) and divided back by the Phi_d they share with a
-denominator (``divide_out``).  ``factor`` goes the other way: it writes an
-integer Laurent polynomial in this form by exact trial division, or
-raises.  Every Phi_d(x) is positive for x > 1, so the sign of a factored
-value at every q > 1 is its sign field.
+denominator (``divide_out``).  The one sum written in this form directly
+is a binomial +-q^(2n) - 1, in closed form over the divisors of n or 2n
+(``binomial``).  Every Phi_d(x) is positive for x > 1, so the sign of a
+factored value at every q > 1 is its sign field.
 
 These are the scalars of both mixing-matrix constructions in
 :mod:`homfly3.racah`: the recoupling sum and the eigenvalue formulas.
@@ -44,19 +44,6 @@ def _cyclotomic(d):
         if d % k == 0:
             phi = laurent_divexact(phi, _cyclotomic(k))
     return phi
-
-
-@lru_cache(maxsize=None)
-def _totient(d):
-    """Euler's phi(d), the degree of Phi_d."""
-    n, out, k = d, d, 2
-    while k * k <= n:
-        if n % k == 0:
-            out -= out // k
-            while n % k == 0:
-                n //= k
-        k += 1
-    return out - out // n if n > 1 else out
 
 
 def _qint(k):
@@ -114,40 +101,25 @@ def divide_out(poly, exps):
     return poly, left
 
 
-def factor(poly):
-    """An integer Laurent polynomial as a factored value, by trial division.
+def binomial(monomial):
+    """y - 1 for a factored signed monomial y = +-q^(u6/6), factored.
 
-    Shifts out the lowest power of q, then divides by Phi_d(q^2) for
-    d = 1, 2, ... as often as each division is exact, stopping once the
-    cofactor is a constant.  A Phi_d of degree at most D has d <= 2 D^2,
-    since phi(d) >= sqrt(d/2), so the search is finite.  Raises
-    NotCyclotomic if poly is zero, is not a monomial times a polynomial in
-    q^2, or leaves a cofactor other than +-1.
+    With x = q^2 and y = +-x^n: x^n - 1 is the product of Phi_d(x) over the
+    d | n, x^n + 1 = (x^2n - 1) / (x^n - 1) the product over the d | 2n
+    that do not divide n, and a negative n first takes out -x^n.  Raises
+    NotCyclotomic off the q^2 lattice and where y - 1 is 0 or -2.
     """
-    if not poly:
-        raise NotCyclotomic("zero has no factored form")
-    terms = poly.terms
-    lo = min(terms)
-    if any((e - lo) % _Q2 for e in terms):
-        raise NotCyclotomic("%s is not a monomial times a polynomial in q^2"
-                            % poly)
-    rest = poly.shift6(-lo)
-    degree = (max(terms) - lo) // _Q2
-    exps = {}
-    d = 1
-    while degree and d <= 2 * degree * degree:
-        if _totient(d) <= degree:
-            while True:
-                try:
-                    rest = laurent_divexact(rest, _cyclotomic(d))
-                except InexactDivision:
-                    break
-                exps[d] = exps.get(d, 0) + 1
-                degree -= _totient(d)
-        d += 1
-    if degree or rest.terms[0] not in (1, -1):
-        raise NotCyclotomic("%s leaves the cofactor %s" % (poly, rest))
-    return rest.terms[0], lo, exps
+    sign, u6, _ = monomial
+    n, rest = divmod(u6, _Q2)
+    if rest or not n:
+        raise NotCyclotomic("%s is not a monomial times a product of "
+                            "Phi_d(q^2)" % (LaurentQ({u6: sign}) - 1))
+    m = abs(n)
+    if sign > 0:
+        exps = {d: 1 for d in range(1, m + 1) if m % d == 0}
+    else:
+        exps = {d: 1 for d in range(1, 2 * m + 1) if 2 * m % d == 0 and m % d}
+    return (sign, 0, exps) if n > 0 else (-1, u6, exps)
 
 
 def sqrt_of(value):

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .qpoly import LaurentQ, LaurentQA, curly_atom_sum, curly_q_product
-from .young import FractionQA, YoungDiagram, kappa  # noqa: F401  (kappa re-exported for tests)
+from .young import SUPPORTED_R, FractionQA, YoungDiagram, kappa  # noqa: F401  (kappa re-exported for tests)
 
 # ---------------------------------------------------------------------------
 # partitions and centralizer sizes
@@ -35,24 +36,15 @@ def partitions_of(n: int):
     return _partitions_cached(n, n)
 
 
-_PARTS_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _partitions_cached(n, maxpart):
-    key = (n, min(maxpart, n))
-    got = _PARTS_CACHE.get(key)
-    if got is not None:
-        return got
     if n == 0:
-        out = ((),)
-    else:
-        acc = []
-        for first in range(min(maxpart, n), 0, -1):
-            for rest in _partitions_cached(n - first, first):
-                acc.append((first,) + rest)
-        out = tuple(acc)
-    _PARTS_CACHE[key] = out
-    return out
+        return ((),)
+    acc = []
+    for first in range(min(maxpart, n), 0, -1):
+        for rest in _partitions_cached(n - first, min(first, n - first)):
+            acc.append((first,) + rest)
+    return tuple(acc)
 
 
 def z_of(mu) -> int:
@@ -69,9 +61,6 @@ def z_of(mu) -> int:
 # ---------------------------------------------------------------------------
 # Murnaghan-Nakayama characters
 # ---------------------------------------------------------------------------
-
-_MN_CACHE = {}
-
 
 def murnaghan_nakayama(Q, mu) -> int:
     """Symmetric-group character chi_Q(mu) by rim-hook recursion.
@@ -92,13 +81,10 @@ def murnaghan_nakayama(Q, mu) -> int:
     return _mn(betas, mu)
 
 
+@lru_cache(maxsize=None)
 def _mn(betas, mu) -> int:
     if not mu:
         return 1
-    key = (betas, mu)
-    got = _MN_CACHE.get(key)
-    if got is not None:
-        return got
     t = mu[0]
     rest = mu[1:]
     bset = set(betas)
@@ -111,7 +97,6 @@ def _mn(betas, mu) -> int:
         child = tuple(sorted((nb if c == b else c for c in betas), reverse=True))
         term = _mn(child, rest)
         total += -term if height % 2 else term
-    _MN_CACHE[key] = total
     return total
 
 
@@ -263,7 +248,9 @@ def _hashable_coeff(c):
 # Schur expansion and its inverse
 # ---------------------------------------------------------------------------
 
-_SCHUR_CACHE = {}
+# the largest |Q| Schur functions are expanded for: the blocks of
+# [r]^(x3) at the largest supported rank
+MAX_GRADING = 3 * max(SUPPORTED_R)
 
 
 def schur_in_powersums(Q) -> PowerSumPoly:
@@ -273,20 +260,20 @@ def schur_in_powersums(Q) -> PowerSumPoly:
     Fraction(-1, 3)
     """
     rows = tuple(Q.rows) if isinstance(Q, YoungDiagram) else _norm_partition(Q)
-    got = _SCHUR_CACHE.get(rows)
-    if got is not None:
-        return got
+    return _schur_in_powersums(rows)
+
+
+@lru_cache(maxsize=None)
+def _schur_in_powersums(rows) -> PowerSumPoly:
     n = sum(rows)
-    if n > 12:
-        raise ValueError("|Q| = %d exceeds the supported grading 12" % n)
+    if n > MAX_GRADING:
+        raise ValueError("|Q| = %d exceeds the supported grading %d" % (n, MAX_GRADING))
     out = {}
     for mu in partitions_of(n):
         chi = murnaghan_nakayama(rows, mu)
         if chi:
             out[mu] = Fraction(chi, z_of(mu))
-    poly = _mkps(out)
-    _SCHUR_CACHE[rows] = poly
-    return poly
+    return _mkps(out)
 
 
 def expand_in_schur(f: PowerSumPoly, degree: int):

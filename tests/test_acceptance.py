@@ -133,7 +133,7 @@ def test_criterion_3_conjecture_form_equivalence():
     for N in (2, 3, 4, 5):
         for p in range(N - 1, 6):
             assert twisted_basis(N, p) == racah_from_eigenvalues(
-                normalized_eigenvalues(N, p), N
+                normalized_eigenvalues(N, p)
             ), (N, p)
             equal += 1
     record_acceptance(

@@ -271,6 +271,20 @@ def test_racah_dump_2x2():
     assert len(lines) == 5
 
 
+def test_racah_dump_refuses_p_past_the_cap_before_building(monkeypatch):
+    def unbuilt(n, p):
+        raise AssertionError("U(%d|%d) was built" % (n, p))
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "racah_su2", unbuilt)
+        code, out, err = invoke("racah-dump", "--dim", "5", "--p", str(cli.MAX_P + 1))
+    assert (code, out) == (3, "")
+    assert "unsupported" in err and "p <= %d" % cli.MAX_P in err
+    code, out, err = invoke("racah-dump", "--dim", "2", "--p", str(cli.MAX_P))
+    assert (code, err) == (0, "")
+    assert out.startswith("U(2|%d):\n" % cli.MAX_P)
+
+
 # sha256 of the text and the --format json output of racah-dump for every
 # (N, p) with N = 2..5 and p = N-1..6, recorded from the transcribed closed
 # forms that built U before the recoupling sum did

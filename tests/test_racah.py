@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from homfly3 import racah
+from homfly3 import racah, young
 from homfly3.braid import Braid3Word, _block_trace, character_coefficients
 from homfly3.qpoly import LaurentQ, quantum_int
 from homfly3.racah import (
@@ -29,8 +29,8 @@ from homfly3.radext import (
     _expand,
     _fprod,
     _qint,
+    binomial,
     divide_out,
-    factor,
     sqrt_of,
 )
 from homfly3.young import cube_blocks
@@ -188,19 +188,30 @@ def test_twisted_basis_is_pinned():
 
 
 def test_basis_certificate_rejects_broken_triples():
+    # every entry point that reads a triple certifies it: the certificate
+    # itself, its cache, and a block trace handed the broken triple
+    (spec,) = [s for s in cube_blocks(2) if s.multiplicity == 3]
+    block = build_block(spec)
+    word = Braid3Word.parse("1,1")
+    entry_points = [
+        certify_basis,
+        racah.trace_products,
+        lambda rho, v, c: _block_trace(replace(block, rho=rho, V=v, c=c), word),
+    ]
     rho, v, c = twisted_basis(3, 2)
-    certify_basis(rho, v, c)
-    rows = [list(row) for row in v]
-    rows[1][2] = -rows[1][2]
-    rows[2][1] = -rows[2][1]  # keeps the sign layout, breaks orthogonality
-    with pytest.raises(NonOrthogonal):
-        certify_basis(rho, tuple(map(tuple, rows)), c)
-    rows = [list(row) for row in v]
-    rows[0][1] = -rows[0][1]  # breaks the sign layout
-    with pytest.raises(NonOrthogonal):
-        certify_basis(rho, tuple(map(tuple, rows)), c)
-    with pytest.raises(NonOrthogonal):
-        certify_basis(rho, v, c * 2)
+    assert (block.rho, block.V, block.c) == (rho, v, c)
+    keeps_layout = [list(row) for row in v]
+    keeps_layout[1][2] = -keeps_layout[1][2]
+    keeps_layout[2][1] = -keeps_layout[2][1]  # breaks orthogonality only
+    breaks_layout = [list(row) for row in v]
+    breaks_layout[0][1] = -breaks_layout[0][1]
+    for check in entry_points:
+        check(rho, v, c)
+        for rows in (keeps_layout, breaks_layout):
+            with pytest.raises(NonOrthogonal):
+                check(rho, tuple(map(tuple, rows)), c)
+        with pytest.raises(NonOrthogonal):
+            check(rho, v, c * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +220,7 @@ def test_basis_certificate_rejects_broken_triples():
 @pytest.mark.parametrize("N,p", [(2, 1), (2, 3), (3, 2), (3, 4)])
 def test_eigenvalue_reconstruction_entrywise(N, p):
     # equal triples: (rho, V, c) determines U = S (V/c) S
-    assert racah_from_eigenvalues(normalized_eigenvalues(N, p), N) == \
+    assert racah_from_eigenvalues(normalized_eigenvalues(N, p)) == \
         twisted_basis(N, p)
 
 
@@ -217,7 +228,7 @@ def test_eigenvalue_reconstruction_entrywise(N, p):
 def test_eigenvalue_reconstruction_squared(N, p):
     # sizes 4 and 5 agree as triples too, which implies agreement of the
     # diagonals and of the squared off-diagonals this test is named after
-    assert racah_from_eigenvalues(normalized_eigenvalues(N, p), N) == \
+    assert racah_from_eigenvalues(normalized_eigenvalues(N, p)) == \
         twisted_basis(N, p)
 
 
@@ -227,9 +238,13 @@ def test_eigenvalue_reconstruction_rejects_corrupted_lists(N, p):
     flipped = list(xs)
     flipped[1] = -flipped[1]
     with pytest.raises(NonOrthogonal):
-        racah_from_eigenvalues(flipped, N)
+        racah_from_eigenvalues(flipped)
     # the reversed list passes every certificate but is another matrix
-    assert racah_from_eigenvalues(xs[::-1], N) != twisted_basis(N, p)
+    assert racah_from_eigenvalues(xs[::-1]) != twisted_basis(N, p)
+    # so do the formulas only for eigenvalues whose product is +-1
+    q = LaurentQ.monomial(1, 1)
+    with pytest.raises(NonOrthogonal, match="outside the formulas' validity"):
+        racah_from_eigenvalues([x * q for x in xs])
 
 
 def test_normalized_eigenvalues_product_is_sign():
@@ -245,41 +260,40 @@ def test_normalized_eigenvalues_product_is_sign():
 def test_repeated_eigenvalue_rejected():
     q = LaurentQ.monomial(1, 1)
     with pytest.raises(RepeatedEigenvalue):
-        racah_from_eigenvalues([q, q], 2)
+        racah_from_eigenvalues([q, q])
 
 
 def test_sign_search_refuses_ambiguity(monkeypatch):
-    # were every interior sign choice certified, none would be preferred
-    monkeypatch.setattr(racah, "certify_basis", lambda rho, v, c: None)
+    # were every row orthogonal to every other, no interior sign choice
+    # would be preferred
+    monkeypatch.setattr(racah, "_orthogonal", lambda a, b, rho: True)
     with pytest.raises(NonOrthogonal, match="ambiguous"):
-        racah_from_eigenvalues(normalized_eigenvalues(3, 2), 3)
+        racah_from_eigenvalues(normalized_eigenvalues(3, 2))
 
 
 # ---------------------------------------------------------------------------
 # factored quantum numbers
 
-def test_factor_roundtrip():
-    value = -quantum_int(3) ** 2 * quantum_int(4) * LaurentQ.monomial(1, 5)
-    sign, u6, exps = factor(value)
-    assert sign == -1 and exps == {2: 1, 3: 2, 4: 1}
-    assert _expand(exps, sign, u6) == value
+@pytest.mark.parametrize("sign", [1, -1])
+def test_binomial_closed_form(sign):
+    # sign * q^(u/6) - 1 on every exponent in sixths from -360 to 360:
+    # factored exactly on the q^2 lattice, refused off it and at 0 or -2
+    refused = 0
+    for u6 in range(-360, 361):
+        value = LaurentQ({u6: sign}) - 1
+        if u6 % 12 or u6 == 0:
+            with pytest.raises(NotCyclotomic):
+                binomial((sign, u6, {}))
+            refused += 1
+            continue
+        s, u, exps = binomial((sign, u6, {}))
+        assert _expand(exps, s, u) == value, u6
+        assert all(e == 1 for e in exps.values())
+    assert refused == 721 - 60
+    # [k] = q^-(k-1) (q^2k - 1) / (q^2 - 1)
     for k in range(1, 12):
-        assert factor(quantum_int(k)) == _qint(k)
-    assert factor(LaurentQ.monomial(-1, 1)) == (-1, 6, {})
-    # Phi_1(q^2) = q^2 - 1 is a factor too
-    assert factor(LaurentQ.parse("q^2 - q^-2")) == (1, -12, {1: 1, 2: 1})
-
-
-@pytest.mark.parametrize("text", [
-    "0",
-    "q + 1",            # not a polynomial in q^2
-    "q^2 + 3",          # no cyclotomic factor
-    "2*q^2 - 2",        # cofactor 2
-    "q^4 + q^2 + 2",
-])
-def test_factor_refuses_non_cyclotomic(text):
-    with pytest.raises(NotCyclotomic):
-        factor(LaurentQ.parse(text))
+        assert _fprod([binomial((1, 12 * k, {}))],
+                      [(1, 6 * (k - 1), {}), binomial((1, 12, {}))]) == _qint(k)
 
 
 def test_sqrt_of_perfect_square():
@@ -314,6 +328,22 @@ def test_build_block_r1():
     assert b.eigenvalues == (LaurentQ.monomial(1, 1), LaurentQ.monomial(-1, -1))
     assert isinstance(b, MixingBlock)
     assert b.R[0][1] == LaurentQ.zero()
+
+
+def test_size_cap_covers_the_supported_ranks(monkeypatch):
+    # one size cap for both constructions, met by every block of every
+    # supported rank and missed by one block of the next rank
+    assert set(racah._EV_DRESS) == set(racah._SUM_DRESS) == set(
+        range(2, racah.MAX_SIZE + 1))
+    top = max(young.SUPPORTED_R)
+    assert max(spec.multiplicity for r in young.SUPPORTED_R
+               for spec in cube_blocks(r)) == racah.MAX_SIZE
+    monkeypatch.setattr(young, "SUPPORTED_R", young.SUPPORTED_R + (top + 1,))
+    too_big = [spec for spec in cube_blocks(top + 1)
+               if spec.multiplicity > racah.MAX_SIZE]
+    assert too_big
+    with pytest.raises(UnsupportedMultiplicity):
+        build_block(too_big[0])
 
 
 def twisted_factors(eigenvalues, rho, v):
