@@ -7,6 +7,8 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homfly3 import cli
 from homfly3.braid import TRACE_BYTES
@@ -137,6 +139,10 @@ def test_compute_link_reduced_fails_cleanly():
 # ---------------------------------------------------------------------------
 # exit codes on malformed / unsupported requests
 
+# more digits than int() converts by default (4,300 since Python 3.11)
+NINES = "9" * 5000
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -150,6 +156,15 @@ def test_compute_link_reduced_fails_cleanly():
         ("racah-dump", "--dim", "5", "--p", "0"),  # p must be positive
         ("racah-dump", "--dim", "2", "--p", "-1"),
         ("verify", "--rep", "0..100000000000"),
+        # numbers are ASCII digit strings, nothing else that int() takes
+        ("racah-dump", "--dim", "1_0", "--p", "2"),
+        ("racah-dump", "--dim", "+3", "--p", "2"),
+        ("racah-dump", "--dim", " 3", "--p", "2"),
+        ("racah-dump", "--dim", "3", "--p", "-" + NINES),
+        ("racah-dump", "--dim", "3", "--p", "\u0663"),  # an Arabic-Indic three
+        ("compute", "--braid", "1,1", "--rep", "\u0663"),
+        ("table", "--rep", "\u0663"),
+        ("verify", "--knot", "3_1", "--rep", "1..\u0662"),
     ],
 )
 def test_parse_errors_exit_1(argv):
@@ -165,16 +180,17 @@ def test_parse_errors_exit_1(argv):
         ("compute", "--braid", "1,1", "--rep", "1^5"),
         ("racah-dump", "--dim", "6", "--p", "6"),
         ("verify", "--rep", "1..100000000000"),  # refused before the range is built
+        # over the cap at any length, before int() converts it
+        ("racah-dump", "--dim", NINES, "--p", "2"),
+        ("racah-dump", "--dim", "2", "--p", NINES),
+        ("racah-dump", "--dim", "0" * 5000 + "6", "--p", "2"),
+        ("racah-dump", "--dim", "99999", "--p", "2"),
     ],
 )
 def test_unsupported_exit_3(argv):
     code, _, err = invoke(*argv)
     assert code == 3
     assert err != ""
-
-
-# more digits than int() converts by default (4,300 since Python 3.11)
-NINES = "9" * 5000
 
 
 @pytest.mark.parametrize(
@@ -189,6 +205,42 @@ def test_rank_of_any_length_exits_3_with_a_short_message(argv):
     code, out, err = invoke(*argv)
     assert (code, out) == (3, "")
     assert "unsupported" in err and len(err) < 200
+
+
+# a value of 5,000 characters in each message that echoes user text
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--knot", LONG),
+        ("verify", "--knot", LONG),
+        ("compute", "--knot", "3_1", "--out", LONG),
+        ("compute", "--knot", "3_1", "--format", LONG),  # argparse: invalid choice
+        ("compute", "--knot", "3_1", LONG),  # argparse: unrecognized arguments
+        ("racah-dump", "--dim", LONG, "--p", "2"),
+        ("racah-dump", "--dim", "2", "--p", LONG),
+        (LONG,),  # argparse: invalid mode
+    ],
+)
+def test_echoed_user_text_is_clipped(argv):
+    code, out, err = invoke(*argv)
+    assert (code, out) == (1, "")
+    assert 0 < len(err) < 200
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("--help",), ("compute", "-h")])
+def test_help_goes_to_out_and_exits_0(argv, capsys):
+    code, out, err = invoke(*argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: homfly3")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_main_prints_help_and_returns_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: homfly3")
 
 
 def test_braid_exponent_of_any_length_gets_a_short_message():
@@ -338,3 +390,85 @@ def test_racah_dump_output_is_pinned(N, p):
         assert code == 0 and err == ""
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(digests) == RACAH_DUMP_SHA256[N, p]
+
+
+# ---------------------------------------------------------------------------
+# grammar-driven fuzz: hostile values for every mode's flags
+
+# text with no ASCII digit, so it never spells a rank, a size or a p
+TEXT = st.text(max_size=6).filter(lambda t: not any("0" <= c <= "9" for c in t))
+# integers that no flag supports, and digit strings of any length
+HUGE = st.one_of(
+    st.integers(max_value=-1).map(str),
+    st.integers(min_value=10**6).map(str),
+    st.sampled_from([NINES, "-" + NINES, "0" * 5000 + "7"]),
+)
+HOSTILE = st.one_of(HUGE, TEXT, st.sampled_from(
+    ["", "1_0", "+2", "0x2", "1e2", "\u0663", "\u0662..\u0661", "-h", "--help"]
+))
+
+
+def mostly(*values):
+    """One of the values two times in three, else a hostile value."""
+    return st.sampled_from([st.sampled_from(values)] * 2 + [HOSTILE]).flatmap(
+        lambda strategy: strategy
+    )
+
+
+# the ranks that compute stay <= 2, so every example is cheap
+RANK = mostly("0", "1", "2", " 2 ", "1^2", "1^1", "2^2", "1^", "5", "1^5")
+ENDS = st.sampled_from(["0", "1", "2"]) | HUGE
+RANKS = st.one_of(RANK, st.tuples(ENDS, ENDS).map("..".join), st.sampled_from(
+    ["1..2", "2..1", "1,2", "2,,1", "1.." + NINES]
+))
+BLOCK = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map("%d,%d".__mod__)
+WORD = st.one_of(
+    st.lists(BLOCK, min_size=1, max_size=3).map("|".join),
+    mostly("|", "1,", "1,1|", "1,2,3", "a,b", " , ", NINES + ",1", "99999999999,1"),
+)
+KNOT = mostly("3_1", "4_1", "8_19", "9_99", "3_1 ")
+FORMAT = mostly("text", "json")
+
+# every mode's flags and their values, written out here
+FUZZ_FLAGS = {
+    "compute": {
+        "--braid": WORD,
+        "--knot": KNOT,
+        "--rep": RANK,
+        "--out": mostly("reduced", "extended,special", "jones,coefficients", ",", "x"),
+        "--format": FORMAT,
+    },
+    "verify": {"--format": FORMAT},  # --knot and --rep are always given
+    "table": {"--rep": RANK, "--format": FORMAT},
+    "racah-dump": {
+        "--dim": mostly("1", "2", "3", "4", "5", "6", " 3"),
+        "--p": mostly("0", "1", "2", "3", "4", "6", "51"),
+        "--format": FORMAT,
+    },
+}
+STRAY = mostly("-h", "--help", "--dim", "--braid", "--bogus", "x")
+
+
+@st.composite
+def requests(draw):
+    mode = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = FUZZ_FLAGS[mode]
+    argv = [mode]
+    if mode == "verify":
+        argv += ["--knot", draw(KNOT), "--rep", draw(RANKS)]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3)):
+        argv += [flag, draw(flags[flag])]
+    # a stray token anywhere, a hostile mode included
+    for token in draw(st.lists(STRAY, max_size=1)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    if draw(st.integers(0, 9)) == 0:
+        argv.pop()  # the last flag may lose its value
+    return argv
+
+
+@settings(max_examples=200, deadline=5000)
+@given(requests())
+def test_run_never_raises_and_answers_briefly(argv):
+    code, _, err = invoke(*argv)
+    assert type(code) is int and 0 <= code <= 3
+    assert len(err) < 400
