@@ -39,6 +39,7 @@ the remaining pure-q denominator, one synthetic pass per atom, is left.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -117,7 +118,8 @@ class Braid3Word:
 
     @classmethod
     def parse(cls, text):
-        """Parse 'a1,b1|a2,b2|...' (spaces tolerated)."""
+        """Parse 'a1,b1|a2,b2|...' (spaces tolerated); each exponent is an
+        optional '-' and ASCII digits, not '+1', '1_0' or non-ASCII digits."""
         blocks = []
         for chunk in text.split("|"):
             parts = [p.strip() for p in chunk.split(",")]
@@ -129,6 +131,8 @@ class Braid3Word:
                     "got %r" % (shown,)
                 )
             try:
+                if not all(re.fullmatch("-?[0-9]+", p) for p in parts):
+                    raise ValueError
                 blocks.append((int(parts[0]), int(parts[1])))
             except ValueError:
                 raise ValueError("bad integer in braid word: %r" % (shown,))

@@ -72,7 +72,10 @@ class _Parser(argparse.ArgumentParser):
     """
 
     def error(self, message):
-        raise _CliError(EXIT_PARSE, "%s: error: %s" % (self.prog, message))
+        # argparse echoes in full a value glued to a flag that takes none
+        head, glued, value = message.partition("ignored explicit argument ")
+        raise _CliError(EXIT_PARSE, "%s: error: %s%s%s"
+                        % (self.prog, head, glued, _clip(value)))
 
     def print_help(self, file=None):
         raise _CliError(EXIT_OK, self.format_help())

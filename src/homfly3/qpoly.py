@@ -13,9 +13,10 @@ Internally a coefficient may be held as a plain ``int`` when it happens
 to be integral -- ints and ``Fraction``s mix transparently and integer
 arithmetic is considerably faster on the hot paths.
 
-LaurentQ and LaurentQA share one implementation of their operators
-(_Laurent); an (A, q) product or power runs on the q-kernel under
-A -> q^S, one packed integer product once the operands are large.
+LaurentQ, LaurentQA and symfun.PowerSumPoly share one implementation of
+their operators (_Sparse).  An (A, q) product or power runs on the
+q-kernel under A -> q^S, one packed integer product once the operands are
+large.  Each substitution rule is one table entry: the image of a term.
 """
 
 from __future__ import annotations
@@ -64,16 +65,35 @@ def _lattice6(e) -> int:
 # raw term-dict arithmetic ({exponent: coefficient}, exponents in sixths)
 # ---------------------------------------------------------------------------
 
+# a missing key is tested by `is None`: with LaurentQ coefficients,
+# get(k, 0) + c would build a LaurentQ for every new key
+
 def _add_dicts(a, b):
     if len(a) < len(b):
         a, b = b, a
     out = dict(a)
     for e, c in b.items():
-        v = out.get(e, 0) + c
-        if v:
-            out[e] = v
-        elif e in out:
-            del out[e]
+        v = out.get(e)
+        if v is not None:
+            c = v + c
+            if not c:
+                del out[e]
+                continue
+        out[e] = c
+    return out
+
+
+def _accumulate(pairs):
+    """The term dict of (key, coefficient) pairs: equal keys merge, zeros drop."""
+    out = {}
+    for k, c in pairs:
+        v = out.get(k)
+        if v is not None:
+            c = v + c
+        if c:
+            out[k] = c
+        elif v is not None:
+            del out[k]
     return out
 
 
@@ -311,25 +331,28 @@ def _new(cls, d):
     return p
 
 
-class _Laurent:
-    """Laurent polynomial over exact rationals: the shared operators.
+class _Sparse:
+    """Sparse polynomial over exact coefficients: the shared operators.
 
-    The term map ``_t`` sends a key to a nonzero int or Fraction.  Each
-    ring supplies its key type (``_key``, and ``_scale_key`` for the key of
-    a monomial's n-th power), the operands it accepts (``_coerce``), its
-    product (``__mul__``/``__rmul__``, written in its own body), its packed
-    power (``_power``) and its rendering (``_triples``).  Instances are
-    immutable; all operators return fresh objects.
+    The term map ``_t`` sends a key to a nonzero coefficient.  Each ring
+    supplies its key type (``_key``, and ``_scale_key`` for the key of a
+    monomial's n-th power), its coefficient check (``_check``), the
+    operands it accepts (``_coerce``), its product (``__mul__``/``__rmul__``,
+    written in its own body), its power of a polynomial of two or more
+    terms (``_power``) and its rendering (``render``, or ``_triples``).
+    Instances are immutable; all operators return fresh objects.
     """
 
     __slots__ = ("_t", "_h")
 
+    _check = staticmethod(_coeff)
+
     def __init__(self, terms=None):
         t = {}
         if terms:
-            key = self._key
+            key, check = self._key, self._check
             for k, c in terms.items():
-                c = _coeff(c)
+                c = check(c)
                 if c:
                     t[key(k)] = c
         self._t = t
@@ -381,10 +404,10 @@ class _Laurent:
             return NotImplemented
         if len(self._t) == 1:
             ((k, c),) = self._t.items()
-            return _new(type(self), {self._scale_key(k, n): _coeff(
+            return _new(type(self), {self._scale_key(k, n): self._check(
                 c ** n if n >= 0 else Fraction(1, c ** -n))})
         if n < 0:
-            raise InexactDivision("only monomials are invertible in the Laurent ring")
+            raise InexactDivision("only monomials are invertible")
         if not n:
             return self.one()
         if not self._t:
@@ -405,7 +428,7 @@ class _Laurent:
         return "%s(%s)" % (type(self).__name__, self.render())
 
 
-class LaurentQ(_Laurent):
+class LaurentQ(_Sparse):
     """Laurent polynomial in q, exponents on the 1/6 lattice.
 
     The term map sends the integer numerator e (actual exponent e/6) to a
@@ -643,7 +666,7 @@ def laurent_divexact(a: LaurentQ, b: LaurentQ) -> LaurentQ:
 # LaurentQA: Laurent polynomials in A and q
 # ---------------------------------------------------------------------------
 
-class LaurentQA(_Laurent):
+class LaurentQA(_Sparse):
     """Laurent polynomial in A and q; q-exponents on the 1/6 lattice.
 
     Term map: (A-exponent, q-exponent numerator over 6) -> coefficient.
@@ -722,41 +745,6 @@ class LaurentQA(_Laurent):
     def _power(self, n):
         return _on_q_kernel(lambda t: _pow_dict(t, n), (self._t,), n)
 
-    # -- substitutions -------------------------------------------------------
-
-    def _subs(self, image):
-        """The polynomial with each term (a, e): c sent to image(a, e, c),
-        a pair (key, coefficient); equal keys merge and zeros drop."""
-        out = {}
-        for (a, e), c in self._t.items():
-            k, c = image(a, e, c)
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return _new(LaurentQA, out)
-
-    def subs_A_to_q2(self) -> "LaurentQA":
-        """A -> q^2."""
-        return self._subs(lambda a, e, c: ((0, e + 12 * a), c))
-
-    def subs_q_neg_inv(self) -> "LaurentQA":
-        """q -> -q^(-1) (A untouched); all q-exponents must be integral."""
-        for _, e in self._t:
-            if e % EXP_DEN:
-                raise ValueError(
-                    "fractional q-exponent %s/6 under a parity-sensitive substitution" % e)
-        return self._subs(lambda a, e, c: ((a, -e), -c if e // EXP_DEN % 2 else c))
-
-    def subs_q_one(self) -> "LaurentQA":
-        """q -> 1, leaving a Laurent polynomial in A."""
-        return self._subs(lambda a, e, c: ((a, 0), c))
-
-    def subs_invert(self) -> "LaurentQA":
-        """A -> A^(-1) together with q -> q^(-1) (the mirror map)."""
-        return self._subs(lambda a, e, c: ((-a, -e), c))
-
     # -- rendering -----------------------------------------------------------
 
     def _triples(self):
@@ -780,26 +768,35 @@ def curly_bracket(x: LaurentQA) -> LaurentQA:
     return x - x ** -1
 
 
-SUBSTITUTION_RULES = ("A->q^2", "q->-1/q", "q->1", "invert")
+def _q_to_neg_inv(a, e, c):
+    """q -> -q^(-1), A untouched; the sign (-1)^e needs an integral e."""
+    if e % EXP_DEN:
+        raise ValueError(
+            "fractional q-exponent %s/6 under a parity-sensitive substitution" % e)
+    return (a, -e), -c if e // EXP_DEN % 2 else c
+
+
+# rule -> the image ((A-exponent, q-exponent in sixths), coefficient) of the
+# term c*A^a*q^(e/6)
+_SUBSTITUTIONS = {
+    "A->q^2": lambda a, e, c: ((0, e + 2 * EXP_DEN * a), c),  # the Jones direction
+    "q->-1/q": _q_to_neg_inv,  # the transposed representation
+    "q->1": lambda a, e, c: ((a, 0), c),  # the topological locus section
+    "invert": lambda a, e, c: ((-a, -e), c),  # A -> 1/A, q -> 1/q: the mirror map
+}
+SUBSTITUTION_RULES = tuple(_SUBSTITUTIONS)
 
 
 def substitute(poly: LaurentQA, rule: str) -> LaurentQA:
-    """Apply one of the supported ring endomorphisms.
+    """Apply one of the ring endomorphisms in SUBSTITUTION_RULES.
 
-    Rules: "A->q^2" (Jones-direction specialization), "q->-1/q" (transposed
-    representation), "q->1" (topological locus section), "invert"
-    (A -> A^-1 and q -> q^-1 simultaneously, the mirror map).
+    Images of equal keys merge; "q->-1/q" refuses fractional q-exponents.
     """
-    if rule == "A->q^2":
-        return poly.subs_A_to_q2()
-    if rule == "q->-1/q":
-        return poly.subs_q_neg_inv()
-    if rule == "q->1":
-        return poly.subs_q_one()
-    if rule == "invert":
-        return poly.subs_invert()
-    raise ValueError("unknown substitution rule %r (expected one of %s)"
-                     % (rule, ", ".join(SUBSTITUTION_RULES)))
+    image = _SUBSTITUTIONS.get(rule)
+    if image is None:
+        raise ValueError("unknown substitution rule %r (expected one of %s)"
+                         % (rule, ", ".join(SUBSTITUTION_RULES)))
+    return _new(LaurentQA, _accumulate([image(a, e, c) for (a, e), c in poly._t.items()]))
 
 
 # ---------------------------------------------------------------------------
@@ -885,7 +882,7 @@ def _parse_terms(s: str) -> LaurentQA:
         raise PolyParseError("empty polynomial string")
     if text == "0":
         return _QA_ZERO
-    acc = {}
+    pairs = []
     for chunk in _split_signed_chunks(text):
         body = chunk.strip()
         sign = 1
@@ -914,10 +911,5 @@ def _parse_terms(s: str) -> LaurentQA:
                 e6 = EXP_DEN
         else:
             e6 = 0
-        key = (a, e6)
-        v = acc.get(key, 0) + sign * coeff
-        if v:
-            acc[key] = _coeff(v)
-        elif key in acc:
-            del acc[key]
-    return _new(LaurentQA, acc)
+        pairs.append(((a, e6), sign * coeff))
+    return LaurentQA(_accumulate(pairs))

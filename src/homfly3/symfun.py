@@ -8,7 +8,9 @@ substitution p_k -> {A^k}/{q^k}, and the cut-and-join operator whose
 eigenvalue on S_T is kappa(T).  Everything here is independent of the
 mixing matrices, so it can arbitrate the braid engine's output.
 
-Coefficients are ints, Fractions or LaurentQ; the LaurentQ ones are how
+PowerSumPoly runs on qpoly's shared sparse-polynomial operators and
+supplies only its partition keys, its product and its rendering.  Its
+coefficients are ints, Fractions or LaurentQ; the LaurentQ ones are how
 the character expansion carries q-dependence through these functions.
 topological_locus works in Z on exactly these three kinds and raises
 TypeError on any other coefficient.
@@ -18,10 +20,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
 
-from .qpoly import LaurentQ, LaurentQA, curly_atom_sum, curly_q_product
+from .qpoly import LaurentQ, LaurentQA, _accumulate, _new, _Sparse, curly_atom_sum, curly_q_product
 from .young import SUPPORTED_R, FractionQA, YoungDiagram, kappa  # noqa: F401  (kappa re-exported for tests)
 
 # ---------------------------------------------------------------------------
@@ -108,23 +110,28 @@ def _norm_partition(lam):
     return tuple(sorted((int(x) for x in lam if x), reverse=True))
 
 
-class PowerSumPoly:
+class PowerSumPoly(_Sparse):
     """Polynomial in the power sums: map {partition: coefficient}.
 
     The partition (3, 1, 1) keys the monomial p3*p1*p1.  Coefficients may
-    be ints, Fractions, or LaurentQ.
+    be ints, Fractions, or LaurentQ (topological_locus refuses any other).
+    The operators shared with LaurentQ and LaurentQA are qpoly._Sparse's.
     """
 
-    __slots__ = ("_t", "_h")
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for lam, c in terms.items():
-                if c:
-                    t[_norm_partition(lam)] = c
-        self._t = t
-        self._h = None
+    _key = staticmethod(_norm_partition)
+    _check = staticmethod(lambda c: c)  # any coefficient passes
+
+    @staticmethod
+    def _scale_key(lam, n):
+        if n < 0:
+            raise ValueError("a power-sum monomial has no inverse")
+        return tuple(sorted(lam * n, reverse=True))
+
+    @staticmethod
+    def _coerce(other):
+        return other if isinstance(other, PowerSumPoly) else None
 
     @staticmethod
     def zero() -> "PowerSumPoly":
@@ -140,15 +147,8 @@ class PowerSumPoly:
             raise ValueError("p_k needs k >= 1")
         return PowerSumPoly({(k,): 1})
 
-    @property
-    def terms(self):
-        return dict(self._t)
-
     def coeff(self, lam):
         return self._t.get(_norm_partition(lam), 0)
-
-    def is_zero(self) -> bool:
-        return not self._t
 
     def degrees(self):
         return sorted({sum(lam) for lam in self._t})
@@ -156,68 +156,20 @@ class PowerSumPoly:
     def is_homogeneous(self):
         return len(self.degrees()) <= 1
 
-    def __bool__(self):
-        return bool(self._t)
-
-    def __eq__(self, other):
-        if isinstance(other, PowerSumPoly):
-            if self._t.keys() != other._t.keys():
-                return False
-            return all(other._t[k] == c for k, c in self._t.items())
-        return NotImplemented
-
-    def __hash__(self):
-        if self._h is None:
-            self._h = hash(frozenset((k, _hashable_coeff(c)) for k, c in self._t.items()))
-        return self._h
-
-    def __neg__(self):
-        return _mkps({k: -c for k, c in self._t.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, PowerSumPoly):
-            return NotImplemented
-        out = dict(self._t)
-        for k, c in other._t.items():
-            v = out.get(k)
-            v = c if v is None else v + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return _mkps(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, PowerSumPoly):
-            return NotImplemented
-        return self.__add__(-other)
-
     def __mul__(self, other):
         if isinstance(other, PowerSumPoly):
-            out = {}
-            for l1, c1 in self._t.items():
-                for l2, c2 in other._t.items():
-                    k = tuple(sorted(l1 + l2, reverse=True))
-                    c = c1 * c2
-                    v = out.get(k)
-                    v = c if v is None else v + c
-                    if v:
-                        out[k] = v
-                    elif k in out:
-                        del out[k]
-            return _mkps(out)
+            return _new(PowerSumPoly, _accumulate(
+                (tuple(sorted(l1 + l2, reverse=True)), c1 * c2)
+                for l1, c1 in self._t.items() for l2, c2 in other._t.items()))
         # scalar
         if not other:
             return PowerSumPoly.zero()
-        return _mkps({k: c * other for k, c in self._t.items()})
+        return _new(PowerSumPoly, {k: c * other for k, c in self._t.items()})
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        out = PowerSumPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
+    def _power(self, n):
+        return reduce(PowerSumPoly.__mul__, [self] * n)._t
 
     def render(self) -> str:
         if not self._t:
@@ -228,20 +180,6 @@ class PowerSumPoly:
             mono = "*".join("p%d" % a for a in lam) if lam else "1"
             chunks.append("(%s)*%s" % (c, mono))
         return " + ".join(chunks)
-
-    def __repr__(self):
-        return "PowerSumPoly(%s)" % self.render()
-
-
-def _mkps(t) -> PowerSumPoly:
-    f = PowerSumPoly.__new__(PowerSumPoly)
-    f._t = t
-    f._h = None
-    return f
-
-
-def _hashable_coeff(c):
-    return c if getattr(c, "__hash__", None) else str(c)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +211,7 @@ def _schur_in_powersums(rows) -> PowerSumPoly:
         chi = murnaghan_nakayama(rows, mu)
         if chi:
             out[mu] = Fraction(chi, z_of(mu))
-    return _mkps(out)
+    return _new(PowerSumPoly, out)
 
 
 def expand_in_schur(f: PowerSumPoly, degree: int):
@@ -307,7 +245,7 @@ def adams(f: PowerSumPoly, m: int) -> PowerSumPoly:
         raise ValueError("Adams degree must be >= 1")
     if m == 1:
         return f
-    return _mkps({tuple(m * a for a in lam): c for lam, c in f._t.items()})
+    return _new(PowerSumPoly, {tuple(m * a for a in lam): c for lam, c in f._t.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +297,7 @@ def cut_and_join(f: PowerSumPoly) -> PowerSumPoly:
 
     Schur functions are its eigenvectors with eigenvalue kappa.
     """
-    out = {}
-
-    def bump(lam, c):
-        v = out.get(lam)
-        v = c if v is None else v + c
-        if v:
-            out[lam] = v
-        elif lam in out:
-            del out[lam]
-
+    pairs = []
     for lam, c in f._t.items():
         mult = {}
         for v in lam:
@@ -380,7 +309,7 @@ def cut_and_join(f: PowerSumPoly) -> PowerSumPoly:
             for a in range(1, s):
                 b = s - a
                 key = tuple(sorted(once + [a, b], reverse=True))
-                bump(key, c * Fraction(s * ms, 2))
+                pairs.append((key, c * Fraction(s * ms, 2)))
         # join term: remove parts a and b, insert a+b
         for a, ma in mult.items():
             for b, mb in mult.items():
@@ -391,5 +320,5 @@ def cut_and_join(f: PowerSumPoly) -> PowerSumPoly:
                 twice.remove(a)
                 twice.remove(b)
                 key = tuple(sorted(twice + [a + b], reverse=True))
-                bump(key, c * Fraction(a * b * cnt, 2))
-    return _mkps(out)
+                pairs.append((key, c * Fraction(a * b * cnt, 2)))
+    return _new(PowerSumPoly, _accumulate(pairs))

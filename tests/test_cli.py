@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from homfly3 import cli
 from homfly3.braid import TRACE_BYTES
 from homfly3.cli import run
-from homfly3.knotdb import golden
+from homfly3.knotdb import KNOT_NAMES, golden
 from homfly3.qpoly import substitute
 
 
@@ -87,6 +87,20 @@ def test_compute_is_deterministic():
     first = invoke("compute", "--knot", "5_2", "--rep", "2", "--format", "json")
     second = invoke("compute", "--knot", "5_2", "--rep", "2", "--format", "json")
     assert first == second
+
+
+def test_extended_text_is_pinned():
+    # compute --out extended for every catalog knot at r = 1..3, recorded
+    # before PowerSumPoly moved onto qpoly's shared operators
+    texts = []
+    for name in KNOT_NAMES:
+        for r in (1, 2, 3):
+            code, out, err = invoke("compute", "--knot", name, "--rep", str(r),
+                                    "--out", "extended")
+            assert (code, err) == (0, "")
+            texts.append(out)
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+        "0d4d109751c379797bf5011d3b6855b12542ccf1e5f7c1535b5a8bc50c41907f")
 
 
 # a usage error, no mode, a braid word starting with '-', --out given twice
@@ -165,6 +179,10 @@ NINES = "9" * 5000
         ("compute", "--braid", "1,1", "--rep", "\u0663"),
         ("table", "--rep", "\u0663"),
         ("verify", "--knot", "3_1", "--rep", "1..\u0662"),
+        # braid exponents are an optional '-' and ASCII digits
+        ("compute", "--braid", "+1,1", "--rep", "1"),
+        ("compute", "--braid", "1_0,1", "--rep", "1"),
+        ("compute", "--braid", "\u0663,1", "--rep", "1"),
     ],
 )
 def test_parse_errors_exit_1(argv):
@@ -222,6 +240,8 @@ LONG = "x" * 5000
         ("racah-dump", "--dim", LONG, "--p", "2"),
         ("racah-dump", "--dim", "2", "--p", LONG),
         (LONG,),  # argparse: invalid mode
+        ("compute", "--help=" + LONG),  # argparse: ignored explicit argument
+        ("-h" + LONG,),
     ],
 )
 def test_echoed_user_text_is_clipped(argv):
@@ -425,6 +445,8 @@ BLOCK = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map("%d,%d".__mod__)
 WORD = st.one_of(
     st.lists(BLOCK, min_size=1, max_size=3).map("|".join),
     mostly("|", "1,", "1,1|", "1,2,3", "a,b", " , ", NINES + ",1", "99999999999,1"),
+    # non-ASCII digits: Arabic-Indic, fullwidth, superscript
+    st.sampled_from(["\u0663,1", "1,1|\u0661,\u0662", "\uff11,1", "\u00b2,1"]),
 )
 KNOT = mostly("3_1", "4_1", "8_19", "9_99", "3_1 ")
 FORMAT = mostly("text", "json")
@@ -446,7 +468,12 @@ FUZZ_FLAGS = {
         "--format": FORMAT,
     },
 }
-STRAY = mostly("-h", "--help", "--dim", "--braid", "--bogus", "x")
+STRAY = st.one_of(
+    mostly("-h", "--help", "--dim", "--braid", "--bogus", "x"),
+    # a hostile value glued to a flag that takes none
+    HOSTILE.map("-h".__add__),
+    HOSTILE.map("--help=".__add__),
+)
 
 
 @st.composite

@@ -349,6 +349,16 @@ def test_substitution_mirror_involution():
     assert substitute(h, "invert") == h  # this one is palindromic
 
 
+def test_substitution_refusals():
+    with pytest.raises(ValueError, match="unknown substitution rule") as info:
+        substitute(LaurentQA.one(), "q->q^2")
+    for rule in ("A->q^2", "q->-1/q", "q->1", "invert"):
+        assert rule in str(info.value)
+    # the sign (-1)^e of q -> -1/q needs an integral exponent
+    with pytest.raises(ValueError, match="fractional q-exponent"):
+        substitute(LaurentQA.monomial(1, qexp=Fraction(1, 3)), "q->-1/q")
+
+
 # ---------------------------------------------------------------------------
 # rendering and parsing
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from homfly3.braid import extended_homfly
 from homfly3.knotdb import KNOT_NAMES, braid_word
-from homfly3.qpoly import LaurentQ, LaurentQA, curly_q
+from homfly3.qpoly import InexactDivision, LaurentQ, LaurentQA, curly_q
 from homfly3.symfun import (
     PowerSumPoly,
     adams,
@@ -115,6 +115,70 @@ def test_adams_composition():
     # psi_2(psi_3(f)) = psi_6(f)
     s2 = schur_in_powersums(YoungDiagram([2]))
     assert adams(adams(s2, 3), 2) == adams(s2, 6)
+
+
+# ---------------------------------------------------------------------------
+# the shared operators on PowerSumPoly, against plain dicts
+
+# small ranges, so that sums often cancel a key to zero
+ps_coeffs = st.one_of(
+    st.integers(-2, 2),
+    st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)),
+    st.dictionaries(st.integers(-1, 1), st.integers(-1, 1), max_size=2).map(LaurentQ),
+)
+ps_terms = st.dictionaries(
+    st.lists(st.integers(1, 2), max_size=2).map(lambda lam: tuple(sorted(lam, reverse=True))),
+    ps_coeffs, max_size=4)
+
+
+def dict_sum(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out[k] + c if k in out else c
+    return nonzero(out)
+
+
+def nonzero(a):
+    return {k: c for k, c in a.items() if c}
+
+
+@given(x=ps_terms, y=ps_terms, s=ps_coeffs)
+@example(x={(1,): 1, (): Fraction(1, 2)}, y={(1,): -1, (2,): LaurentQ({1: 1})},
+         s=LaurentQ({0: 2}))
+def test_power_sum_operators_match_dict_reference(x, y, s):
+    X, Y = PowerSumPoly(x), PowerSumPoly(y)
+    rx, ry = nonzero(x), nonzero(y)
+    assert X.terms == rx and Y.terms == ry
+    neg = {k: -c for k, c in ry.items()}
+    assert (-Y).terms == neg
+    for got, want in [(X + Y, dict_sum(rx, ry)), (X - Y, dict_sum(rx, neg)),
+                      (X * s, nonzero({k: c * s for k, c in rx.items()}))]:
+        assert got.terms == want
+        assert got == PowerSumPoly(want)
+        assert hash(got) == hash(PowerSumPoly(want))
+    assert s * X == X * s
+    assert (X == Y) == (rx == ry)
+    assert (X + Y) - Y == X
+    assert not X - X and (X + -X).terms == {}
+
+
+def test_power_sum_powers(monkeypatch):
+    p1, p2 = PowerSumPoly.p(1), PowerSumPoly.p(2)
+    with pytest.raises(ValueError):
+        p1 ** -1
+    with pytest.raises(InexactDivision):
+        (p1 + p2) ** -1
+    assert p1 ** 0 == PowerSumPoly.one()
+    powered = []
+    power = PowerSumPoly._power
+    monkeypatch.setattr(PowerSumPoly, "_power",
+                        lambda f, n: powered.append(n) or power(f, n))
+    m = 2 * p1
+    assert m ** 3 == m * m * m == PowerSumPoly({(1, 1, 1): 8})
+    assert powered == []  # a monomial's power is one term
+    f = p1 + p2
+    assert f ** 2 == f * f
+    assert powered == [2]
 
 
 # ---------------------------------------------------------------------------
