@@ -1,33 +1,33 @@
 """Evaluator for 3-strand braid closures in symmetric representations.
 
 The pipeline: a braid word {a_1,b_1 | a_2,b_2 | ...} is traced block by
-block through the mixing data of :mod:`homfly3.racah`,
+block,
 
-    C_Q = Tr prod_i R_Q^{a_i} U_Q R_Q^{b_i} U_Q^T,
+    C_Q = Tr prod_i A_Q^{a_i} B_Q^{b_i},
 
-the coefficients C_Q are certified radical-free Laurent polynomials, and the
-invariants are assembled from them: the extended polynomial as a symmetric
-function, and the reduced two-variable polynomial on the topological locus
-after framing and division by the quantum dimension.
+the coefficients C_Q are Laurent polynomials in q, and the invariants are
+assembled from them: the extended polynomial as a symmetric function, and
+the reduced two-variable polynomial on the topological locus after
+framing and division by the quantum dimension.
 
-The trace never touches radicals.  Each block carries its mixing matrix as
-the certified integer triple of :func:`homfly3.racah.twisted_basis`,
-U = S (V/c) S with S = diag(sqrt(rho_j)), which turns every factor into
-D_a V D_b V^T / c^2 with D_x = diag(rho_j xi_j^x): plain Laurent
-arithmetic, and the rho-conjugation cancels cyclically, so the trace is
-exactly the original one.
+The engine runs on eigenvalues alone, as the paper's weaker conjecture
+proposes.  (A_Q, B_Q) is the block's triangular pair from
+racah.triangular_pair: sigma_1 upper and sigma_2 lower triangular, every
+entry a Laurent polynomial in the block's twist eigenvalues, certified
+once per block against the recoupling sum's mixing matrix
+(racah.certify_pair).  There is no mixing matrix, no radical and no
+division on the trace path.
 
-Every xi_j is a signed q-monomial, so entry (i, j) of D_a V D_b V^T is
-sum_t +-q^(a e_i + b e_t) T_ijt with T_ijt = rho_i rho_t V_it V_jt: the
-factors are shifted, sign-flipped sums of the products
-racah.trace_products forms once per mixing matrix while certifying it,
-with no polynomial product per word.  Each factor is packed once into an
-integer matrix of signed digits (its entries at q^step -> 2^(8 width), its
-lowest exponent shifted out) and the trace of the integer product is
-unpacked once per block.  The width is bounded by the trace of the product
-of the entrywise l1-norm matrices; dividing by c^(2L), of leading
-coefficient +-1, stays in Z.  A trace whose packed integers would exceed TRACE_BYTES is refused
-with TraceTooLarge before anything is packed.
+The factor A^a B^b of each distinct word block is formed once (powers by
+squaring, A^-1 and B^-1 triangular with monomial diagonals), packed into
+an integer matrix of signed digits (its entries at q^step -> 2^(8 width),
+its lowest exponent shifted out), and the trace of the integer product is
+unpacked once per block.  The width is bounded by the trace of the
+product of the entrywise l1-norm matrices.  A trace whose packed integers
+would exceed TRACE_BYTES is refused with TraceTooLarge: first, before any
+power is formed, on a lower bound of its digit count read off the
+exponents (three entries of A^a B^b are known in closed form), then on
+its exact size before anything is packed.
 
 The reduction divides sum_Q C_Q S_Q* by S_[r]* with the atoms of S_[r]*
 cancelled up front: each S_Q* already holds the content atoms of [r], and
@@ -50,15 +50,15 @@ from .qpoly import (
     EXP_DEN,
     LaurentQ,
     LaurentQA,
+    _support_step,
     curly_atom_sum,
-    laurent_divexact,
     pack_signed,
     signed_width,
     substitute,
     unpack_signed,
 )
 from .young import YoungDiagram, cube_blocks
-from .racah import build_block, trace_products
+from .racah import build_block
 from .symfun import PowerSumPoly, schur_in_powersums
 
 __all__ = [
@@ -84,8 +84,9 @@ class NonPolynomialResult(ArithmeticError):
 
 
 # the most bytes one packed integer of a block trace may take; a word
-# needing 1 MiB already traces for minutes (the heaviest Tier-1 and
-# benchmark words need under 18 KiB)
+# needing half of it (128 blocks of exponents up to 3, at r = 4) traces for
+# nearly two minutes (the heaviest Tier-1 and benchmark words need under
+# 9 KB)
 TRACE_BYTES = 1 << 20
 
 
@@ -160,67 +161,115 @@ class CharacterExpansion:
 # radical-free trace engine
 
 def _block_trace(block, word):
-    """C_Q for one mixing block: Tr prod_i R^{a_i} U R^{b_i} U^T.
-
-    The factor of each distinct word block (a, b) is D_a V D_b V^T, whose
-    entry (i, j) is sum_t xi_i^a xi_t^b T_ijt, a sum of shifted and
-    sign-flipped copies of the cached T_ijt (racah.trace_products).  The
-    products are the triple's certificate, so a block whose (rho, V, c) is
-    not an orthogonal U raises racah.NonOrthogonal.
-    """
+    """C_Q for one block: Tr prod_i A^{a_i} B^{b_i} of its triangular pair."""
     xi = block.eigenvalues
-    size = len(xi)
-    if size == 1:
+    if len(xi) == 1:
         return xi[0] ** word.writhe
-    products = trace_products(block.rho, block.V, block.c)
-    # xi_j = sign_j q^(e_j / 6), so xi_j^x = sign_j^x q^(x e_j / 6)
-    monos = [next(iter(x._t.items())) for x in xi]
+    a, b = block.upper, block.lower
+    # each of A, B has all its exponents in one class modulo step, and so
+    # then have A^-1, B^-1 and every factor A^x B^y
+    step = _support_step(*({e for row in m for x in row for e in x._t} for m in (a, b)))
+    _check_budget(block, _digits_at_least(block, word, step), " or more")
+    powers = ({1: a}, {1: b})
     factors = {}
-    for a, b in set(word.blocks):
-        ta = [(a * e, s if a % 2 else 1) for e, s in monos]
-        tb = [(b * e, s if b % 2 else 1) for e, s in monos]
-        factors[a, b] = [[_shifted_sum(ta[i], tb, products[i][j])
-                          for j in range(size)] for i in range(size)]
+    for x, y in set(word.blocks):
+        m = _mat_mul(_power(powers[0], x), _power(powers[1], y))
+        factors[x, y] = [[t._t for t in row] for row in m]
     lo = {ab: min(min(t) for row in m for t in row if t)
           for ab, m in factors.items()}
     hi = {ab: max(max(t) for row in m for t in row if t)
           for ab, m in factors.items()}
-    step = gcd(*(e - lo[ab] for ab, m in factors.items()
-                 for row in m for t in row for e in t)) or 1
     norms = {ab: [[sum(map(abs, t.values())) for t in row] for row in m]
              for ab, m in factors.items()}
     width = signed_width(_trace_of_product(word.blocks, norms))
     # the factors' digit spans add up in the product: no packed integer
     # below is longer than the trace's
-    nbytes = width * (1 + sum((hi[ab] - lo[ab]) // step for ab in word.blocks))
-    if nbytes > TRACE_BYTES:
-        # a size past 2^64 is named by its bit length: str() of an int is
-        # itself refused past 4,300 digits
-        size = nbytes if nbytes < 1 << 64 else "over 2^%d" % (nbytes.bit_length() - 1)
-        raise TraceTooLarge(
-            "block %s: the packed trace needs %s bytes, over the budget of %d"
-            % (block.spec.Q, size, TRACE_BYTES))
+    _check_budget(block, width * (1 + sum((hi[ab] - lo[ab]) // step
+                                          for ab in word.blocks)), "")
     packed = {ab: [[pack_signed(t, lo[ab], width, step) if t else 0
                     for t in row] for row in m] for ab, m in factors.items()}
     digits = unpack_signed(_trace_of_product(word.blocks, packed), width)
     base = sum(lo[ab] for ab in word.blocks)
-    trace = LaurentQ({base + step * k: d for k, d in digits.items()})
-    return laurent_divexact(trace, block.c ** (2 * len(word.blocks)))
+    return LaurentQ({base + step * k: d for k, d in digits.items()})
 
 
-def _shifted_sum(ta, tb, row):
-    """Terms of sum_t xi_i^a xi_t^b T_ijt, from (shift, sign) of each power."""
-    da, sa = ta
-    acc = {}
-    for (db, sb), (exps, coeffs) in zip(tb, row):
-        d = da + db
-        if sa == sb:
-            for e, c in zip(exps, coeffs):
-                acc[e + d] = acc.get(e + d, 0) + c
+def _check_budget(block, nbytes, qualifier):
+    if nbytes > TRACE_BYTES:
+        # a size past 2^64 is named by its bit length: str() of an int is
+        # itself refused past 4,300 digits
+        size = ("%d bytes%s" % (nbytes, qualifier) if nbytes < 1 << 64
+                else "over 2^%d bytes" % (nbytes.bit_length() - 1))
+        raise TraceTooLarge("block %s: the packed trace needs %s, over the budget of %d"
+                            % (block.spec.Q, size, TRACE_BYTES))
+
+
+def _digits_at_least(block, word, step):
+    """A lower bound on the packed trace's digit count, before any power.
+
+    Three entries of each factor F = A^x B^y (indices 1..d) are known in
+    closed form: F_dd = xi_d^x xi_1^y, F_(d-1)d = A_(d-1)d h_x(xi_(d-1),
+    xi_d) xi_1^y and F_d(d-1) = xi_d^x B_d(d-1) h_y(xi_2, xi_1), where
+    h_n(u, v) = (u^n - v^n)/(u - v) has |n| terms of distinct exponents.
+    Their extreme exponents bound the factor's span from below.
+    """
+    e = [next(iter(x._t)) for x in block.eigenvalues]
+    corners = ((block.upper[-2][-1]._t, e[-2], e[-1]),
+               (block.lower[-1][-2]._t, e[1], e[0]))
+    digits = 1
+    for x, y in word.blocks:
+        known = [x * e[-1] + y * e[0]]
+        for n, (t, u, v), shift in zip((x, y), corners, (y * e[0], x * e[-1])):
+            if n and t:
+                # h_n(q^u, q^v) spans (|n| - 1) min(u, v) .. (|n| - 1)
+                # max(u, v), shifted by -|n| (u + v) when n < 0
+                k = abs(n) - 1
+                shift -= abs(n) * (u + v) if n < 0 else 0
+                known += [min(t) + shift + k * min(u, v),
+                          max(t) + shift + k * max(u, v)]
+        digits += (max(known) - min(known)) // step
+    return digits
+
+
+def _mat_mul(x, y):
+    zero = LaurentQ.zero()
+    cols = list(zip(*y))
+    return [[sum((s * t for s, t in zip(row, col) if s and t), zero)
+             for col in cols] for row in x]
+
+
+def _power(cache, n):
+    """m^n for the triangular m = cache[1], by squaring; cache keeps every
+    power formed, m^-1 and its powers under negative keys."""
+    if n not in cache:
+        if n == 0:
+            one, zero = LaurentQ.one(), LaurentQ.zero()
+            size = len(cache[1])
+            cache[0] = [[one if i == j else zero for j in range(size)]
+                        for i in range(size)]
+        elif n == -1:
+            cache[-1] = _triangular_inverse(cache[1])
         else:
-            for e, c in zip(exps, coeffs):
-                acc[e + d] = acc.get(e + d, 0) - c
-    return {e: c for e, c in acc.items() if c}
+            unit = 1 if n > 0 else -1
+            half = _power(cache, unit * (abs(n) // 2))
+            square = _mat_mul(half, half)
+            cache[n] = _mat_mul(square, _power(cache, unit)) if n % 2 else square
+    return cache[n]
+
+
+def _triangular_inverse(m):
+    """Inverse of a triangular matrix with monomial diagonal."""
+    size = len(m)
+    if any(m[i][j] for i in range(size) for j in range(i)):
+        # lower triangular: the transpose of the upper inverse
+        return [list(col) for col in zip(*_triangular_inverse(list(zip(*m))))]
+    zero = LaurentQ.zero()
+    inv = [[zero] * size for _ in range(size)]
+    for j in range(size):
+        inv[j][j] = m[j][j] ** -1
+        for i in range(j - 1, -1, -1):
+            inv[i][j] = -sum((m[i][k] * inv[k][j] for k in range(i + 1, j + 1)),
+                             zero) * inv[i][i]
+    return inv
 
 
 def _trace_of_product(keys, mats):

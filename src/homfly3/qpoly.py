@@ -376,9 +376,17 @@ class _Sparse:
         return self._t == o._t
 
     def __hash__(self):
+        # equal values hash equally: a constant (zero too) as its
+        # coefficient, so as the int or Fraction it equals; any other value
+        # by its terms
         if self._h is None:
-            self._h = hash(frozenset(self._t.items()))
+            t = self._t
+            c = 0 if not t else t.get(self._unit_key) if len(t) == 1 else None
+            self._h = hash(c) if c is not None else hash(frozenset(self._hashed_terms()))
         return self._h
+
+    def _hashed_terms(self):
+        return self._t.items()
 
     def __neg__(self):
         return _new(type(self), {k: -c for k, c in self._t.items()})
@@ -439,6 +447,7 @@ class LaurentQ(_Sparse):
 
     # a key is the q-exponent in sixths
     _key = int
+    _unit_key = 0
     _scale_key = staticmethod(mul)
 
     @staticmethod
@@ -684,6 +693,14 @@ class LaurentQA(_Sparse):
     @staticmethod
     def _scale_key(key, n):
         return key[0] * n, key[1] * n
+
+    _unit_key = (0, 0)
+
+    def _hashed_terms(self):
+        # free of A, it equals a LaurentQ and hashes as one
+        if any(a for a, _ in self._t):
+            return self._t.items()
+        return ((e, c) for (_, e), c in self._t.items())
 
     @staticmethod
     def _coerce(other):

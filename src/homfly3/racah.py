@@ -18,12 +18,21 @@ triple, both in the factored quantum numbers of :mod:`homfly3.radext`:
 Every triple is certified once before it is returned (``certify_basis``):
 V diag(rho) V^T = c^2 diag(1/rho), which is U U^T = I conjugated by S, and
 the sign layout V_ji = (-1)^(i+j) V_ij, which is sigma U sigma = U^T with
-sigma = diag(+1, -1, +1, ...).  The certificate is summed from the
-products T_ijt = rho_i rho_t V_it V_jt and returns them: cached per triple
-(``trace_products``), they are what the trace engine builds every block
-factor from, so the engine reads only certified products.  Construction
-fails loudly rather than returning an uncertified matrix.  ``racah_su2``
-renders U entry by entry for display.
+sigma = diag(+1, -1, +1, ...).  Construction fails loudly rather than
+returning an uncertified matrix.  ``racah_su2`` renders U entry by entry
+for display.
+
+The trace engine reads none of this.  As the paper's weaker conjecture
+proposes, each block's sigma_1 and sigma_2 are written in its eigenvalues
+alone: ``triangular_pair`` evaluates, for sizes 2..5, the normal form of
+Tuba and Wenzl (Pacific J. Math. 197, 2001), A upper triangular with
+diagonal xi_1..xi_d and B lower triangular, B = J A J up to a diagonal
+dressing (J the reversal), every entry a Laurent polynomial in the
+eigenvalues and one root of their product.  ``certify_pair`` certifies
+the pair once per block against the recoupling triple: ABA = BAB exactly,
+and an exact intertwiner with (diag(xi), S U R U^T S^-1), so a wrong root
+or a wrong entry fails loudly.  ``build_block`` caches the certified
+block.
 """
 
 from __future__ import annotations
@@ -31,8 +40,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
+from operator import mul
 
-from .qpoly import LaurentQ
+from .qpoly import (
+    InexactDivision,
+    LaurentQ,
+    _support_step,
+    laurent_divexact,
+    pack_signed,
+    signed_width,
+)
 from .radext import (
     NotASquare,
     NotCyclotomic,
@@ -52,11 +70,13 @@ __all__ = [
     "DegenerateP",
     "RepeatedEigenvalue",
     "NonOrthogonal",
+    "NotIntertwined",
     "UnsupportedMultiplicity",
     "MixingBlock",
     "twisted_basis",
     "certify_basis",
-    "trace_products",
+    "triangular_pair",
+    "certify_pair",
     "racah_su2",
     "racah_from_eigenvalues",
     "build_block",
@@ -74,6 +94,10 @@ class RepeatedEigenvalue(ValueError):
 
 class NonOrthogonal(ArithmeticError):
     """Certification failed: no exact orthogonal sign assignment exists."""
+
+
+class NotIntertwined(ArithmeticError):
+    """Certification failed: a triangular pair is not the block's braiding."""
 
 
 class UnsupportedMultiplicity(ValueError):
@@ -199,7 +223,7 @@ def twisted_basis(N, p):
             % (N, N - 1, p)
         )
     rho, v, c = _triple(*_recoupling(N, p))
-    trace_products(rho, v, c)
+    certify_basis(rho, v, c)
     return rho, v, c
 
 
@@ -226,27 +250,13 @@ def _triple(odd, nums, dens):
 
 
 def certify_basis(rho, v, c):
-    """Certify (rho, V, c) as an orthogonal U = S (V/c) S; return its T_ijt.
+    """Certify (rho, V, c) as an orthogonal U = S (V/c) S.
 
-    Checks the sign layout V_ji = (-1)^(i+j) V_ij and, from the sums of the
-    products rho_t V_it V_jt (formed once, for i <= j), V diag(rho) V^T =
-    c^2 diag(1/rho); raises NonOrthogonal on the first failure.  Returns
-    T[i][j][t] = rho_i rho_t V_it V_jt: entry (i, j) of D_a V D_b V^T is
-    sum_t xi_i^a xi_t^b T[i][j][t], with D_x = diag(rho_j xi_j^x).  Each
-    T[i][j][t] is a pair of tuples (q-exponents in sixths, coefficients),
-    every exponent and coefficient one shared int object.
+    Checks the sign layout V_ji = (-1)^(i+j) V_ij and diag(rho) V
+    diag(rho) V^T = c^2 I, which is V diag(rho) V^T = c^2 diag(1/rho), on
+    packed integers; raises NonOrthogonal on the first failure.
     """
     n = len(rho)
-    c2 = c * c
-    zero = LaurentQ.zero()
-    ints = {}
-
-    def compact(products):
-        return tuple((tuple(ints.setdefault(e, e) for e in x._t),
-                      tuple(ints.setdefault(k, k) for k in x._t.values()))
-                     for x in products)
-
-    out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             if v[j][i] != (v[i][j] if (i + j) % 2 == 0 else -v[i][j]):
@@ -254,21 +264,70 @@ def certify_basis(rho, v, c):
                     "sign layout breaks the alternating transpose rule at "
                     "(%d,%d)" % (i, j)
                 )
-            half = [rho[t] * v[i][t] * v[j][t] for t in range(n)]
-            row = [rho[i] * h for h in half]
-            if sum(row, zero) != (c2 if i == j else zero):
-                raise NonOrthogonal(
-                    "rows %d and %d of V diag(rho) V^T break U U^T = I"
-                    % (i, j)
-                )
-            out[i][j] = compact(row)
-            out[j][i] = compact(rho[j] * h for h in half) if j > i else out[i][j]
-    return tuple(map(tuple, out))
+    bad = _mismatches((rho, v, rho, tuple(zip(*v))), ((c * c,) * n,))
+    if bad:
+        raise NonOrthogonal(
+            "rows %d and %d of V diag(rho) V^T break U U^T = I" % min(bad))
 
 
-# certify_basis once per triple, so once per (N, p): twisted_basis
-# certifies through it and the trace engine reads the same products
-trace_products = lru_cache(maxsize=None)(certify_basis)
+def _mismatches(left, right):
+    """The entries (i, j) where the products of two chains of factors differ.
+
+    A factor is an n x n matrix (a sequence of rows) or a diagonal (a
+    sequence of n entries), every entry a LaurentQ.  Each factor is shifted
+    by its lowest exponent and evaluated once at q^step = 2^(8 width), step
+    the exponents' common step and width from the l1 bound of every entry
+    of both products, so that the evaluation is injective on both: the
+    products are compared as integers, aligned by their total shifts.
+    """
+    chains = (left, right)
+    cells = [[list(f) if _diagonal(f) else [x for row in f for x in row]
+              for f in chain] for chain in chains]
+    lows = [[min(min(x._t) for x in fc if x) for fc in chain] for chain in cells]
+    step = _support_step(*({e for x in fc for e in x._t}
+                           for chain in cells for fc in chain)) or 1
+    norms = [_chain_product(chain, lambda x, lo: sum(map(abs, x._t.values())), ls)
+             for chain, ls in zip(chains, lows)]
+    width = signed_width(max(max(map(max, m)) for m in norms))
+    packed = {}
+
+    def pack(x, lo):
+        key = id(x), lo
+        if key not in packed:
+            packed[key] = pack_signed(x._t, lo, width, step)
+        return packed[key]
+
+    left, right = (_chain_product(chain, pack, ls) for chain, ls in zip(chains, lows))
+    shift, rest = divmod(sum(lows[0]) - sum(lows[1]), step)
+    n = len(left)
+    if rest:
+        return [(i, j) for i in range(n) for j in range(n) if left[i][j] or right[i][j]]
+    bits = 8 * width * abs(shift)
+    return [(i, j) for i in range(n) for j in range(n)
+            if (left[i][j] << bits if shift > 0 else left[i][j])
+            != (right[i][j] << bits if shift < 0 else right[i][j])]
+
+
+def _diagonal(factor):
+    return isinstance(factor[0], LaurentQ)
+
+
+def _chain_product(chain, value, lows):
+    """The product of a chain of factors, each entry x mapped to value(x, lo)
+    (0 for a zero entry), lo its factor's lowest exponent."""
+    out = None
+    for f, lo in zip(chain, lows):
+        if _diagonal(f):
+            d = [value(x, lo) if x else 0 for x in f]
+            if out is None:
+                out = [[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+            else:
+                out = [[x * y for x, y in zip(row, d)] for row in out]
+        else:
+            m = [[value(x, lo) if x else 0 for x in row] for row in f]
+            out = m if out is None else [[sum(map(mul, row, col)) for col in zip(*m)]
+                                         for row in out]
+    return out
 
 
 def racah_su2(N, p):
@@ -526,6 +585,136 @@ def racah_from_eigenvalues(xi):
 
 
 # --------------------------------------------------------------------------
+# the triangular pair: sigma_1 and sigma_2 from the eigenvalues alone
+
+def _root(x, n):
+    """The real n-th root of the signed q-monomial x, positive for even n."""
+    ((e6, c),) = x._t.items()
+    if e6 % n or c not in (1, -1) or (c < 0 and n % 2 == 0):
+        raise NotIntertwined("%s has no real %d-th root on the lattice" % (x, n))
+    return LaurentQ({e6 // n: c})
+
+
+def _upper_form(xi, root):
+    """A and the dressing w of B_ij = A_(d-1-i)(d-1-j) w_j / w_i, sizes 2..5.
+
+    Tuba and Wenzl's normal form, up to a diagonal gauge chosen so that
+    every entry is a Laurent polynomial, homogeneous of degree 1 in the
+    eigenvalues (x and g of degree 1, s of degree 2), which keeps the
+    packed digits narrow.  ``root`` is x with x^2 = -xi_1 xi_2 (size 2),
+    s with s^2 = xi_1 xi_2 xi_3 xi_4 (size 4) or g with g^5 = xi_1 ... xi_5
+    (size 5); size 3 needs none.  The two choices of s give inequivalent
+    representations, those of x equivalent ones.
+    """
+    n = len(xi)
+    one, zero = LaurentQ.one(), LaurentQ.zero()
+    a = [[xi[i] if i == j else zero for j in range(n)] for i in range(n)]
+    w = [one] * n
+    if n == 2:
+        a[0][1] = root
+    elif n == 3:
+        x1, x2, x3 = xi
+        a[0][1], a[0][2] = x1, -x2
+        a[1][2] = -(x3 + x2 * x2 * x1 ** -1)
+    elif n == 4:
+        x1, x2, x3, x4 = xi
+        s, v = root, x2 * x3
+        h = (s * s - s * v + v * v) * (x1 * v) ** -1
+        a[0][1], a[0][2], a[0][3] = x1, -x1 * x3 * x2 ** -1, x3
+        a[1][2], a[1][3], a[2][3] = (s - v) * x2 ** -1, h, -h
+        w = [one, one] + [s * x2 ** -2] * 2
+    else:
+        x1, x2, x3, x4, x5 = xi
+        g = root
+        g2 = g * g
+        gi = g ** -1
+        p, q, r = g2 + x2 * x4, g2 * g + x2 * x3 * x4, g2 + g * x3 + x3 * x3
+        a[0][1], a[0][2], a[0][3] = g, x4, -x3 * x4 * gi
+        a[0][4] = x2 * x3 * x4 * gi * gi
+        a[1][2], a[1][3] = p * gi, -(q + g2 * x3) * gi * gi
+        a[1][4] = p * q * (g2 * g * x4) ** -1
+        a[2][3], a[2][4] = -r * gi, q * r * (g2 * x3 * x4) ** -1
+        a[3][4] = -p * q * (x2 * x3 * x4 * g) ** -1
+    return a, w
+
+
+def triangular_pair(xi):
+    """(A, B): sigma_1 and sigma_2 of a block of size 2..5, from xi alone.
+
+    A is upper triangular with diagonal xi, B lower triangular with
+    diagonal xi reversed; every entry is a Laurent polynomial in the
+    eigenvalues and the positive (size 5: the real) root of _upper_form,
+    the one every block of the supported ranks needs.  Uncertified:
+    build_block certifies it with certify_pair.
+    """
+    n = len(xi)
+    if not 2 <= n <= MAX_SIZE:
+        raise UnsupportedMultiplicity("no triangular pair for size %r" % (n,))
+    root = None if n == 3 else _root(
+        -(xi[0] * xi[1]) if n == 2 else prod(xi), 5 if n == 5 else 2)
+    return _pair(xi, root)
+
+
+def _pair(xi, root):
+    """A = _upper_form(xi, root) and its dressed reversal B."""
+    a, w = _upper_form(xi, root)
+    n = len(xi)
+    b = tuple(tuple(a[n - 1 - i][n - 1 - j] * w[j] * w[i] ** -1
+                    for j in range(n)) for i in range(n))
+    return tuple(map(tuple, a)), b
+
+
+def certify_pair(xi, upper, lower, rho, v, c):
+    """Certify (A, B) = (upper, lower) as the braiding of the block (rho, V, c).
+
+    The triple is certified first (certify_basis: NonOrthogonal).  Then,
+    raising NotIntertwined on the first failure: A is upper and B lower
+    triangular with diagonals xi and xi reversed, ABA = BAB, and an exact
+    intertwiner P with Sigma_1 P = P A and Sigma_2 P = P B, where Sigma_1 =
+    diag(xi) and c^2 Sigma_2 = W = diag(rho) V diag(rho xi) V^T are the
+    block's sigma_1 and sigma_2 conjugated by S = diag(sqrt(rho)).
+    P = E P~: the upper triangular P~ solves Sigma_1 P~ = P~ A row by row,
+    row m scaled by prod_(k>m) (xi_m - xi_k) so that each step divides
+    exactly.  The diagonal E sends B's xi_1-eigenvector, the last basis
+    vector, to Sigma_2's, diag(rho) V e_1: E_k = rho_k V_k1 / P~_kd, which
+    the check W E' P~ = c^2 E' P~ B takes times prod_k P~_kd, free of
+    division.
+    """
+    certify_basis(rho, v, c)
+    n = len(xi)
+    a, b = upper, lower
+    for i in range(n):
+        if (a[i][i] != xi[i] or b[i][i] != xi[n - 1 - i]
+                or any(a[i][:i]) or any(b[i][i + 1:])):
+            raise NotIntertwined("row %d breaks the triangular shape" % i)
+    if _mismatches((a, b, a), (b, a, b)):
+        raise NotIntertwined("the pair breaks the braid relation ABA = BAB")
+    p = []
+    for m in range(n):
+        row = [LaurentQ.zero()] * n
+        row[m] = prod((xi[m] - xi[k] for k in range(m + 1, n)), start=LaurentQ.one())
+        if not row[m]:
+            raise NotIntertwined("eigenvalue %d is repeated" % m)
+        for k in range(m + 1, n):
+            try:
+                row[k] = laurent_divexact(
+                    sum(row[i] * a[i][k] for i in range(m, k)), xi[m] - xi[k])
+            except InexactDivision:
+                raise NotIntertwined("no intertwiner of sigma_1 at (%d,%d)" % (m, k))
+        p.append(row)
+    ends = [row[n - 1] for row in p]
+    heads = [r * row[0] for r, row in zip(rho, v)]
+    if not all(ends) or not all(heads):
+        raise NotIntertwined("the intertwiner would be singular")
+    # E' = diag(heads) times n - 1 diagonals, each holding one other row's end
+    others = [[ends[j] for j in range(n) if j != k] for k in range(n)]
+    scale = (heads,) + tuple(zip(*others))
+    if _mismatches((rho, v, rho, xi, tuple(zip(*v))) + scale + (p,),
+                   ((c * c,) * n,) + scale + (p, b)):
+        raise NotIntertwined("the pair is not the block's braiding")
+
+
+# --------------------------------------------------------------------------
 # block assembly
 
 @dataclass(frozen=True)
@@ -535,7 +724,10 @@ class MixingBlock:
     ``eigenvalues`` are the signed twist monomials xi_j in j-ascending
     order; ``R`` is the same data viewed as the diagonal of the twist
     matrix.  ``rho``, ``V`` and ``c`` are the certified mixing matrix U as
-    the triple of :func:`twisted_basis`, U = S (V/c) S.
+    the triple of :func:`twisted_basis`, U = S (V/c) S.  ``upper`` and
+    ``lower`` are sigma_1 and sigma_2 as the certified triangular pair of
+    :func:`triangular_pair` (both (xi,) at size 1): the trace engine reads
+    only these.
     """
 
     spec: BlockSpec
@@ -543,6 +735,8 @@ class MixingBlock:
     rho: tuple
     V: tuple
     c: LaurentQ
+    upper: tuple
+    lower: tuple
 
     @property
     def R(self):
@@ -558,8 +752,10 @@ class MixingBlock:
         return len(self.eigenvalues)
 
 
+@lru_cache(maxsize=None)
 def build_block(spec):
-    """Twist eigenvalues and mixing triple of one young.cube_blocks block."""
+    """Twist eigenvalues, mixing triple and certified triangular pair of one
+    young.cube_blocks block, built and certified once per block."""
     size = spec.multiplicity
     if size > MAX_SIZE:
         raise UnsupportedMultiplicity(
@@ -572,7 +768,9 @@ def build_block(spec):
     )
     if size == 1:
         one = LaurentQ.one()
-        basis = ((one,), ((one,),), one)
-    else:
-        basis = twisted_basis(size, spec.p)
-    return MixingBlock(spec, eigenvalues, *basis)
+        return MixingBlock(spec, eigenvalues, (one,), ((one,),), one,
+                           (eigenvalues,), (eigenvalues,))
+    basis = twisted_basis(size, spec.p)
+    pair = triangular_pair(eigenvalues)
+    certify_pair(eigenvalues, *pair, *basis)
+    return MixingBlock(spec, eigenvalues, *basis, *pair)

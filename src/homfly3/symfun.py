@@ -129,6 +129,8 @@ class PowerSumPoly(_Sparse):
             raise ValueError("a power-sum monomial has no inverse")
         return tuple(sorted(lam * n, reverse=True))
 
+    _unit_key = ()
+
     @staticmethod
     def _coerce(other):
         return other if isinstance(other, PowerSumPoly) else None

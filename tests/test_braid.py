@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,11 @@ from homfly3.braid import (
     Braid3Word,
     CharacterExpansion,
     NonPolynomialResult,
+    _block_trace,
+    _digits_at_least,
+    _mat_mul,
+    _power,
+    _trace_of_product,
     antisymmetric_dual,
     character_coefficients,
     closure_components,
@@ -24,10 +30,15 @@ from homfly3.qpoly import (
     InexactDivision,
     LaurentQ,
     LaurentQA,
+    _support_step,
     curly_q,
     laurent_divexact,
+    pack_signed,
+    signed_width,
     substitute,
+    unpack_signed,
 )
+from homfly3.knotdb import KNOT_NAMES, braid_word
 from homfly3.racah import build_block
 from homfly3.symfun import adams, expand_in_schur, schur_in_powersums
 from homfly3.young import YoungDiagram, cube_blocks, hook_content_dimension, kappa
@@ -301,8 +312,8 @@ def reference_reduce(expansion, writhe):
     return total * LaurentQA.monomial(1, a=-r * writhe, qexp=-2 * r * (r - 1) * writhe)
 
 
-def short_words(max_blocks):
-    exps = st.integers(-3, 3)
+def short_words(max_blocks, bound=3):
+    exps = st.integers(-bound, bound)
     return st.lists(st.tuples(exps, exps), min_size=1, max_size=max_blocks).map(
         lambda blocks: Braid3Word(tuple(blocks)))
 
@@ -353,5 +364,126 @@ def test_reduce_expansion_matches_slice_wise_reference(r, examples):
                 reduce_expansion(expansion, word.writhe)
             return
         assert reduce_expansion(expansion, word.writhe).terms == want.terms
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# the recoupling trace: the triangular engine's independent oracle
+
+def _recoupling_products(rho, v):
+    """T[i][j][t] = rho_i rho_t V_it V_jt as (exponents, coefficients)."""
+    n = len(rho)
+    return [[[tuple(zip(*(rho[i] * rho[t] * v[i][t] * v[j][t]).terms.items())) or ((), ())
+              for t in range(n)] for j in range(n)] for i in range(n)]
+
+
+def _shifted_sum(ta, tb, row):
+    """Terms of sum_t xi_i^a xi_t^b T_ijt, from (shift, sign) of each power."""
+    da, sa = ta
+    acc = {}
+    for (db, sb), (exps, coeffs) in zip(tb, row):
+        d = da + db
+        if sa == sb:
+            for e, c in zip(exps, coeffs):
+                acc[e + d] = acc.get(e + d, 0) + c
+        else:
+            for e, c in zip(exps, coeffs):
+                acc[e + d] = acc.get(e + d, 0) - c
+    return {e: c for e, c in acc.items() if c}
+
+
+def recoupling_trace(block, word):
+    """C_Q = Tr prod_i R^{a_i} U R^{b_i} U^T from the mixing triple.
+
+    Each factor is D_a V D_b V^T with D_x = diag(rho_j xi_j^x), a sum of
+    shifted, sign-flipped T_ijt, packed once; the trace of the packed
+    product is divided by c^(2L).  This is the engine the triangular pairs
+    replaced, kept here as their reference.
+    """
+    xi = block.eigenvalues
+    size = len(xi)
+    if size == 1:
+        return xi[0] ** word.writhe
+    products = _recoupling_products(block.rho, block.V)
+    # xi_j = sign_j q^(e_j / 6), so xi_j^x = sign_j^x q^(x e_j / 6)
+    monos = [next(iter(x.terms.items())) for x in xi]
+    factors = {}
+    for a, b in set(word.blocks):
+        ta = [(a * e, s if a % 2 else 1) for e, s in monos]
+        tb = [(b * e, s if b % 2 else 1) for e, s in monos]
+        factors[a, b] = [[_shifted_sum(ta[i], tb, products[i][j])
+                          for j in range(size)] for i in range(size)]
+    lo = {ab: min(min(t) for row in m for t in row if t) for ab, m in factors.items()}
+    step = gcd(*(e - lo[ab] for ab, m in factors.items()
+                 for row in m for t in row for e in t)) or 1
+    norms = {ab: [[sum(map(abs, t.values())) for t in row] for row in m]
+             for ab, m in factors.items()}
+    width = signed_width(_trace_of_product(word.blocks, norms))
+    packed = {ab: [[pack_signed(t, lo[ab], width, step) if t else 0
+                    for t in row] for row in m] for ab, m in factors.items()}
+    digits = unpack_signed(_trace_of_product(word.blocks, packed), width)
+    base = sum(lo[ab] for ab in word.blocks)
+    trace = LaurentQ({base + step * k: d for k, d in digits.items()})
+    return laurent_divexact(trace, block.c ** (2 * len(word.blocks)))
+
+
+def assert_engine_is_the_recoupling_trace(word, r):
+    for spec in cube_blocks(r):
+        block = build_block(spec)
+        got, want = _block_trace(block, word), recoupling_trace(block, word)
+        assert got.terms == want.terms, (word.render(), r, spec.Q)
+        assert all(type(x) is int for x in got.terms.values())
+
+
+@pytest.mark.parametrize("r,examples", [(1, 30), (2, 20), (3, 12)])
+def test_triangular_engine_is_the_recoupling_trace(r, examples):
+    @settings(max_examples=examples)
+    @given(short_words(8, 4))
+    @example(Braid3Word.parse("4,-4|-4,4|4,-4|-4,4|4,-4|-4,4|4,-4|-4,4"))
+    @example(Braid3Word.parse("0,0|0,-1"))
+    def check(word):
+        assert_engine_is_the_recoupling_trace(word, r)
+
+    check()
+
+
+# the benchmark's long-words requests at its default seed
+LONG_WORDS = ["|".join(["1,1"] * n) for n in (4, 5, 7)] + [
+    "-1,-2|-3,-3|3,1|-1,-2|2,2|1,3", "-1,1|-2,2|-3,-3|3,-2|-1,3|2,1"]
+
+
+@pytest.mark.parametrize("words,r", [
+    (LONG_WORDS, 3),
+    (["|".join(["1,1"] * n) for n in range(4, 17)], 3),
+    ([braid_word(name).render() for name in KNOT_NAMES], 4),
+], ids=["long-words", "torus-r3", "catalog-r4"])
+def test_triangular_engine_is_the_recoupling_trace_on_the_grid(words, r):
+    # catalog-r4 reaches block [8,4], the one pair of size 5
+    for text in words:
+        assert_engine_is_the_recoupling_trace(Braid3Word.parse(text), r)
+
+
+@pytest.mark.parametrize("r,examples", [(1, 30), (2, 20), (3, 15), (4, 5)])
+def test_budget_lower_bound_is_below_the_packed_size(r, examples):
+    # the digit count refused before any power is formed never exceeds the
+    # packed trace's: 1 + the factors' exponent spans over the common step
+    blocks = [build_block(spec) for spec in cube_blocks(r) if spec.multiplicity > 1]
+
+    @settings(max_examples=examples)
+    @given(short_words(8, 4))
+    @example(Braid3Word.parse("4,4"))
+    @example(Braid3Word.parse("-4,0|0,-4"))
+    def check(word):
+        for block in blocks:
+            step = _support_step(*({e for row in m for x in row for e in x.terms}
+                                   for m in (block.upper, block.lower)))
+            powers = ({1: block.upper}, {1: block.lower})
+            digits = 1
+            for x, y in word.blocks:
+                f = _mat_mul(_power(powers[0], x), _power(powers[1], y))
+                exps = [e for row in f for t in row for e in t.terms]
+                digits += (max(exps) - min(exps)) // step
+            assert _digits_at_least(block, word, step) <= digits
 
     check()

@@ -283,10 +283,12 @@ def test_braid_exponent_of_4300_digits_exits_3_with_a_short_message():
 
 
 def test_oversized_braid_word_exits_3_before_packing():
-    code, out, err = invoke("compute", "--braid", "99999999999,1", "--rep", "1")
-    assert (code, out) == (3, "")
-    m = re.search(r"needs (\d+) bytes", err)
-    assert m and int(m.group(1)) > TRACE_BYTES
+    # refused before any power of a block's pair is formed, at every rank
+    for rep in ("1", "3", "4"):
+        code, out, err = invoke("compute", "--braid", "99999999999,1", "--rep", rep)
+        assert (code, out) == (3, "")
+        m = re.search(r"needs (\d+) bytes", err)
+        assert m and int(m.group(1)) > TRACE_BYTES
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from homfly3.qpoly import (
     substitute,
     unpack_signed,
 )
+from homfly3.symfun import PowerSumPoly
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -99,6 +100,18 @@ def test_ring_laws_qa(x, y, z):
     assert x * LaurentQA.zero() == LaurentQA.zero()
     assert x * LaurentQA.one() == x
     assert x - x == LaurentQA.zero()
+
+
+def test_equal_values_hash_equally():
+    # a constant hashes as the int or Fraction it equals, in either ring
+    assert 2 in {LaurentQ.const(2)}
+    assert Fraction(1, 2) in {LaurentQA.monomial(Fraction(1, 2))}
+    assert 0 in {LaurentQ.zero()} and 0 in {LaurentQA.zero()}
+    # a power-sum polynomial whose coefficient is 2 or the constant 2
+    assert len({PowerSumPoly({(1,): 2}), PowerSumPoly({(1,): LaurentQ.const(2)})}) == 1
+    # an (A, q) polynomial free of A equals, and hashes as, its LaurentQ
+    x = LaurentQ.parse("q^2 - 3*q^-1")
+    assert LaurentQA.from_q(x) == x and hash(LaurentQA.from_q(x)) == hash(x)
 
 
 @given(laurent_q(), laurent_q())

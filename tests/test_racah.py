@@ -1,26 +1,29 @@
 """Mixing matrices: the recoupling sum, its certificates, the eigenvalue
-reconstruction, and the factored quantum numbers both are built from."""
+reconstruction, the factored quantum numbers both are built from, and the
+triangular pairs they certify."""
 
 import hashlib
 import json
-from dataclasses import replace
+from math import prod
 
 import pytest
 
 from homfly3 import racah, young
-from homfly3.braid import Braid3Word, _block_trace, character_coefficients
 from homfly3.qpoly import LaurentQ, quantum_int
 from homfly3.racah import (
     DegenerateP,
     MixingBlock,
     NonOrthogonal,
+    NotIntertwined,
     RepeatedEigenvalue,
     UnsupportedMultiplicity,
     build_block,
     certify_basis,
+    certify_pair,
     normalized_eigenvalues,
     racah_from_eigenvalues,
     racah_su2,
+    triangular_pair,
     twisted_basis,
 )
 from homfly3.radext import (
@@ -189,14 +192,13 @@ def test_twisted_basis_is_pinned():
 
 def test_basis_certificate_rejects_broken_triples():
     # every entry point that reads a triple certifies it: the certificate
-    # itself, its cache, and a block trace handed the broken triple
+    # itself and the triangular pair's certificate, which builds a block
     (spec,) = [s for s in cube_blocks(2) if s.multiplicity == 3]
     block = build_block(spec)
-    word = Braid3Word.parse("1,1")
     entry_points = [
         certify_basis,
-        racah.trace_products,
-        lambda rho, v, c: _block_trace(replace(block, rho=rho, V=v, c=c), word),
+        lambda rho, v, c: certify_pair(
+            block.eigenvalues, block.upper, block.lower, rho, v, c),
     ]
     rho, v, c = twisted_basis(3, 2)
     assert (block.rho, block.V, block.c) == (rho, v, c)
@@ -212,6 +214,58 @@ def test_basis_certificate_rejects_broken_triples():
                 check(rho, tuple(map(tuple, rows)), c)
         with pytest.raises(NonOrthogonal):
             check(rho, v, c * 2)
+
+
+def blocks_of_size(size):
+    return [build_block(spec) for r in young.SUPPORTED_R for spec in cube_blocks(r)
+            if spec.multiplicity == size]
+
+
+def test_triangular_pairs_are_certified_on_every_block():
+    # the pairs' shape: B = J A J up to a diagonal dressing, every entry of
+    # at most five terms with coefficients of at most 2 in absolute value
+    checked = 0
+    for size in range(2, racah.MAX_SIZE + 1):
+        for block in blocks_of_size(size):
+            a, b = block.upper, block.lower
+            certify_pair(block.eigenvalues, a, b, block.rho, block.V, block.c)
+            for i in range(size):
+                for j in range(size):
+                    x, y = a[size - 1 - i][size - 1 - j], b[i][j]
+                    assert bool(x) == bool(y)
+                    assert len(x.terms) <= 5
+                    assert all(abs(k) <= 2 for k in x.terms.values())
+            checked += 1
+    assert checked == 23
+
+
+def test_pair_certificate_rejects_a_sign_flipped_entry():
+    for size in range(2, racah.MAX_SIZE + 1):
+        block = blocks_of_size(size)[-1]
+        for i, j in [(0, 1), (size - 2, size - 1), (0, size - 1)]:
+            flipped = [list(row) for row in block.upper]
+            flipped[i][j] = -flipped[i][j]
+            with pytest.raises(NotIntertwined):
+                certify_pair(block.eigenvalues, flipped, block.lower,
+                             block.rho, block.V, block.c)
+
+
+def test_pair_certificate_rejects_the_wrong_root():
+    # size 4: s = -sqrt(xi_1 xi_2 xi_3 xi_4) gives a braid-group
+    # representation with the same eigenvalues that is not the block's, so
+    # only the intertwiner can tell; size 5: -g is a fifth root of minus
+    # the eigenvalues' product
+    for size, degree in ((4, 2), (5, 5)):
+        for block in blocks_of_size(size):
+            xi = block.eigenvalues
+            a, b = racah._pair(xi, -racah._root(prod(xi), degree))
+            with pytest.raises(NotIntertwined):
+                certify_pair(xi, a, b, block.rho, block.V, block.c)
+            if size == 4:
+                ab = mat_mul(a, b)
+                assert mat_mul(ab, a) == mat_mul(b, ab)
+                with pytest.raises(NotIntertwined, match="not the block's braiding"):
+                    certify_pair(xi, a, b, block.rho, block.V, block.c)
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +456,20 @@ def test_braid_relation_twisted_form():
     assert checked == 23
 
 
-def test_character_coefficients_invariant_under_dressing():
-    # a diagonal +-1 dressing D V D of a block's mixing matrix leaves its
-    # trace unchanged, so the signs pinned in racah are cosmetic
-    word = Braid3Word.parse("-1,-1|-1,-1")
-    base = character_coefficients(word, 2).coefficients
+def test_dressed_triple_certifies_the_same_pair():
+    # a diagonal +-1 dressing D V D of a block's mixing matrix is another
+    # orthogonal U with the same braiding: it passes the pair's certificate,
+    # and the pair, built from the eigenvalues alone, is the same
     for spec in cube_blocks(2):
         block = build_block(spec)
+        if block.size == 1:
+            continue
         signs = [-1 if k == 1 else 1 for k in range(block.size)]
         dressed = tuple(
             tuple(x if signs[i] == signs[j] else -x for j, x in enumerate(row))
             for i, row in enumerate(block.V)
         )
-        assert _block_trace(replace(block, V=dressed), word) == base[spec.Q]
+        assert dressed != block.V
+        pair = triangular_pair(block.eigenvalues)
+        assert pair == (block.upper, block.lower)
+        certify_pair(block.eigenvalues, *pair, block.rho, dressed, block.c)
