@@ -3,9 +3,10 @@
 The package computes extended and reduced HOMFLY polynomials of knots
 presented as 3-strand braid words, colored by symmetric representations
 [r] with r <= 4 (and their antisymmetric duals), through the character
-expansion of the braid-group image: per irreducible block an eigenvalue
-matrix and a mixing matrix, assembled into exact Laurent polynomials in
-A and q.  All arithmetic is exact; nothing here ever touches a float.
+expansion of the braid-group image: per irreducible block a triangular
+pair in its eigenvalues alone, certified by its mixing matrix, assembled
+into exact Laurent polynomials in A and q.  All arithmetic is exact;
+nothing here ever touches a float.
 
 Submodules
 ----------
@@ -14,8 +15,9 @@ radext  factored quantum numbers +-q^(u/6) prod Phi_d(q^2)^e: products,
         quotients and square roots as exponent arithmetic
 young   Young diagrams, framing weights, block bookkeeping
 symfun  Schur polynomials in power sums, Adams maps, cut-and-join
-racah   mixing matrices as certified integer triples (rho, V, c): the
-        recoupling sum, cross-checked by the eigenvalue construction
+racah   each block's triangular pair, certified by its mixing matrix
+        (rho, V, c): the recoupling sum, cross-checked by the eigenvalue
+        construction
 braid   character expansion and the polynomial invariants themselves
 knotdb  the bundled table of verified polynomials
 cli     the ``homfly3`` command-line tool

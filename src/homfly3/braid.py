@@ -44,13 +44,14 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
-from operator import mul
+from operator import index, mul
 
 from .qpoly import (
     EXP_DEN,
     LaurentQ,
     LaurentQA,
     _support_step,
+    _to_dense,
     curly_atom_sum,
     pack_signed,
     signed_width,
@@ -106,9 +107,7 @@ class Braid3Word:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(
-            (int(a), int(b)) for (a, b) in self.blocks
-        )
+        blocks = tuple((index(a), index(b)) for (a, b) in self.blocks)
         if not blocks:
             raise ValueError("a braid word needs at least one (a, b) block")
         object.__setattr__(self, "blocks", blocks)
@@ -332,11 +331,8 @@ def _divide_curly_q(terms, hooks):
         slices.setdefault(a, {})[e] = c
     out = {}
     for a, s in slices.items():
-        lo = min(s)
-        step = gcd(*(e - lo for e in s), *(2 * EXP_DEN * h for h in hooks)) or 1
-        dense = [0] * ((max(s) - lo) // step + 1)
-        for e, c in s.items():
-            dense[(e - lo) // step] = c
+        step = gcd(_support_step(s), *(2 * EXP_DEN * h for h in hooks)) or 1
+        lo, dense = _to_dense(s, step)
         for h in hooks:
             k = 2 * EXP_DEN * h // step
             for i in range(len(dense) - 1, k - 1, -1):

@@ -25,7 +25,7 @@ import re
 from fractions import Fraction
 from itertools import repeat
 from math import comb, gcd as _int_gcd, lcm
-from operator import mul
+from operator import index, mul
 
 EXP_DEN = 6  # fixed denominator of the q-exponent lattice
 
@@ -35,7 +35,7 @@ _NAIVE_MUL_CUTOFF = 1024
 
 
 class PolyParseError(ValueError):
-    """A laurent-string did not parse in the canonical format."""
+    """A string is not one signed _TERM after another, or has a zero denominator."""
 
 
 class InexactDivision(ArithmeticError):
@@ -52,13 +52,13 @@ def _coeff(c):
 
 
 def _lattice6(e) -> int:
-    """Convert an exponent (int or Fraction) to sixths, checking the lattice."""
-    if isinstance(e, int):
-        return EXP_DEN * e
-    e6 = Fraction(e) * EXP_DEN
+    """Convert an exponent (an integer or a Fraction) to sixths, checking the lattice."""
+    if not isinstance(e, Fraction):
+        return EXP_DEN * index(e)
+    e6 = e * EXP_DEN
     if e6.denominator != 1:
         raise ValueError("q-exponent %s is off the 1/%d lattice" % (e, EXP_DEN))
-    return int(e6)
+    return e6.numerator
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +446,7 @@ class LaurentQ(_Sparse):
     __slots__ = ()
 
     # a key is the q-exponent in sixths
-    _key = int
+    _key = staticmethod(index)
     _unit_key = 0
     _scale_key = staticmethod(mul)
 
@@ -688,7 +688,7 @@ class LaurentQA(_Sparse):
     def _key(key):
         """(A-exponent, q-exponent in sixths)."""
         a, e = key
-        return int(a), int(e)
+        return index(a), index(e)
 
     @staticmethod
     def _scale_key(key, n):
@@ -727,7 +727,7 @@ class LaurentQA(_Sparse):
         c = _coeff(coeff)
         if not c:
             return _QA_ZERO
-        return _new(LaurentQA, {(a, _lattice6(qexp)): c})
+        return _new(LaurentQA, {(index(a), _lattice6(qexp)): c})
 
     @staticmethod
     def from_q(p: LaurentQ) -> "LaurentQA":
@@ -735,7 +735,19 @@ class LaurentQA(_Sparse):
 
     @classmethod
     def parse(cls, s: str) -> "LaurentQA":
-        return _parse_terms(s)
+        """Read one _TERM after another; whitespace is ignored, equal terms merge."""
+        text = "".join(s.split())
+        if not text:
+            raise PolyParseError("empty polynomial string")
+        terms, pos = [], 0
+        while pos < len(text):
+            m = _TERM.match(text, pos)
+            if m is None:
+                raise PolyParseError("cannot read %r at character %d of %r"
+                                     % (text[pos], pos, text[:pos + 20]))
+            terms.append(m)
+            pos = m.end()
+        return LaurentQA(_accumulate(map(_read_term, terms)))
 
     # -- inspection ----------------------------------------------------------
 
@@ -858,75 +870,25 @@ def _render_terms(triples) -> str:
     return "".join(chunks)
 
 
-_TERM_RE = re.compile(
-    r"""^
-    (?:(?P<coeff>\d+(?:/\d+)?)\*?)?
-    (?:(?P<A>A)(?:\^(?P<aexp>-?\d+))?\*?)?
-    (?:(?P<q>q)(?:\^(?:(?P<qi>-?\d+)|\((?P<qf>-?\d+(?:/\d+)?)\)))?)?
-    $""",
+# One signed term: a run of signs, required except before the first term
+# (where "^" matches), a lookahead that refuses an empty term, then an
+# optional n or n/d, A or A^k, and q, q^k or q^(n/d).  The coefficient and
+# the A may each carry one "*" that no sign follows.
+_TERM = re.compile(
+    r"""(?P<sign>[+-]+|^)(?=[\dAq])
+    (?:(?P<coeff>\d+(?:/\d+)?)(?:\*(?![+-]))?)?
+    (?P<A>A(?:\^(?P<aexp>-?\d+))?(?:\*(?![+-]))?)?
+    (?P<q>q(?:\^(?P<qexp>-?\d+|\(-?\d+(?:/\d+)?\)))?)?""",
     re.X,
 )
 
 
-def _split_signed_chunks(s: str):
-    """Split a polynomial string into (sign, term-body) pairs."""
-    chunks = []
-    depth = 0
-    start = 0
-    prev_sig = ""  # previous non-space character
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise PolyParseError("unbalanced parentheses in %r" % s)
-        elif ch in "+-" and depth == 0 and i > start:
-            if prev_sig and prev_sig not in "^(*+-/":
-                chunks.append(s[start:i])
-                start = i
-        if not ch.isspace():
-            prev_sig = ch
-    if depth:
-        raise PolyParseError("unbalanced parentheses in %r" % s)
-    chunks.append(s[start:])
-    return chunks
-
-
-def _parse_terms(s: str) -> LaurentQA:
-    text = s.strip()
-    if not text:
-        raise PolyParseError("empty polynomial string")
-    if text == "0":
-        return _QA_ZERO
-    pairs = []
-    for chunk in _split_signed_chunks(text):
-        body = chunk.strip()
-        sign = 1
-        while body and body[0] in "+-":
-            if body[0] == "-":
-                sign = -sign
-            body = body[1:].lstrip()
-        body = body.replace(" ", "")
-        if not body:
-            raise PolyParseError("dangling sign in %r" % s)
-        m = _TERM_RE.match(body)
-        if not m or not (m.group("coeff") or m.group("A") or m.group("q")):
-            raise PolyParseError("cannot parse term %r" % chunk.strip())
-        cs = m.group("coeff")
-        coeff = Fraction(cs) if cs else Fraction(1)
-        if m.group("A"):
-            a = int(m.group("aexp")) if m.group("aexp") is not None else 1
-        else:
-            a = 0
-        if m.group("q"):
-            if m.group("qi") is not None:
-                e6 = EXP_DEN * int(m.group("qi"))
-            elif m.group("qf") is not None:
-                e6 = _lattice6(Fraction(m.group("qf")))
-            else:
-                e6 = EXP_DEN
-        else:
-            e6 = 0
-        pairs.append(((a, e6), sign * coeff))
-    return LaurentQA(_accumulate(pairs))
+def _read_term(m):
+    """((A-exponent, q-exponent in sixths), coefficient) of one _TERM match."""
+    try:
+        coeff = Fraction(m["coeff"] or 1)
+        qexp = Fraction((m["qexp"] or "1").strip("()")) if m["q"] else 0
+    except ZeroDivisionError:
+        raise PolyParseError("zero denominator in term %r" % m[0]) from None
+    a = int(m["aexp"] or 1) if m["A"] else 0
+    return (a, _lattice6(qexp)), -coeff if m["sign"].count("-") % 2 else coeff

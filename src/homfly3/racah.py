@@ -4,12 +4,14 @@ Every irreducible block of the 3-strand transfer algebra is described by a
 pair (R, U): R is diagonal and holds the signed twist eigenvalues
 xi_j = (-1)^j q^{kappa}, and U is the orthogonal change of basis between the
 two fusion channels.  U is handed out as the integer Laurent triple
-(rho, V, c) with U = S (V/c) S and S = diag(sqrt(rho_j)), which the trace
-engine of :mod:`homfly3.braid` consumes.  Two constructions produce that
-triple, both in the factored quantum numbers of :mod:`homfly3.radext`:
+(rho, V, c) with U = S (V/c) S and S = diag(sqrt(rho_j)); it certifies the
+pair that the trace of :mod:`homfly3.braid` reads (below).  Two
+constructions produce it, both in the factored quantum numbers of
+:mod:`homfly3.radext`:
 
 - ``twisted_basis``: the recoupling sum for three equal spins (the q-6j
-  formula of Kirillov and Reshetikhin), the one the engine uses;
+  formula of Kirillov and Reshetikhin), the one ``build_block`` certifies
+  each pair against;
 - ``racah_from_eigenvalues``: from nothing but the normalized eigenvalue
   list, with squared entries given by rational expressions in the
   eigenvalues, every factor a monomial or a binomial factored in closed

@@ -22,6 +22,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial
+from operator import index
 
 from .qpoly import LaurentQ, LaurentQA, _accumulate, _new, _Sparse, curly_atom_sum, curly_q_product
 from .young import SUPPORTED_R, FractionQA, YoungDiagram, kappa  # noqa: F401  (kappa re-exported for tests)
@@ -107,7 +108,7 @@ def _mn(betas, mu) -> int:
 # ---------------------------------------------------------------------------
 
 def _norm_partition(lam):
-    return tuple(sorted((int(x) for x in lam if x), reverse=True))
+    return tuple(sorted((index(x) for x in lam if x), reverse=True))
 
 
 class PowerSumPoly(_Sparse):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 from .qpoly import LaurentQA, curly_atom_sum, curly_q_product
 
@@ -22,7 +23,7 @@ class YoungDiagram:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(int(x) for x in rows if x != 0)
+        rows = tuple(index(x) for x in rows if x != 0)
         for a, b in zip(rows, rows[1:]):
             if b > a:
                 raise ValueError("rows must be weakly decreasing: %r" % (rows,))

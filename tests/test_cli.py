@@ -3,8 +3,11 @@
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +90,38 @@ def test_compute_is_deterministic():
     first = invoke("compute", "--knot", "5_2", "--rep", "2", "--format", "json")
     second = invoke("compute", "--knot", "5_2", "--rep", "2", "--format", "json")
     assert first == second
+
+
+# In a fresh interpreter: import every homfly3 module, answer two requests,
+# and print every module loaded since the first line.
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import io, pkgutil, homfly3
+for info in pkgutil.iter_modules(homfly3.__path__):
+    __import__("homfly3." + info.name)
+for argv in (["compute", "--knot", "3_1", "--rep", "2", "--out", "extended"],
+             ["verify", "--knot", "4_1"]):
+    assert homfly3.cli.run(argv, io.StringIO(), io.StringIO()) == 0, argv
+print(homfly3.__file__)
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def test_runtime_imports_only_the_standard_library():
+    # an accidental third-party import would pass every other test on a host
+    # that has the package installed
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    where, loaded = done.stdout.splitlines()
+    assert Path(where).resolve().parent == src / "homfly3"
+    foreign = [name for name in loaded.split()
+               if name.partition(".")[0] not in sys.stdlib_module_names | {"homfly3"}]
+    assert "homfly3.qpoly" in loaded.split() and foreign == []
 
 
 def test_extended_text_is_pinned():

@@ -1,5 +1,6 @@
 """Exact Laurent arithmetic in q and (A, q)."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -8,6 +9,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from homfly3 import qpoly
+from homfly3.braid import Braid3Word
 from homfly3.qpoly import (
     InexactDivision,
     LaurentQ,
@@ -23,6 +25,7 @@ from homfly3.qpoly import (
     unpack_signed,
 )
 from homfly3.symfun import PowerSumPoly
+from homfly3.young import YoungDiagram
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -399,9 +402,68 @@ def test_parse_render_roundtrip(p):
 
 
 def test_parse_rejects_garbage():
-    for bad in ["A^", "q^^2", "A+*q", "+", "A^2**q", "B^2"]:
+    for bad in ["A^", "q^^2", "A+*q", "+", "A^2**q", "B^2",
+                "1/0", "q^(1/0)", "2*-q", "q^+2", "q+", "(q)", ""]:
         with pytest.raises(PolyParseError):
             LaurentQA.parse(bad)
+
+
+def test_parse_error_kinds():
+    # a zero denominator is a parse error naming its term
+    with pytest.raises(PolyParseError, match="zero denominator in term '\\+2/0\\*q'"):
+        LaurentQA.parse("q + 2/0*q")
+    # an exponent off the 1/6 lattice keeps the lattice's ValueError ...
+    with pytest.raises(ValueError, match="off the 1/6 lattice") as info:
+        LaurentQA.parse("q^(1/4)")
+    assert not isinstance(info.value, PolyParseError)
+    # ... but a string outside the grammar is a parse error naming the first
+    # character it cannot read, whatever else it holds
+    with pytest.raises(PolyParseError, match="cannot read '\\^' at character 9"):
+        LaurentQA.parse("q^(1/4) + q^+2")
+
+
+@st.composite
+def qa_with_fractions(draw):
+    keys = st.tuples(st.integers(-4, 4), st.integers(-18, 18))  # q-exponent in sixths
+    values = st.fractions(-9, 9, max_denominator=4).filter(bool)
+    return LaurentQA(draw(st.dictionaries(keys, values, max_size=5)))
+
+
+@given(qa_with_fractions(), st.data())
+def test_parse_accepts_the_documented_variations(p, data):
+    # shuffled terms, whitespace between tokens, "-" written "+-", a leading
+    # "+", and a "*" after a coefficient or an A dropped
+    terms = data.draw(st.permutations([LaurentQA({k: c}).render() for k, c in p.terms.items()]))
+    gap = st.sampled_from(["", " ", "  ", "\t", "\n"])
+    text = ""
+    for k, term in enumerate(terms):
+        sign, body = ("-", term[1:]) if term.startswith("-") else ("+", term)
+        if sign == "-" and data.draw(st.booleans()):
+            sign = "+-"
+        if k == 0 and sign == "+" and data.draw(st.booleans()):
+            sign = ""
+        for token in re.findall(r"\d+|.", sign + body):
+            if token != "*" or data.draw(st.booleans()):
+                text += token + data.draw(gap)
+    assert LaurentQA.parse(text or "0") == p
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LaurentQ({0.5: 1}),
+    lambda: LaurentQ({Fraction(7, 2): 1}),
+    lambda: LaurentQA({(1.5, 0): 1}),
+    lambda: LaurentQA.monomial(1, a=1.5),
+    lambda: PowerSumPoly({(2.5, 1): 1}),
+    lambda: Braid3Word(((1.7, 1),)),
+    lambda: YoungDiagram([2.5, 1]),
+    lambda: LaurentQ.monomial(1, 0.5),
+], ids=["LaurentQ-float-key", "LaurentQ-Fraction-key", "LaurentQA-float-key",
+        "LaurentQA.monomial-float-a", "PowerSumPoly-float-part", "Braid3Word-float",
+        "YoungDiagram-float-row", "LaurentQ.monomial-float-exp"])
+def test_non_integer_exponents_and_rows_are_refused(build):
+    # read through operator.index: nothing is truncated to an integer
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_parse_requires_a_before_q():
