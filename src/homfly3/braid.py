@@ -18,16 +18,22 @@ once per block against the recoupling sum's mixing matrix
 (racah.certify_pair).  There is no mixing matrix, no radical and no
 division on the trace path.
 
-The factor A^a B^b of each distinct word block is formed once (powers by
-squaring, A^-1 and B^-1 triangular with monomial diagonals), packed into
-an integer matrix of signed digits (its entries at q^step -> 2^(8 width),
-its lowest exponent shifted out), and the trace of the integer product is
-unpacked once per block.  The width is bounded by the trace of the
-product of the entrywise l1-norm matrices.  A trace whose packed integers
-would exceed TRACE_BYTES is refused with TraceTooLarge: first, before any
-power is formed, on a lower bound of its digit count read off the
-exponents (three entries of A^a B^b are known in closed form), then on
-its exact size before anything is packed.
+Per block, A, B, A^-1 and B^-1 are kept as integer term dicts (the
+inverses by back substitution), and per block and exponent pair
+(x, y) the shape of the factor A^x B^y: its lowest and highest exponent
+and its entrywise l1 norms, ints and tuples only, read once from the
+factor formed on packed integers.  Per word, the width comes from the
+shapes: the trace of the product of the factors' l1-norm matrices bounds
+every digit of the trace.  A^+-1 and B^+-1 are packed once at that width
+(entries at q^step -> 2^(8 width), lowest exponent shifted out), each
+factor is formed by integer powers and products and shifted right by its
+own lowest exponent, which gives pack_signed of the factor, integer for
+integer, and the trace of the integer product is unpacked once per
+block.  A trace whose packed integers would exceed TRACE_BYTES is refused
+with TraceTooLarge: first, before any power is formed, on a lower bound
+of its digit count read off the exponents (three entries of A^a B^b are
+known in closed form), then on its exact size, read off the shapes,
+before the word's factors are packed.
 
 The reduction divides sum_Q C_Q S_Q* by S_[r]* with the atoms of S_[r]*
 cancelled up front: each S_Q* already holds the content atoms of [r], and
@@ -42,6 +48,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from math import gcd
 from operator import index, mul
@@ -50,9 +57,11 @@ from .qpoly import (
     EXP_DEN,
     LaurentQ,
     LaurentQA,
+    _accumulate,
     _support_step,
     _to_dense,
     curly_atom_sum,
+    int_matmul,
     pack_signed,
     signed_width,
     substitute,
@@ -164,31 +173,19 @@ def _block_trace(block, word):
     xi = block.eigenvalues
     if len(xi) == 1:
         return xi[0] ** word.writhe
-    a, b = block.upper, block.lower
-    # each of A, B has all its exponents in one class modulo step, and so
-    # then have A^-1, B^-1 and every factor A^x B^y
-    step = _support_step(*({e for row in m for x in row for e in x._t} for m in (a, b)))
+    spec = block.spec
+    step = _generators(spec)[0]
     _check_budget(block, _digits_at_least(block, word, step), " or more")
-    powers = ({1: a}, {1: b})
-    factors = {}
-    for x, y in set(word.blocks):
-        m = _mat_mul(_power(powers[0], x), _power(powers[1], y))
-        factors[x, y] = [[t._t for t in row] for row in m]
-    lo = {ab: min(min(t) for row in m for t in row if t)
-          for ab, m in factors.items()}
-    hi = {ab: max(max(t) for row in m for t in row if t)
-          for ab, m in factors.items()}
-    norms = {ab: [[sum(map(abs, t.values())) for t in row] for row in m]
-             for ab, m in factors.items()}
-    width = signed_width(_trace_of_product(word.blocks, norms))
+    shapes = {ab: _shape(spec, *ab) for ab in set(word.blocks)}
+    width = signed_width(_trace_of_product(
+        word.blocks, {ab: norms for ab, (_, _, norms) in shapes.items()}))
     # the factors' digit spans add up in the product: no packed integer
     # below is longer than the trace's
-    _check_budget(block, width * (1 + sum((hi[ab] - lo[ab]) // step
-                                          for ab in word.blocks)), "")
-    packed = {ab: [[pack_signed(t, lo[ab], width, step) if t else 0
-                    for t in row] for row in m] for ab, m in factors.items()}
-    digits = unpack_signed(_trace_of_product(word.blocks, packed), width)
-    base = sum(lo[ab] for ab in word.blocks)
+    _check_budget(block, width * (1 + sum((hi - lo) // step for lo, hi, _
+                                          in map(shapes.get, word.blocks))), "")
+    digits = unpack_signed(
+        _trace_of_product(word.blocks, _packed_factors(spec, shapes, width)), width)
+    base = sum(shapes[ab][0] for ab in word.blocks)
     return LaurentQ({base + step * k: d for k, d in digits.items()})
 
 
@@ -229,46 +226,111 @@ def _digits_at_least(block, word, step):
     return digits
 
 
-def _mat_mul(x, y):
-    zero = LaurentQ.zero()
-    cols = list(zip(*y))
-    return [[sum((s * t for s, t in zip(row, col) if s and t), zero)
-             for col in cols] for row in x]
+# A generator is one of A, A^-1, B, B^-1 as a triple (lo, terms, norms):
+# its lowest exponent, its rows of {exponent: int} and its rows of the
+# entries' l1 norms.
+
+def _generator(terms):
+    lo = min(min(t) for row in terms for t in row if t)
+    return lo, terms, tuple(tuple(sum(map(abs, t.values())) for t in row) for row in terms)
+
+
+@lru_cache(maxsize=None)
+def _generators(spec):
+    """(step, ({1: A, -1: A^-1}, {1: B, -1: B^-1})) of one block, once.
+
+    Each of A, B has all its exponents in one class modulo step, and so
+    then have A^-1, B^-1 and every factor A^x B^y.
+    """
+    block = build_block(spec)
+    a, b = (tuple(tuple(x._t for x in row) for row in m) for m in (block.upper, block.lower))
+    step = _support_step(*({e for row in m for t in row for e in t} for m in (a, b)))
+    return step, tuple({1: _generator(m), -1: _generator(_inverse(m))} for m in (a, b))
+
+
+def _inverse(m):
+    """The inverse of a triangular matrix of term dicts, by back
+    substitution; a lower triangular one through its transpose.  The
+    diagonal holds signed monomials, c q^e with c = +-1, so 1/m_ii =
+    c q^-e and the inverse keeps integer coefficients."""
+    size = len(m)
+    if any(m[i][j] for i in range(size) for j in range(i)):
+        return tuple(zip(*_inverse(tuple(zip(*m)))))
+    inv = [[{}] * size for _ in range(size)]
+    for j in range(size):
+        for i in range(j, -1, -1):
+            (e, c), = m[i][i].items()
+            inv[i][j] = {-e: c} if i == j else _accumulate(
+                (e1 + e2 - e, -c * c1 * c2) for k in range(i + 1, j + 1)
+                for e1, c1 in m[i][k].items() for e2, c2 in inv[k][j].items())
+    return tuple(map(tuple, inv))
+
+
+# bounded: every distinct exponent pair of every word adds an entry (the 19
+# catalog knots at r = 1..3 and 4_1 at r = 4 add 199 entries, 94 KB)
+@lru_cache(maxsize=1024)
+def _shape(spec, x, y):
+    """(lo, hi, norms) of the factor F = A^x B^y of one block: its lowest
+    and highest exponent and its entrywise l1 norms, as ints and tuples.
+
+    F is formed once on packed integers, at a width that bounds the
+    entries of |A^+-1|^|x| |B^+-1|^|y|, and unpacked once; its polynomials
+    are not kept.
+    """
+    step, gens = _generators(spec)
+    width = signed_width(max(chain(*_products(gens, {(x, y)}, lambda g: g[2])[x, y])))
+    packed = _products(gens, {(x, y)}, lambda g: _pack(g, width, step))[x, y]
+    digits = [[unpack_signed(v, width) if v else {} for v in row] for row in packed]
+    span = [k for row in digits for t in row for k in t]
+    base = _base(gens, x, y)
+    return (base + step * min(span), base + step * max(span),
+            tuple(tuple(sum(map(abs, t.values())) for t in row) for row in digits))
+
+
+def _packed_factors(spec, pairs, width):
+    """{(x, y): A^x B^y} over pairs, each packed at width (its entries at
+    q^step -> 2^(8 width), its lowest exponent shifted out): pack_signed of
+    every entry, integer for integer, formed by integer powers and
+    products of A^+-1 and B^+-1, packed once."""
+    step, gens = _generators(spec)
+    out = {}
+    for (x, y), m in _products(gens, pairs, lambda g: _pack(g, width, step)).items():
+        # F's lowest digits are zero in every entry: the shift is exact
+        bits = 8 * width * ((_shape(spec, x, y)[0] - _base(gens, x, y)) // step)
+        out[x, y] = [[v >> bits for v in row] for row in m]
+    return out
+
+
+def _pack(gen, width, step):
+    lo, terms, _ = gen
+    return [[pack_signed(t, lo, width, step) if t else 0 for t in row] for row in terms]
+
+
+def _base(gens, x, y):
+    """The exponent that every entry of the product of |x| copies of A^+-1
+    and |y| of B^+-1 is shifted by when packed."""
+    return sum(abs(n) * g[n // abs(n)][0] for g, n in zip(gens, (x, y)) if n)
+
+
+def _products(gens, pairs, matrix):
+    """{(x, y): M(A)^x M(B)^y} over pairs, M(g) = matrix(g) for each
+    generator g the pairs use, by integer powers and products."""
+    size = len(gens[0][1][1])
+    one = [[int(i == j) for j in range(size)] for i in range(size)]
+    caches = [{0: one, **{s: matrix(g[s]) for s in {(n > 0) - (n < 0) for n in ns} if s}}
+              for g, ns in zip(gens, zip(*pairs))]
+    return {(x, y): int_matmul(_power(caches[0], x), _power(caches[1], y)) for x, y in pairs}
 
 
 def _power(cache, n):
-    """m^n for the triangular m = cache[1], by squaring; cache keeps every
-    power formed, m^-1 and its powers under negative keys."""
+    """cache[sign n]^|n| by squaring; cache holds the identity at 0 and
+    keeps every power formed."""
     if n not in cache:
-        if n == 0:
-            one, zero = LaurentQ.one(), LaurentQ.zero()
-            size = len(cache[1])
-            cache[0] = [[one if i == j else zero for j in range(size)]
-                        for i in range(size)]
-        elif n == -1:
-            cache[-1] = _triangular_inverse(cache[1])
-        else:
-            unit = 1 if n > 0 else -1
-            half = _power(cache, unit * (abs(n) // 2))
-            square = _mat_mul(half, half)
-            cache[n] = _mat_mul(square, _power(cache, unit)) if n % 2 else square
+        unit = 1 if n > 0 else -1
+        half = _power(cache, unit * (abs(n) // 2))
+        square = int_matmul(half, half)
+        cache[n] = int_matmul(square, cache[unit]) if n % 2 else square
     return cache[n]
-
-
-def _triangular_inverse(m):
-    """Inverse of a triangular matrix with monomial diagonal."""
-    size = len(m)
-    if any(m[i][j] for i in range(size) for j in range(i)):
-        # lower triangular: the transpose of the upper inverse
-        return [list(col) for col in zip(*_triangular_inverse(list(zip(*m))))]
-    zero = LaurentQ.zero()
-    inv = [[zero] * size for _ in range(size)]
-    for j in range(size):
-        inv[j][j] = m[j][j] ** -1
-        for i in range(j - 1, -1, -1):
-            inv[i][j] = -sum((m[i][k] * inv[k][j] for k in range(i + 1, j + 1)),
-                             zero) * inv[i][i]
-    return inv
 
 
 def _trace_of_product(keys, mats):
@@ -279,9 +341,7 @@ def _trace_of_product(keys, mats):
         if len(ks) == 1:
             return mats[ks[0]]
         if ks not in memo:
-            cols = list(zip(*product(ks[len(ks) // 2:])))
-            memo[ks] = [[sum(map(mul, row, col)) for col in cols]
-                        for row in product(ks[:len(ks) // 2])]
+            memo[ks] = int_matmul(product(ks[:len(ks) // 2]), product(ks[len(ks) // 2:]))
         return memo[ks]
 
     if len(keys) == 1:

@@ -35,7 +35,8 @@ _NAIVE_MUL_CUTOFF = 1024
 
 
 class PolyParseError(ValueError):
-    """A string is not one signed _TERM after another, or has a zero denominator."""
+    """A string is not one signed _TERM after another, or has a zero
+    denominator or a number of more digits than int() reads."""
 
 
 class InexactDivision(ArithmeticError):
@@ -165,6 +166,12 @@ def unpack_signed(value, width):
     biased = map(int.from_bytes, [buf[i:i + width] for i in range(0, len(buf), width)],
                  repeat("little"))
     return {k: d - half for k, d in enumerate(biased) if d != half}
+
+
+def int_matmul(x, y):
+    """The product of two matrices (sequences of rows) of Python ints."""
+    cols = list(zip(*y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
 
 
 def _support_step(*dicts) -> int:
@@ -885,10 +892,15 @@ _TERM = re.compile(
 
 def _read_term(m):
     """((A-exponent, q-exponent in sixths), coefficient) of one _TERM match."""
+    # a term of thousands of digits is cut in the message
+    shown = m[0] if len(m[0]) <= 40 else m[0][:40] + "..."
     try:
         coeff = Fraction(m["coeff"] or 1)
         qexp = Fraction((m["qexp"] or "1").strip("()")) if m["q"] else 0
+        a = int(m["aexp"] or 1) if m["A"] else 0
     except ZeroDivisionError:
-        raise PolyParseError("zero denominator in term %r" % m[0]) from None
-    a = int(m["aexp"] or 1) if m["A"] else 0
+        raise PolyParseError("zero denominator in term %r" % shown) from None
+    except ValueError:
+        # int() refuses a string of more digits than sys.get_int_max_str_digits()
+        raise PolyParseError("too many digits in term %r" % shown) from None
     return (a, _lattice6(qexp)), -coeff if m["sign"].count("-") % 2 else coeff

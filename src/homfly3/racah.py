@@ -43,12 +43,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from operator import mul
 
 from .qpoly import (
     InexactDivision,
     LaurentQ,
     _support_step,
+    int_matmul,
     laurent_divexact,
     pack_signed,
     signed_width,
@@ -327,8 +327,7 @@ def _chain_product(chain, value, lows):
                 out = [[x * y for x, y in zip(row, d)] for row in out]
         else:
             m = [[value(x, lo) if x else 0 for x in row] for row in f]
-            out = m if out is None else [[sum(map(mul, row, col)) for col in zip(*m)]
-                                         for row in out]
+            out = m if out is None else int_matmul(out, m)
     return out
 
 

@@ -14,8 +14,8 @@ from homfly3.braid import (
     NonPolynomialResult,
     _block_trace,
     _digits_at_least,
-    _mat_mul,
-    _power,
+    _packed_factors,
+    _shape,
     _trace_of_product,
     antisymmetric_dual,
     character_coefficients,
@@ -464,6 +464,114 @@ def test_triangular_engine_is_the_recoupling_trace_on_the_grid(words, r):
         assert_engine_is_the_recoupling_trace(Braid3Word.parse(text), r)
 
 
+# ---------------------------------------------------------------------------
+# the factors A^x B^y formed in LaurentQ: the reference for the packed ones
+
+def _mat_mul(x, y):
+    zero = LaurentQ.zero()
+    cols = list(zip(*y))
+    return [[sum((s * t for s, t in zip(row, col) if s and t), zero)
+             for col in cols] for row in x]
+
+
+def _power(cache, n):
+    """m^n for the triangular m = cache[1], by squaring; cache keeps every
+    power formed, m^-1 and its powers under negative keys."""
+    if n not in cache:
+        if n == 0:
+            one, zero = LaurentQ.one(), LaurentQ.zero()
+            size = len(cache[1])
+            cache[0] = [[one if i == j else zero for j in range(size)]
+                        for i in range(size)]
+        elif n == -1:
+            cache[-1] = _triangular_inverse(cache[1])
+        else:
+            unit = 1 if n > 0 else -1
+            half = _power(cache, unit * (abs(n) // 2))
+            square = _mat_mul(half, half)
+            cache[n] = _mat_mul(square, _power(cache, unit)) if n % 2 else square
+    return cache[n]
+
+
+def _triangular_inverse(m):
+    """Inverse of a triangular matrix with monomial diagonal."""
+    size = len(m)
+    if any(m[i][j] for i in range(size) for j in range(i)):
+        # lower triangular: the transpose of the upper inverse
+        return [list(col) for col in zip(*_triangular_inverse(list(zip(*m))))]
+    zero = LaurentQ.zero()
+    inv = [[zero] * size for _ in range(size)]
+    for j in range(size):
+        inv[j][j] = m[j][j] ** -1
+        for i in range(j - 1, -1, -1):
+            inv[i][j] = -sum((m[i][k] * inv[k][j] for k in range(i + 1, j + 1)),
+                             zero) * inv[i][i]
+    return inv
+
+
+def reference_factor(block, x, y):
+    """A^x B^y of the block's triangular pair, formed in LaurentQ."""
+    return _mat_mul(_power({1: block.upper}, x), _power({1: block.lower}, y))
+
+
+def pair_step(block):
+    return _support_step(*({e for row in m for x in row for e in x.terms}
+                           for m in (block.upper, block.lower)))
+
+
+@pytest.mark.parametrize("r,examples", [(1, 40), (2, 30), (3, 20), (4, 10)])
+def test_packed_factors_are_the_reference_factors_packed(r, examples):
+    # every block of size > 1 at r = 4 includes [8,4], the one of size 5
+    blocks = [build_block(spec) for spec in cube_blocks(r) if spec.multiplicity > 1]
+    exps = st.integers(-4, 4)
+
+    @settings(max_examples=examples)
+    @given(st.lists(st.tuples(exps, exps), min_size=1, max_size=4), st.integers(0, 2))
+    @example([(0, 0), (0, -3), (-2, 0), (2, 2), (2, 2)], 0)
+    @example([(-4, -4), (4, -1)], 1)
+    def check(pairs, extra):
+        for block in blocks:
+            step = pair_step(block)
+            refs = {ab: reference_factor(block, *ab) for ab in pairs}
+            width = extra + max(signed_width(sum(map(abs, t.terms.values())))
+                                for f in refs.values() for row in f for t in row)
+            got = _packed_factors(block.spec, pairs, width)
+            for (x, y), f in refs.items():
+                exps = [e for row in f for t in row for e in t.terms]
+                norms = tuple(tuple(sum(map(abs, t.terms.values())) for t in row) for row in f)
+                assert _shape(block.spec, x, y) == (min(exps), max(exps), norms)
+                assert got[x, y] == [[pack_signed(t.terms, min(exps), width, step) if t else 0
+                                      for t in row] for row in f], (block.spec.Q, x, y)
+
+    check()
+
+
+def test_shapes_hold_only_ints_and_tuples():
+    def plain(v):
+        return type(v) is int or type(v) is tuple and all(map(plain, v))
+
+    for r in (1, 2, 3, 4):
+        for spec in cube_blocks(r):
+            if spec.multiplicity > 1:
+                for ab in ((0, 0), (3, -2), (-1, 4)):
+                    assert plain(_shape(spec, *ab)), (spec.Q, ab)
+                    assert _shape(spec, *ab) is _shape(spec, *ab)
+
+
+def test_warm_trace_makes_no_laurent_product(monkeypatch):
+    word = Braid3Word.parse("-2,1|3,3|-1,-3|0,2|-2,1")
+    first = {r: character_coefficients(word, r).coefficients for r in (1, 2, 3, 4)}
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        real = getattr(LaurentQ, name)
+        monkeypatch.setattr(LaurentQ, name,
+                            lambda self, other, real=real: calls.append(1) or real(self, other))
+    second = {r: character_coefficients(word, r).coefficients for r in (1, 2, 3, 4)}
+    monkeypatch.undo()
+    assert calls == []
+    assert second == first
+
+
 @pytest.mark.parametrize("r,examples", [(1, 30), (2, 20), (3, 15), (4, 5)])
 def test_budget_lower_bound_is_below_the_packed_size(r, examples):
     # the digit count refused before any power is formed never exceeds the
@@ -476,12 +584,10 @@ def test_budget_lower_bound_is_below_the_packed_size(r, examples):
     @example(Braid3Word.parse("-4,0|0,-4"))
     def check(word):
         for block in blocks:
-            step = _support_step(*({e for row in m for x in row for e in x.terms}
-                                   for m in (block.upper, block.lower)))
-            powers = ({1: block.upper}, {1: block.lower})
+            step = pair_step(block)
             digits = 1
             for x, y in word.blocks:
-                f = _mat_mul(_power(powers[0], x), _power(powers[1], y))
+                f = reference_factor(block, x, y)
                 exps = [e for row in f for t in row for e in t.terms]
                 digits += (max(exps) - min(exps)) // step
             assert _digits_at_least(block, word, step) <= digits

@@ -420,6 +420,12 @@ def test_parse_error_kinds():
     # character it cannot read, whatever else it holds
     with pytest.raises(PolyParseError, match="cannot read '\\^' at character 9"):
         LaurentQA.parse("q^(1/4) + q^+2")
+    # a coefficient, exponent or denominator past int()'s 4,300-digit limit
+    # is a parse error naming its term, cut to 40 characters
+    for text in ["1" * 5000 + "*q", "q^" + "9" * 5000, "A^" + "9" * 5000,
+                 "q^(1/" + "7" * 5000 + ")", "2 - 3/" + "4" * 5000 + "*A"]:
+        with pytest.raises(PolyParseError, match="too many digits in term '[^']{40}\\.\\.\\.'$"):
+            LaurentQA.parse(text)
 
 
 @st.composite
