@@ -35,6 +35,13 @@ of its digit count read off the exponents (three entries of A^a B^b are
 known in closed form), then on its exact size, read off the shapes,
 before the word's factors are packed.
 
+The extended polynomial sum_Q C_Q S_Q is assembled by power-sum
+monomial: with S_Q = sum_lam chi_Q(lam)/z_lam p_lam, the coefficient of
+p_lam is the integer character sum sum_Q chi_Q(lam) C_Q over the C_Q's
+terms, divided once by z_lam, an int where that is exact.  The characters
+are read once per color off symfun.schur_in_powersums, and no LaurentQ
+product is formed.
+
 The reduction divides sum_Q C_Q S_Q* by S_[r]* with the atoms of S_[r]*
 cancelled up front: each S_Q* already holds the content atoms of [r], and
 the common hook denominator the hooks of [r].  The numerator is one
@@ -58,6 +65,8 @@ from .qpoly import (
     LaurentQ,
     LaurentQA,
     _accumulate,
+    _div_coeff,
+    _new,
     _support_step,
     _to_dense,
     curly_atom_sum,
@@ -69,7 +78,7 @@ from .qpoly import (
 )
 from .young import YoungDiagram, cube_blocks
 from .racah import build_block
-from .symfun import PowerSumPoly, schur_in_powersums
+from .symfun import PowerSumPoly, schur_in_powersums, z_of
 
 __all__ = [
     "Braid3Word",
@@ -372,11 +381,33 @@ def extended_homfly(word, r):
 
 
 def expansion_polynomial(expansion):
-    """sum_Q C_Q * S_Q for an expansion from character_coefficients."""
-    acc = PowerSumPoly.zero()
-    for Q, c in expansion.coefficients.items():
-        acc = acc + c * schur_in_powersums(Q)
-    return acc
+    """sum_Q C_Q * S_Q for an expansion from character_coefficients.
+
+    With S_Q = sum_lam chi_Q(lam)/z_lam p_lam, the coefficient of p_lam is
+    (sum_Q chi_Q(lam) C_Q)/z_lam: one integer character sum over the C_Q's
+    term dicts, then one division by z_lam per term, which leaves an int
+    when it is exact and a Fraction only when it is not.
+    """
+    terms = {Q: c._t for Q, c in expansion.coefficients.items()}
+    out = {}
+    for lam, z, chars in _character_table(tuple(terms)):
+        acc = _accumulate((e, chi * c) for Q, chi in chars for e, c in terms[Q].items())
+        if acc:
+            out[lam] = _new(LaurentQ, {e: _div_coeff(c, z) for e, c in acc.items()})
+    return _new(PowerSumPoly, out)
+
+
+# bounded: one entry per tuple of diagrams, in practice one per color
+@lru_cache(maxsize=16)
+def _character_table(diagrams):
+    """((lam, z_lam, ((Q, chi_Q(lam)), ...)), ...) over every power-sum
+    monomial lam of the diagrams' Schur functions, lam ascending; chi_Q(lam)
+    is z_lam times the coefficient of p_lam in schur_in_powersums(Q)."""
+    chars = {}
+    for Q in diagrams:
+        for lam, c in schur_in_powersums(Q)._t.items():
+            chars.setdefault(lam, []).append((Q, int(c * z_of(lam))))
+    return tuple((lam, z_of(lam), tuple(qc)) for lam, qc in sorted(chars.items()))
 
 
 def _divide_curly_q(terms, hooks):

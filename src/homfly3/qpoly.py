@@ -576,12 +576,10 @@ def _strip_high(u):
 
 
 def _div_coeff(x, y):
-    """x / y, kept an int when both are ints and y divides x."""
-    if type(x) is int and type(y) is int:
-        q, r = divmod(x, y)
-        if not r:
-            return q
-    return Fraction(x) / y
+    """x / y: an int when it is integral, a Fraction only when it is not."""
+    if type(x) is int:
+        return x // y if not x % y else Fraction(x, y)
+    return _coeff(Fraction(x, y))
 
 
 def _dense_divmod(u, v):
@@ -663,19 +661,15 @@ def laurent_divexact(a: LaurentQ, b: LaurentQ) -> LaurentQ:
         return _LQ_ZERO
     if len(b._t) == 1:
         ((e, c),) = b._t.items()
-        return _new(LaurentQ, {ea - e: _coeff(_div_coeff(ca, c)) for ea, ca in a._t.items()})
+        return _new(LaurentQ, {ea - e: _div_coeff(ca, c) for ea, ca in a._t.items()})
     step = _support_step(a._t, b._t)
     amin, ua = _to_dense(a._t, step)
     bmin, ub = _to_dense(b._t, step)
     quot, rem = _dense_divmod(ua, ub)
     if rem:
         raise InexactDivision("polynomial division left a remainder")
-    out = {}
     base = amin - bmin
-    for i, c in enumerate(quot):
-        if c:
-            out[base + i * step] = _coeff(c)
-    return _new(LaurentQ, out)
+    return _new(LaurentQ, {base + i * step: c for i, c in enumerate(quot) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -750,8 +744,12 @@ class LaurentQA(_Sparse):
         while pos < len(text):
             m = _TERM.match(text, pos)
             if m is None:
+                # the text up to 20 characters past the fault, of which a
+                # long one keeps its last 40
+                shown = text[:pos + 20]
+                shown = shown if len(shown) <= 40 else "..." + shown[-40:]
                 raise PolyParseError("cannot read %r at character %d of %r"
-                                     % (text[pos], pos, text[:pos + 20]))
+                                     % (text[pos], pos, shown))
             terms.append(m)
             pos = m.end()
         return LaurentQA(_accumulate(map(_read_term, terms)))

@@ -277,7 +277,16 @@ def topological_locus(f: PowerSumPoly) -> FractionQA:
     num = curly_atom_sum(
         (p, [(0, v) for v in (den_mult - Counter(lam)).elements()] + [(v, 0) for v in lam])
         for lam, p in polys.items())
-    return FractionQA(LaurentQA(num), LaurentQA.from_q(curly_q_product(den_mult.elements())))
+    # curly_atom_sum's terms are canonical: int keys, nonzero coefficients,
+    # ints when integral
+    return FractionQA(_new(LaurentQA, num), _locus_denominator(tuple(sorted(den_mult.elements()))))
+
+
+# bounded: one entry per multiset of part values
+@lru_cache(maxsize=256)
+def _locus_denominator(values):
+    """prod {q^v} over the sorted part values, as a LaurentQA."""
+    return LaurentQA.from_q(curly_q_product(values))
 
 
 def _coefficient_terms(c):

@@ -20,6 +20,7 @@ from homfly3.braid import (
     antisymmetric_dual,
     character_coefficients,
     closure_components,
+    expansion_polynomial,
     extended_homfly,
     jones_polynomial,
     reduce_expansion,
@@ -40,7 +41,13 @@ from homfly3.qpoly import (
 )
 from homfly3.knotdb import KNOT_NAMES, braid_word
 from homfly3.racah import build_block
-from homfly3.symfun import adams, expand_in_schur, schur_in_powersums
+from homfly3.symfun import (
+    PowerSumPoly,
+    adams,
+    expand_in_schur,
+    schur_in_powersums,
+    topological_locus,
+)
 from homfly3.young import YoungDiagram, cube_blocks, hook_content_dimension, kappa
 
 UNKNOT_WORDS = ["1,1", "-1,-1", "1,-1", "-1,1", "1,1|-1,-1"]
@@ -368,6 +375,35 @@ def test_reduce_expansion_matches_slice_wise_reference(r, examples):
     check()
 
 
+def reference_expansion_polynomial(expansion):
+    """sum_Q C_Q * S_Q as written: a LaurentQ-by-Fraction product per
+    diagram and power-sum monomial, summed in Fractions."""
+    acc = PowerSumPoly.zero()
+    for Q, c in expansion.coefficients.items():
+        acc = acc + c * schur_in_powersums(Q)
+    return acc
+
+
+@pytest.mark.parametrize("r,examples", [(1, 8), (2, 5), (3, 3)])
+def test_expansion_polynomial_is_the_product_sum(r, examples):
+    @settings(max_examples=examples)
+    @given(knot_words(), st.booleans(), st.sampled_from((1, Fraction(-2, 3))))
+    @example(Braid3Word.parse("0,0"), False, 1)
+    @example(braid_word("4_1"), True, 1)
+    def check(word, zero, scale):
+        coeffs = {Q: c * scale for Q, c in character_coefficients(word, r).coefficients.items()}
+        if zero:  # a zero C_Q, at [3r]
+            coeffs[max(coeffs)] = LaurentQ.zero()
+        expansion = CharacterExpansion(r, coeffs)
+        got, want = expansion_polynomial(expansion), reference_expansion_polynomial(expansion)
+        assert got == want
+        assert got.render() == want.render()
+        assert all(type(x) is int or x.denominator > 1
+                   for c in got.terms.values() for x in c.terms.values())
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # the recoupling trace: the triangular engine's independent oracle
 
@@ -570,6 +606,20 @@ def test_warm_trace_makes_no_laurent_product(monkeypatch):
     monkeypatch.undo()
     assert calls == []
     assert second == first
+
+
+def test_warm_locus_of_the_extended_polynomial_makes_no_laurent_product(monkeypatch):
+    word = braid_word("8_19")
+    first = topological_locus(extended_homfly(word, 2))
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        real = getattr(LaurentQ, name)
+        monkeypatch.setattr(LaurentQ, name,
+                            lambda self, other, real=real: calls.append(1) or real(self, other))
+    second = topological_locus(extended_homfly(word, 2))
+    monkeypatch.undo()
+    assert calls == []
+    assert second.render() == first.render()
 
 
 @pytest.mark.parametrize("r,examples", [(1, 30), (2, 20), (3, 15), (4, 5)])

@@ -125,17 +125,17 @@ def test_runtime_imports_only_the_standard_library():
 
 
 def test_extended_text_is_pinned():
-    # compute --out extended for every catalog knot at r = 1..3, recorded
-    # before PowerSumPoly moved onto qpoly's shared operators
+    # compute --out extended for every catalog knot at r = 1..4, recorded
+    # while the extended polynomial was still summed as C_Q * S_Q products
     texts = []
     for name in KNOT_NAMES:
-        for r in (1, 2, 3):
+        for r in (1, 2, 3, 4):
             code, out, err = invoke("compute", "--knot", name, "--rep", str(r),
                                     "--out", "extended")
             assert (code, err) == (0, "")
             texts.append(out)
     assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
-        "0d4d109751c379797bf5011d3b6855b12542ccf1e5f7c1535b5a8bc50c41907f")
+        "00e39c1534dc7f8bc0a285bcbf8d97604b580e148e71e33e2889ac9743db6f0f")
 
 
 # a usage error, no mode, a braid word starting with '-', --out given twice

@@ -426,6 +426,13 @@ def test_parse_error_kinds():
                  "q^(1/" + "7" * 5000 + ")", "2 - 3/" + "4" * 5000 + "*A"]:
         with pytest.raises(PolyParseError, match="too many digits in term '[^']{40}\\.\\.\\.'$"):
             LaurentQA.parse(text)
+    # a fault far into a long string is quoted with at most the 40
+    # characters before and around it
+    for text in ["1" * 5000 + "^", "q+" * 3000 + "^"]:
+        with pytest.raises(PolyParseError, match="cannot read '[+^]' at character") as info:
+            LaurentQA.parse(text)
+        assert len(str(info.value)) < 100
+        assert str(info.value).endswith(repr("..." + text[-40:]))
 
 
 @st.composite
