@@ -18,7 +18,7 @@ once per block against the recoupling sum's mixing matrix
 (racah.certify_pair).  There is no mixing matrix, no radical and no
 division on the trace path.
 
-Per block, A, B, A^-1 and B^-1 are kept as integer term dicts (the
+Per block, A, B, A^-1 and B^-1 are kept as qpoly.laurent_matrix (the
 inverses by back substitution), and per block and exponent pair
 (x, y) the shape of the factor A^x B^y: its lowest and highest exponent
 and its entrywise l1 norms, ints and tuples only, read once from the
@@ -27,7 +27,7 @@ shapes: the trace of the product of the factors' l1-norm matrices bounds
 every digit of the trace.  A^+-1 and B^+-1 are packed once at that width
 (entries at q^step -> 2^(8 width), lowest exponent shifted out), each
 factor is formed by integer powers and products and shifted right by its
-own lowest exponent, which gives pack_signed of the factor, integer for
+own lowest exponent, which gives pack_matrix of the factor, integer for
 integer, and the trace of the integer product is unpacked once per
 block.  A trace whose packed integers would exceed TRACE_BYTES is refused
 with TraceTooLarge: first, before any power is formed, on a lower bound
@@ -71,7 +71,8 @@ from .qpoly import (
     _to_dense,
     curly_atom_sum,
     int_matmul,
-    pack_signed,
+    laurent_matrix,
+    pack_matrix,
     signed_width,
     substitute,
     unpack_signed,
@@ -235,18 +236,10 @@ def _digits_at_least(block, word, step):
     return digits
 
 
-# A generator is one of A, A^-1, B, B^-1 as a triple (lo, terms, norms):
-# its lowest exponent, its rows of {exponent: int} and its rows of the
-# entries' l1 norms.
-
-def _generator(terms):
-    lo = min(min(t) for row in terms for t in row if t)
-    return lo, terms, tuple(tuple(sum(map(abs, t.values())) for t in row) for row in terms)
-
-
 @lru_cache(maxsize=None)
 def _generators(spec):
-    """(step, ({1: A, -1: A^-1}, {1: B, -1: B^-1})) of one block, once.
+    """(step, ({1: A, -1: A^-1}, {1: B, -1: B^-1})) of one block, once,
+    each generator a qpoly.laurent_matrix.
 
     Each of A, B has all its exponents in one class modulo step, and so
     then have A^-1, B^-1 and every factor A^x B^y.
@@ -254,7 +247,7 @@ def _generators(spec):
     block = build_block(spec)
     a, b = (tuple(tuple(x._t for x in row) for row in m) for m in (block.upper, block.lower))
     step = _support_step(*({e for row in m for t in row for e in t} for m in (a, b)))
-    return step, tuple({1: _generator(m), -1: _generator(_inverse(m))} for m in (a, b))
+    return step, tuple({1: laurent_matrix(m), -1: laurent_matrix(_inverse(m))} for m in (a, b))
 
 
 def _inverse(m):
@@ -288,7 +281,7 @@ def _shape(spec, x, y):
     """
     step, gens = _generators(spec)
     width = signed_width(max(chain(*_products(gens, {(x, y)}, lambda g: g[2])[x, y])))
-    packed = _products(gens, {(x, y)}, lambda g: _pack(g, width, step))[x, y]
+    packed = _products(gens, {(x, y)}, lambda g: pack_matrix(g, width, step))[x, y]
     digits = [[unpack_signed(v, width) if v else {} for v in row] for row in packed]
     span = [k for row in digits for t in row for k in t]
     base = _base(gens, x, y)
@@ -298,21 +291,16 @@ def _shape(spec, x, y):
 
 def _packed_factors(spec, pairs, width):
     """{(x, y): A^x B^y} over pairs, each packed at width (its entries at
-    q^step -> 2^(8 width), its lowest exponent shifted out): pack_signed of
-    every entry, integer for integer, formed by integer powers and
+    q^step -> 2^(8 width), its lowest exponent shifted out): pack_matrix of
+    the factor, integer for integer, formed by integer powers and
     products of A^+-1 and B^+-1, packed once."""
     step, gens = _generators(spec)
     out = {}
-    for (x, y), m in _products(gens, pairs, lambda g: _pack(g, width, step)).items():
+    for (x, y), m in _products(gens, pairs, lambda g: pack_matrix(g, width, step)).items():
         # F's lowest digits are zero in every entry: the shift is exact
         bits = 8 * width * ((_shape(spec, x, y)[0] - _base(gens, x, y)) // step)
         out[x, y] = [[v >> bits for v in row] for row in m]
     return out
-
-
-def _pack(gen, width, step):
-    lo, terms, _ = gen
-    return [[pack_signed(t, lo, width, step) if t else 0 for t in row] for row in terms]
 
 
 def _base(gens, x, y):

@@ -150,28 +150,32 @@ def _check_rank(name, r):
 
 
 def _parse_fixture(name, r, text):
+    fname = "%s_r%d.txt" % (name, r)
     lines = text.splitlines()
     if len(lines) != 2:
-        raise TableIntegrityError(
-            "fixture %s_r%d.txt must have exactly two lines" % (name, r)
-        )
+        raise TableIntegrityError("fixture %s must have exactly two lines" % fname)
     head = lines[0].split()
     if len(head) != 3 or head[0] != name or head[1] != str(r):
         raise TableIntegrityError(
-            "fixture %s_r%d.txt has a malformed header line: %r"
-            % (name, r, lines[0])
-        )
-    if Braid3Word.parse(head[2]) != Braid3Word.parse(_WORDS[name]):
+            "fixture %s has a malformed header line: %r" % (fname, lines[0]))
+    if _read(Braid3Word.parse, head[2], fname) != Braid3Word.parse(_WORDS[name]):
         raise TableIntegrityError(
-            "fixture %s_r%d.txt carries braid word %r, catalog says %r"
-            % (name, r, head[2], _WORDS[name])
+            "fixture %s carries braid word %r, catalog says %r"
+            % (fname, head[2], _WORDS[name])
         )
-    poly = LaurentQA.parse(lines[1])
+    poly = _read(LaurentQA.parse, lines[1], fname)
     if poly.render() != lines[1]:
-        raise TableIntegrityError(
-            "fixture %s_r%d.txt is not in canonical form" % (name, r)
-        )
+        raise TableIntegrityError("fixture %s is not in canonical form" % fname)
     return poly
+
+
+def _read(parse, text, fname):
+    """parse(text), a fault in the text raised as TableIntegrityError
+    naming the fixture file."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise TableIntegrityError("fixture %s cannot be read: %s" % (fname, exc)) from exc
 
 
 @lru_cache(maxsize=None)
@@ -197,8 +201,8 @@ def printed(name, r):
         raise MissingFixture(
             "%s r=%r is not quarantined; use golden()" % (name, r)
         )
-    text = _read_table("%s_r%d.printed.txt" % (name, r))
-    return LaurentQA.parse(text.splitlines()[1])
+    fname = "%s_r%d.printed.txt" % (name, r)
+    return _read(LaurentQA.parse, _read_table(fname).splitlines()[1], fname)
 
 
 def braid_word(name):

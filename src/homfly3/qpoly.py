@@ -168,6 +168,21 @@ def unpack_signed(value, width):
     return {k: d - half for k, d in enumerate(biased) if d != half}
 
 
+def laurent_matrix(rows):
+    """(lo, rows, norms) of a matrix of term dicts {exponent: int}: its
+    lowest exponent, its rows and its rows of the entries' l1 norms, the
+    form pack_matrix packs."""
+    lo = min(min(t) for row in rows for t in row if t)
+    return lo, rows, tuple(tuple(sum(map(abs, t.values())) for t in row) for row in rows)
+
+
+def pack_matrix(m, width, step):
+    """pack_signed of every entry of the laurent_matrix m, its lowest
+    exponent shifted out (0 for a zero entry)."""
+    lo, rows, _ = m
+    return [[pack_signed(t, lo, width, step) if t else 0 for t in row] for row in rows]
+
+
 def int_matmul(x, y):
     """The product of two matrices (sequences of rows) of Python ints."""
     cols = list(zip(*y))

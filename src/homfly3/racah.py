@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import prod
 
 from .qpoly import (
@@ -50,7 +50,8 @@ from .qpoly import (
     _support_step,
     int_matmul,
     laurent_divexact,
-    pack_signed,
+    laurent_matrix,
+    pack_matrix,
     signed_width,
 )
 from .radext import (
@@ -276,59 +277,35 @@ def _mismatches(left, right):
     """The entries (i, j) where the products of two chains of factors differ.
 
     A factor is an n x n matrix (a sequence of rows) or a diagonal (a
-    sequence of n entries), every entry a LaurentQ.  Each factor is shifted
-    by its lowest exponent and evaluated once at q^step = 2^(8 width), step
-    the exponents' common step and width from the l1 bound of every entry
-    of both products, so that the evaluation is injective on both: the
-    products are compared as integers, aligned by their total shifts.
+    sequence of n entries), every entry a LaurentQ.  Each distinct factor
+    is made once into a qpoly.laurent_matrix, a diagonal as its diagonal
+    matrix, and packed once at q^step = 2^(8 width), step the exponents'
+    common step and width from the l1 bound of every entry of both
+    products, so that the evaluation is injective on both.  Both chains
+    are multiplied as integer matrices and compared entrywise, aligned by
+    their total shifts.
     """
-    chains = (left, right)
-    cells = [[list(f) if _diagonal(f) else [x for row in f for x in row]
-              for f in chain] for chain in chains]
-    lows = [[min(min(x._t) for x in fc if x) for fc in chain] for chain in cells]
-    step = _support_step(*({e for x in fc for e in x._t}
-                           for chain in cells for fc in chain)) or 1
-    norms = [_chain_product(chain, lambda x, lo: sum(map(abs, x._t.values())), ls)
-             for chain, ls in zip(chains, lows)]
-    width = signed_width(max(max(map(max, m)) for m in norms))
-    packed = {}
-
-    def pack(x, lo):
-        key = id(x), lo
-        if key not in packed:
-            packed[key] = pack_signed(x._t, lo, width, step)
-        return packed[key]
-
-    left, right = (_chain_product(chain, pack, ls) for chain, ls in zip(chains, lows))
-    shift, rest = divmod(sum(lows[0]) - sum(lows[1]), step)
-    n = len(left)
+    n = len(left[0])
+    mats = {}
+    for f in [*left, *right]:
+        if id(f) not in mats:
+            mats[id(f)] = laurent_matrix(
+                [[f[i]._t if i == j else {} for j in range(n)] for i in range(n)]
+                if isinstance(f[0], LaurentQ) else [[x._t for x in row] for row in f])
+    step = _support_step(*({e for row in m[1] for t in row for e in t}
+                           for m in mats.values())) or 1
+    chains = [[mats[id(f)] for f in c] for c in (left, right)]
+    width = signed_width(max(max(map(max, reduce(int_matmul, [m[2] for m in c])))
+                             for c in chains))
+    packed = {key: pack_matrix(m, width, step) for key, m in mats.items()}
+    left, right = (reduce(int_matmul, [packed[id(f)] for f in c]) for c in (left, right))
+    shift, rest = divmod(sum(m[0] for m in chains[0]) - sum(m[0] for m in chains[1]), step)
     if rest:
         return [(i, j) for i in range(n) for j in range(n) if left[i][j] or right[i][j]]
     bits = 8 * width * abs(shift)
     return [(i, j) for i in range(n) for j in range(n)
             if (left[i][j] << bits if shift > 0 else left[i][j])
             != (right[i][j] << bits if shift < 0 else right[i][j])]
-
-
-def _diagonal(factor):
-    return isinstance(factor[0], LaurentQ)
-
-
-def _chain_product(chain, value, lows):
-    """The product of a chain of factors, each entry x mapped to value(x, lo)
-    (0 for a zero entry), lo its factor's lowest exponent."""
-    out = None
-    for f, lo in zip(chain, lows):
-        if _diagonal(f):
-            d = [value(x, lo) if x else 0 for x in f]
-            if out is None:
-                out = [[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
-            else:
-                out = [[x * y for x, y in zip(row, d)] for row in out]
-        else:
-            m = [[value(x, lo) if x else 0 for x in row] for row in f]
-            out = m if out is None else int_matmul(out, m)
-    return out
 
 
 def racah_su2(N, p):

@@ -125,6 +125,16 @@ def test_parse_fixture_rejects_noncanonical_poly():
         knotdb._parse_fixture("3_1", 1, text)
 
 
+@pytest.mark.parametrize("text", [
+    "3_1 1 -1,-1|-1,-1\n-A^4 + A^^2\n",  # an unreadable polynomial
+    "3_1 1 -1,-1|-1,x\n-A^4\n",  # an unreadable braid word
+    "3_1 1 -1,-1|-1,-1\nq^(1/4)\n",  # an exponent off the 1/6 lattice
+])
+def test_parse_fixture_rejects_unreadable_fields(text):
+    with pytest.raises(TableIntegrityError, match="fixture 3_1_r1.txt cannot be read"):
+        knotdb._parse_fixture("3_1", 1, text)
+
+
 # ---------------------------------------------------------------------------
 # engine agreement spot-checks (the acceptance suite covers all 19 x 4)
 

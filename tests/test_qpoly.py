@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from homfly3 import qpoly
@@ -19,8 +19,11 @@ from homfly3.qpoly import (
     curly_q,
     laurent_divexact,
     laurent_gcd,
+    laurent_matrix,
+    pack_matrix,
     pack_signed,
     quantum_int,
+    signed_width,
     substitute,
     unpack_signed,
 )
@@ -285,6 +288,25 @@ def test_signed_digits_round_trip(case):
         # exponents on a step-6 lattice starting at -12 pack to the same value
         terms = {6 * k - 12: d for k, d in expect.items()}
         assert pack_signed(terms, -12, width, 6) == value
+
+
+@given(st.integers(1, 6), st.integers(-12, 12), st.integers(0, 1), st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(st.dictionaries(st.integers(0, 8), st.integers(-300, 300)
+                                                .filter(bool), max_size=4),
+                                min_size=n, max_size=n), min_size=1, max_size=3)))
+def test_packed_laurent_matrix_round_trips(step, shift, extra, digits):
+    assume(any(map(any, digits)))  # a lowest exponent needs one nonzero entry
+    rows = tuple(tuple({shift + step * k: c for k, c in t.items()} for t in row)
+                 for row in digits)
+    m = laurent_matrix(rows)
+    lo, terms, norms = m
+    assert lo == min(e for row in rows for t in row for e in t)
+    assert terms is rows
+    assert norms == tuple(tuple(sum(abs(c) for c in t.values()) for t in row) for row in rows)
+    width = extra + signed_width(max(abs(c) for row in rows for t in row for c in t.values()))
+    packed = pack_matrix(m, width, step)
+    assert [[{lo + step * k: d for k, d in unpack_signed(v, width).items()} for v in row]
+            for row in packed] == [list(row) for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@ triangular pairs they certify."""
 
 import hashlib
 import json
+from fractions import Fraction
+from functools import reduce
 from math import prod
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from homfly3 import racah, young
 from homfly3.qpoly import LaurentQ, quantum_int
@@ -266,6 +270,77 @@ def test_pair_certificate_rejects_the_wrong_root():
                 assert mat_mul(ab, a) == mat_mul(b, ab)
                 with pytest.raises(NotIntertwined, match="not the block's braiding"):
                     certify_pair(xi, a, b, block.rho, block.V, block.c)
+
+
+# ---------------------------------------------------------------------------
+# the certificates' chain comparison against schoolbook products
+
+def poly(lo, grain, terms):
+    """sum_k c q^((lo + grain k)/6) over terms {k: c}."""
+    return LaurentQ({lo + grain * k: c for k, c in terms.items()})
+
+
+@st.composite
+def factors(draw, n, diagonal=None, nonzero=False):
+    """An n x n matrix (rows of LaurentQ) or a diagonal (n LaurentQ), its
+    exponents on lo + grain Z: a factor's lowest exponent is free, so two
+    chains' total shifts may differ by a non-multiple of the common step."""
+    lo, grain = draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2, 3, 6)))
+    terms = st.dictionaries(st.integers(0, 3), st.integers(-3, 3).filter(bool),
+                            min_size=int(nonzero), max_size=3)
+    if diagonal is None:
+        diagonal = draw(st.booleans())
+    shape = [terms] * n if diagonal else [st.lists(terms, min_size=n, max_size=n)] * n
+    entries = draw(st.tuples(*shape))
+    # a factor needs one nonzero entry to have a lowest exponent
+    assume(any(entries) if diagonal else any(map(any, entries)))
+    if diagonal:
+        return tuple(poly(lo, grain, t) for t in entries)
+    return tuple(tuple(poly(lo, grain, t) for t in row) for row in entries)
+
+
+def schoolbook(chain):
+    return reduce(mat_mul, [diag(f) if isinstance(f[0], LaurentQ) else f for f in chain])
+
+
+def differing(a, b):
+    return [(i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x != b[i][j]]
+
+
+def chains(n):
+    return st.lists(factors(n), min_size=1, max_size=4).map(tuple)
+
+
+q6 = LaurentQ.monomial
+
+
+@settings(max_examples=25)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(chains(n), chains(n))))
+# a side of diagonals only, as certify_basis's c^2 I
+@example(((((q6(1, 2), q6(-1, 1)), (q6(3, 0), LaurentQ.zero())),
+           (q6(1, 2), q6(1, -1))), ((q6(1, 3), q6(2, 1)), (q6(1, -1), q6(1, 1)))))
+# total shifts 1/6 apart at a common step of 1/3: the products never agree
+@example(((((q6(1, Fraction(1, 6)), q6(1, Fraction(1, 2))),
+            (q6(-1, Fraction(1, 6)), q6(2, Fraction(5, 6)))),),
+          ((q6(1, 0), q6(1, Fraction(1, 3))),)))
+def test_mismatches_are_the_schoolbook_differences(pair):
+    left, right = pair
+    assert racah._mismatches(left, right) == differing(schoolbook(left), schoolbook(right))
+
+
+@settings(max_examples=15)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    factors(n, True, True), factors(n, False), factors(n, True, True),
+    st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-9, 9))))
+def test_mismatches_find_exactly_a_perturbed_entry(case):
+    d1, m, d2, i, j, e = case
+    product = schoolbook((d1, m, d2))
+    assume(any(x for row in product for x in row))
+    assert racah._mismatches((d1, m, d2), (product,)) == []
+    bumped = [list(row) for row in product]
+    bumped[i][j] = bumped[i][j] + LaurentQ({e: 1})
+    assume(any(x for row in bumped for x in row))
+    assert racah._mismatches((d1, m, d2), (bumped,)) == [(i, j)]
 
 
 # ---------------------------------------------------------------------------
