@@ -44,10 +44,12 @@ product is formed.
 
 The reduction divides sum_Q C_Q S_Q* by S_[r]* with the atoms of S_[r]*
 cancelled up front: each S_Q* already holds the content atoms of [r], and
-the common hook denominator the hooks of [r].  The numerator is one
-qpoly.curly_atom_sum, each C_Q times its remaining curly-bracket atoms
-on one packed integer, by shifts and subtractions; one exact division by
-the remaining pure-q denominator, one synthetic pass per atom, is left.
+the common hook denominator the hooks of [r].  What depends on the color
+alone, each C_Q's remaining curly-bracket atoms and the remaining hooks,
+is planned once per color.  One qpoly.curly_atom_quotient then forms each
+C_Q times its atoms on one packed integer, by shifts and subtractions,
+unpacks the sum once into one dense digit list per A-slice and divides
+each remaining {q^h} out there by one synthetic pass.
 """
 
 from __future__ import annotations
@@ -57,19 +59,19 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from math import gcd
 from operator import index, mul
 
 from .qpoly import (
     EXP_DEN,
+    InexactDivision,
     LaurentQ,
     LaurentQA,
     _accumulate,
     _div_coeff,
     _new,
     _support_step,
-    _to_dense,
-    curly_atom_sum,
+    atom_list,
+    curly_atom_quotient,
     int_matmul,
     laurent_matrix,
     pack_matrix,
@@ -398,35 +400,6 @@ def _character_table(diagrams):
     return tuple((lam, z_of(lam), tuple(qc)) for lam, qc in sorted(chars.items()))
 
 
-def _divide_curly_q(terms, hooks):
-    """Exact division of {(a, e): c} by prod_h {q^h}, one A-slice at a time.
-
-    On a slice's dense digits (X = q^step) each atom is q^-h (X^k - 1)
-    with k = 12 h / step: one synthetic-division pass, which must leave
-    the k lowest digits zero.
-    """
-    slices = {}
-    for (a, e), c in terms.items():
-        slices.setdefault(a, {})[e] = c
-    out = {}
-    for a, s in slices.items():
-        step = gcd(_support_step(s), *(2 * EXP_DEN * h for h in hooks)) or 1
-        lo, dense = _to_dense(s, step)
-        for h in hooks:
-            k = 2 * EXP_DEN * h // step
-            for i in range(len(dense) - 1, k - 1, -1):
-                dense[i - k] += dense[i]
-            if any(dense[:k]):
-                raise NonPolynomialResult(
-                    "quantum-dimension denominator does not divide the "
-                    "character sum (A-slice %d)" % a
-                )
-            del dense[:k]
-        lo += EXP_DEN * sum(hooks)
-        out.update(((a, lo + i * step), c) for i, c in enumerate(dense) if c)
-    return out
-
-
 def reduced_homfly(word, r):
     """Reduced polynomial of the closure of ``word`` in color [r]."""
     return reduce_expansion(character_coefficients(word, r), word.writhe)
@@ -445,29 +418,44 @@ def reduce_expansion(expansion, writhe):
         sum_Q C_Q * prod_{c in contents Q - contents [r]} {A q^c}
                   * prod_{h in common - hooks Q} {q^h}
 
-    is one qpoly.curly_atom_sum: packed once, each atom one shift and one
-    subtraction, unpacked once.  Its division by the remaining
-    denominator, prod {q^h} over h in common - hooks [r], must clear
-    exactly, otherwise NonPolynomialResult is raised (multi-component
-    closures genuinely do this; for knots it would signal a bug).
+    over the remaining prod {q^h}, h in common - hooks [r], both planned
+    once per color, is one qpoly.curly_atom_quotient: packed once, each
+    atom one shift and one subtraction, unpacked once into one dense digit
+    list per A-slice, each {q^h} divided out there by one synthetic pass.
+    A slice it does not divide exactly raises NonPolynomialResult
+    (multi-component closures genuinely do this; for knots it would signal
+    a bug).
     """
     r = expansion.r
-    color = YoungDiagram([r])
-    hooks = {Q: Counter(Q.hooks()) for Q in expansion.coefficients}
-    common = Counter()
-    for hq in hooks.values():
-        common |= hq
-    contents_r = Counter(color.contents())
-    numerator = curly_atom_sum(
-        (c._t, [(1, k) for k in (Counter(Q.contents()) - contents_r).elements()]
-         + [(0, h) for h in (common - hooks[Q]).elements()])
-        for Q, c in expansion.coefficients.items())
-    quotient = _divide_curly_q(
-        numerator, list((common - Counter(color.hooks())).elements()))
+    atoms, hooks = _reduction_plan(r, tuple(expansion.coefficients))
+    try:
+        quotient = curly_atom_quotient(
+            [(c._t, a) for c, a in zip(expansion.coefficients.values(), atoms)], hooks)
+    except InexactDivision as exc:
+        raise NonPolynomialResult("quantum-dimension denominator does not divide "
+                                  "the character sum (%s)" % exc) from None
 
     # framing A^(-r w) q^(-2r(r-1)w), a monomial: one shift
     da, de = -r * writhe, -2 * EXP_DEN * r * (r - 1) * writhe
-    return LaurentQA({(a + da, e + de): c for (a, e), c in quotient.items()})
+    return _new(LaurentQA, {(a + da, e + de): c for (a, e), c in quotient.items()})
+
+
+# bounded: one entry per tuple of diagrams, in practice one per color
+@lru_cache(maxsize=16)
+def _reduction_plan(r, diagrams):
+    """(atoms, hooks) of the reduction at color r: per diagram Q the
+    qpoly.atom_list of {A q^c}, c in contents Q - contents [r], and {q^h},
+    h in common - hooks Q; and the remaining hooks, common - hooks [r]."""
+    hooks = {Q: Counter(Q.hooks()) for Q in diagrams}
+    common = Counter()
+    for hq in hooks.values():
+        common |= hq
+    color = YoungDiagram([r])
+    contents_r = Counter(color.contents())
+    atoms = tuple(atom_list([(1, k) for k in (Counter(Q.contents()) - contents_r).elements()]
+                            + [(0, h) for h in (common - hooks[Q]).elements()])
+                  for Q in diagrams)
+    return atoms, tuple((common - Counter(color.hooks())).elements())
 
 
 def closure_components(word):

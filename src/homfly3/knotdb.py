@@ -149,8 +149,9 @@ def _check_rank(name, r):
         raise MissingFixture("%s r=%r (bundled fixtures cover r=1..4)" % (name, r))
 
 
-def _parse_fixture(name, r, text):
-    fname = "%s_r%d.txt" % (name, r)
+def _parse_fixture(name, r, text, kind=""):
+    """The polynomial of fixture <name>_r<r><kind>.txt, its format checked."""
+    fname = "%s_r%d%s.txt" % (name, r, kind)
     lines = text.splitlines()
     if len(lines) != 2:
         raise TableIntegrityError("fixture %s must have exactly two lines" % fname)
@@ -201,8 +202,7 @@ def printed(name, r):
         raise MissingFixture(
             "%s r=%r is not quarantined; use golden()" % (name, r)
         )
-    fname = "%s_r%d.printed.txt" % (name, r)
-    return _read(LaurentQA.parse, _read_table(fname).splitlines()[1], fname)
+    return _parse_fixture(name, r, _read_table("%s_r%d.printed.txt" % (name, r)), ".printed")
 
 
 def braid_word(name):

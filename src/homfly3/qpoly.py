@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import comb, gcd as _int_gcd, lcm
 from operator import index, mul
 
@@ -152,8 +152,9 @@ def pack_signed(terms, emin, width, step=1):
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def unpack_signed(value, width):
-    """Inverse of pack_signed: {digit index: nonzero digit} of value.
+def unpack_digits(value, width):
+    """Inverse of pack_signed: the list of value's signed digits, lowest
+    first.
 
     Half a digit's range is added to every slot first, so each slot of the
     biased integer holds its digit plus that half with no borrow between
@@ -165,7 +166,12 @@ def unpack_signed(value, width):
     buf = (value + bias).to_bytes(slots * width, "little")
     biased = map(int.from_bytes, [buf[i:i + width] for i in range(0, len(buf), width)],
                  repeat("little"))
-    return {k: d - half for k, d in enumerate(biased) if d != half}
+    return [d - half for d in biased]
+
+
+def unpack_signed(value, width):
+    """{digit index: nonzero digit} of value: unpack_digits, sparse."""
+    return {k: d for k, d in enumerate(unpack_digits(value, width)) if d}
 
 
 def laurent_matrix(rows):
@@ -176,11 +182,15 @@ def laurent_matrix(rows):
     return lo, rows, tuple(tuple(sum(map(abs, t.values())) for t in row) for row in rows)
 
 
-def pack_matrix(m, width, step):
-    """pack_signed of every entry of the laurent_matrix m, its lowest
-    exponent shifted out (0 for a zero entry)."""
+def pack_matrix(m, width, step, memo=None):
+    """pack_signed of every entry of the laurent_matrix m, lowest exponent
+    lo shifted out (0 for a zero entry); memo keeps each (entry, lo) once."""
     lo, rows, _ = m
-    return [[pack_signed(t, lo, width, step) if t else 0 for t in row] for row in rows]
+    memo = {} if memo is None else memo
+    for t in chain.from_iterable(rows):
+        if t and (id(t), lo) not in memo:
+            memo[id(t), lo] = pack_signed(t, lo, width, step)
+    return [[memo[id(t), lo] if t else 0 for t in row] for row in rows]
 
 
 def int_matmul(x, y):
@@ -199,14 +209,35 @@ def _support_step(*dicts) -> int:
     return g
 
 
+def atom_list(atoms):
+    """(atoms, alpha, lift, reach, bound) of atoms (alpha, beta), checked:
+    their tuple, sum of alphas, EXP_DEN times the sums of beta and |beta|,
+    and C(k, k // 2) for k atoms, all that curly_atom_quotient reads."""
+    atoms = tuple(atoms)
+    for alpha, beta in atoms:
+        if alpha < 0 or (alpha == 0 and beta <= 0):
+            raise ValueError("atom {A^%d q^%d} needs alpha > 0, or alpha = 0 "
+                             "and beta > 0" % (alpha, beta))
+    return (atoms, sum(alpha for alpha, _ in atoms), EXP_DEN * sum(beta for _, beta in atoms),
+            EXP_DEN * sum(abs(beta) for _, beta in atoms), comb(len(atoms), len(atoms) // 2))
+
+
 def curly_atom_sum(terms):
-    """sum_i p_i * prod_{(alpha, beta) in atoms_i} {A^alpha q^beta}, in Z.
+    """sum_i p_i * prod_{(alpha, beta) in atoms_i} {A^alpha q^beta}, in Z:
+    curly_atom_quotient of the pairs (p, atom_list(atoms)), with no hooks."""
+    return curly_atom_quotient([(p, atom_list(atoms)) for p, atoms in terms], ())
+
+
+def curly_atom_quotient(terms, hooks):
+    """sum_i p_i * prod_{(alpha, beta) in atoms_i} {A^alpha q^beta} over
+    prod_{h in hooks} {q^h}, in Z.
 
     ``terms`` holds pairs (p, atoms): p a term dict {q-exponent in sixths:
-    int or Fraction}, atoms a sequence of integer pairs (alpha, beta) with
-    alpha > 0, or alpha = 0 and beta > 0, each standing for the atom
-    {A^alpha q^beta} = A^alpha q^beta - A^-alpha q^-beta.  Returns the sum
-    as a term dict {(A-exponent, q-exponent in sixths): coefficient}.
+    int or Fraction}, atoms an atom_list of pairs (alpha, beta), each
+    standing for the atom {A^alpha q^beta} = A^alpha q^beta - A^-alpha
+    q^-beta; ``hooks`` holds positive integers.  Returns the quotient as a
+    term dict {(A-exponent, q-exponent in sixths): coefficient}; an inexact
+    division raises InexactDivision naming the A-slice.
 
     Every coefficient is scaled by L, the lcm of all denominators, and each
     L*p_i is packed once (pack_signed) in the bivariate Kronecker layout
@@ -215,55 +246,60 @@ def curly_atom_sum(terms):
 
     for the term A^a q^(e/6), where n is the largest sum of alphas, qlo
     (qhi) the lowest (highest) q-exponent any term can reach, step the gcd
-    of all q-exponent offsets and atom shifts, astep that of the A-offsets
-    and atom shifts, and qspan = (qhi - qlo) / step + 1.  With X = 2^(8 width)
-    per digit, an atom is the monomial A^-alpha q^-beta times X^s - 1 with
-    s = 2 alpha / astep * qspan + 12 beta / step > 0, so multiplying by it
-    is one shift and one subtraction.  A coefficient of a product of k
-    such binomials counts, with signs, the subsets of shifts with one sum,
-    at most C(k, k // 2) of them (Erdos's Littlewood-Offord bound, all
-    s >= 1), so no coefficient of the sum exceeds
+    of all q-exponent offsets, atom shifts and 12 h, astep that of the
+    A-offsets and atom shifts, and qspan = (qhi - qlo) / step + 1.  With X =
+    2^(8 width) per digit, an atom is the monomial A^-alpha q^-beta times
+    X^s - 1 with s = 2 alpha / astep * qspan + 12 beta / step > 0, so
+    multiplying by it is one shift and one subtraction.  A coefficient of a
+    product of k such binomials counts, with signs, the subsets of shifts
+    with one sum, at most C(k, k // 2) of them (Erdos's Littlewood-Offord
+    bound, all s >= 1), so no coefficient of the sum exceeds
     sum_i |L*p_i|_1 * C(k_i, k_i // 2), k_i = #atoms_i, and the width is
     taken from that bound.
-    The shifted terms are summed into one integer, unpacked once
-    (unpack_signed) and divided by L.
+    The shifted terms are summed into one integer and unpacked once
+    (unpack_digits), qspan digits per A-slice.  On a slice's digits each
+    {q^h} is q^-h (X^k - 1) with k = 12 h / step: one synthetic pass, which
+    must leave the k lowest digits zero.  The quotient is divided by L.
     """
-    terms = [(p, tuple(atoms)) for p, atoms in terms if p]
+    terms = [(p, atoms) for p, atoms in terms if p]
     if not terms:
         return {}
-    for _, atoms in terms:
-        for alpha, beta in atoms:
-            if alpha < 0 or (alpha == 0 and beta <= 0):
-                raise ValueError("atom {A^%d q^%d} needs alpha > 0, or alpha = 0 "
-                                 "and beta > 0" % (alpha, beta))
     scale = lcm(*(c.denominator for p, _ in terms for c in p.values()))
     polys = [{e: c.numerator * (scale // c.denominator) for e, c in p.items()}
              for p, _ in terms]
-    alphas = [sum(alpha for alpha, _ in atoms) for _, atoms in terms]
-    lifts = [EXP_DEN * sum(beta for _, beta in atoms) for _, atoms in terms]
-    reach = [EXP_DEN * sum(abs(beta) for _, beta in atoms) for _, atoms in terms]
+    atoms, alphas, lifts, reach, bounds = zip(*(a for _, a in terms))
     n = max(alphas)
     qlo = min(min(p) - r for p, r in zip(polys, reach))
     qhi = max(max(p) + r for p, r in zip(polys, reach))
-    step = _int_gcd(*(2 * EXP_DEN * abs(beta) for _, atoms in terms for _, beta in atoms),
+    step = _int_gcd(*(2 * EXP_DEN * abs(beta) for pairs in atoms for _, beta in pairs),
+                    *(2 * EXP_DEN * h for h in hooks),
                     *(e - lift - qlo for p, lift in zip(polys, lifts) for e in p)) or 1
-    astep = _int_gcd(*(2 * alpha for _, atoms in terms for alpha, _ in atoms),
+    astep = _int_gcd(*(2 * alpha for pairs in atoms for alpha, _ in pairs),
                      *(n - a for a in alphas)) or 1
     qspan = (qhi - qlo) // step + 1
-    width = signed_width(sum(sum(map(abs, p.values())) * comb(len(atoms), len(atoms) // 2)
-                             for p, (_, atoms) in zip(polys, terms)))
+    width = signed_width(sum(sum(map(abs, p.values())) * b for p, b in zip(polys, bounds)))
     bits = 8 * width
     total = 0
-    for p, (_, atoms), a, lift in zip(polys, terms, alphas, lifts):
+    for p, pairs, a, lift in zip(polys, atoms, alphas, lifts):
         x = pack_signed(p, qlo + lift, width, step)
-        for alpha, beta in atoms:
+        for alpha, beta in pairs:
             x = (x << ((2 * alpha // astep * qspan + 2 * EXP_DEN * beta // step) * bits)) - x
         total += x << ((n - a) // astep * qspan * bits)
+    digits = unpack_digits(total, width)
+    shifts = [2 * EXP_DEN * h // step for h in hooks]
+    lo = qlo + EXP_DEN * sum(hooks)
     out = {}
-    for k, d in unpack_signed(total, width).items():
-        a, j = divmod(k, qspan)
-        out[a * astep - n, qlo + j * step] = (
-            d // scale if d % scale == 0 else Fraction(d, scale))
+    for i in range(0, len(digits), qspan):
+        dense = digits[i:i + qspan]
+        a = i // qspan * astep - n
+        for k in shifts:
+            for j in range(len(dense) - 1, k - 1, -1):
+                dense[j - k] += dense[j]
+            if any(dense[:k]):
+                raise InexactDivision("A-slice %d" % a)
+            del dense[:k]
+        out.update(((a, lo + j * step), d // scale if d % scale == 0 else Fraction(d, scale))
+                   for j, d in enumerate(dense) if d)
     return out
 
 

@@ -279,11 +279,11 @@ def _mismatches(left, right):
     A factor is an n x n matrix (a sequence of rows) or a diagonal (a
     sequence of n entries), every entry a LaurentQ.  Each distinct factor
     is made once into a qpoly.laurent_matrix, a diagonal as its diagonal
-    matrix, and packed once at q^step = 2^(8 width), step the exponents'
-    common step and width from the l1 bound of every entry of both
-    products, so that the evaluation is injective on both.  Both chains
-    are multiplied as integer matrices and compared entrywise, aligned by
-    their total shifts.
+    matrix, and packed at q^step = 2^(8 width), each distinct entry once
+    per lowest exponent, step the exponents' common step and width from
+    the l1 bound of every entry of both products, so that the evaluation
+    is injective on both.  Both chains are multiplied as integer matrices
+    and compared entrywise, aligned by their total shifts.
     """
     n = len(left[0])
     mats = {}
@@ -297,7 +297,8 @@ def _mismatches(left, right):
     chains = [[mats[id(f)] for f in c] for c in (left, right)]
     width = signed_width(max(max(map(max, reduce(int_matmul, [m[2] for m in c])))
                              for c in chains))
-    packed = {key: pack_matrix(m, width, step) for key, m in mats.items()}
+    memo = {}
+    packed = {key: pack_matrix(m, width, step, memo) for key, m in mats.items()}
     left, right = (reduce(int_matmul, [packed[id(f)] for f in c]) for c in (left, right))
     shift, rest = divmod(sum(m[0] for m in chains[0]) - sum(m[0] for m in chains[1]), step)
     if rest:

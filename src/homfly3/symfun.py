@@ -265,8 +265,8 @@ def topological_locus(f: PowerSumPoly) -> FractionQA:
 
         sum_lam c_lam * prod_{v in lam} {A^v} * prod_{v missing} {q^v},
 
-    computed in Z on one packed integer by qpoly.curly_atom_sum, which
-    documents the layout and the width bound.
+    computed in Z on one packed integer by qpoly.curly_atom_sum; its kernel,
+    curly_atom_quotient, documents the layout and the width bound.
     """
     if not f._t:
         return FractionQA(LaurentQA.zero(), LaurentQA.one())

@@ -184,17 +184,22 @@ def cube_blocks(r: int):
 
     For Q = [l, m, n] (padded with zeros) the allowed j run from
     j_min = max(2r - l, n) to j_max = min(m, r, 2r - m); diagrams with an
-    empty range do not occur in the decomposition.
+    empty range do not occur.  The tuple is built once per color and shared.
     """
     if r not in SUPPORTED_R:
         raise ValueError("r = %r is outside the supported range %s" % (r, SUPPORTED_R))
+    return _cube_blocks(r)
+
+
+@lru_cache(maxsize=None)
+def _cube_blocks(r):
     out = []
     for (l, m, n) in _partitions_3rows(3 * r):
         j_min = max(2 * r - l, n, 0)
         j_max = min(m, r, 2 * r - m)
         if j_min <= j_max:
             out.append(BlockSpec(Q=YoungDiagram((l, m, n)), r=r, j_min=j_min, j_max=j_max))
-    return out
+    return tuple(out)
 
 
 class FractionQA:

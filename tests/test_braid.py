@@ -15,6 +15,7 @@ from homfly3.braid import (
     _block_trace,
     _digits_at_least,
     _packed_factors,
+    _reduction_plan,
     _shape,
     _trace_of_product,
     antisymmetric_dual,
@@ -350,7 +351,7 @@ scales = st.one_of(
 )
 
 
-@pytest.mark.parametrize("r,examples", [(1, 40), (2, 20), (3, 10)])
+@pytest.mark.parametrize("r,examples", [(1, 40), (2, 20), (3, 10), (4, 3)])
 def test_reduce_expansion_matches_slice_wise_reference(r, examples):
     @settings(max_examples=examples)
     @given(short_words(6), scales)
@@ -373,6 +374,31 @@ def test_reduce_expansion_matches_slice_wise_reference(r, examples):
         assert reduce_expansion(expansion, word.writhe).terms == want.terms
 
     check()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_three_component_closure_names_its_lowest_a_slice(r):
+    expansion = character_coefficients(Braid3Word.parse("1,1|1,1|1,1"), r)
+    with pytest.raises(NonPolynomialResult) as err:
+        reduce_expansion(expansion, 6)
+    assert str(err.value) == ("quantum-dimension denominator does not divide "
+                              "the character sum (A-slice %d)" % (-2 * r))
+
+
+def test_a_slice_that_divides_does_not_stop_the_one_that_does_not():
+    # at r = 1 the numerator of this two-component closure divides in
+    # A-slice -2 and not in A-slice 0: the error names slice 0
+    word = Braid3Word.parse("1,-1|-2,3")
+    assert closure_components(word) == 2
+    with pytest.raises(NonPolynomialResult, match=r"\(A-slice 0\)$"):
+        reduced_homfly(word, 1)
+
+
+def test_second_request_at_a_color_makes_no_new_plan():
+    reduced_homfly(braid_word("4_1"), 3)
+    misses = _reduction_plan.cache_info().misses
+    reduced_homfly(braid_word("5_2"), 3)
+    assert _reduction_plan.cache_info().misses == misses
 
 
 def reference_expansion_polynomial(expansion):

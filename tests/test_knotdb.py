@@ -135,6 +135,18 @@ def test_parse_fixture_rejects_unreadable_fields(text):
         knotdb._parse_fixture("3_1", 1, text)
 
 
+@pytest.mark.parametrize("text,match", [
+    ("8_7 4 -2,1|-1,4\n", "exactly two lines"),
+    ("3_1 9 x\n-A^4\n", "malformed header"),
+    ("8_7 4 -2,1|-1,4\nA^2*q^2 - A^4 + A^2*q^-2\n", "canonical"),
+], ids=["one-line", "wrong-header", "non-canonical"])
+def test_printed_fixture_gets_the_golden_checks(monkeypatch, text, match):
+    monkeypatch.setattr(knotdb, "_read_table", lambda fname: text)
+    knotdb.printed.cache_clear()
+    with pytest.raises(TableIntegrityError, match="fixture 8_7_r4.printed.txt .*" + match):
+        printed("8_7", 4)
+
+
 # ---------------------------------------------------------------------------
 # engine agreement spot-checks (the acceptance suite covers all 19 x 4)
 

@@ -245,6 +245,14 @@ def test_curly_atom_sum_refuses_a_nonpositive_shift():
     assert qpoly.curly_atom_sum([({0: 1}, [(1, -2)])]) == {(1, -12): 1, (-1, 12): -1}
 
 
+def test_curly_atom_quotient_names_the_first_slice_that_does_not_divide():
+    # (A - A^-1) {q} + 1: {q} divides A-slices -1 and 1, not A-slice 0
+    terms = [({6: 1, -6: -1}, qpoly.atom_list([(1, 0)])), ({0: 1}, qpoly.atom_list([]))]
+    assert qpoly.curly_atom_quotient(terms[:1], (1,)) == {(1, 0): 1, (-1, 0): -1}
+    with pytest.raises(InexactDivision, match="^A-slice 0$"):
+        qpoly.curly_atom_quotient(terms, (1,))
+
+
 @pytest.mark.parametrize("k", range(9))
 @pytest.mark.parametrize("atom", [(0, 1), (1, 0), (1, -2)])
 def test_curly_atom_sum_width_at_the_littlewood_offord_bound(k, atom):
