@@ -19,21 +19,22 @@ once per block against the recoupling sum's mixing matrix
 division on the trace path.
 
 Per block, A, B, A^-1 and B^-1 are kept as qpoly.laurent_matrix (the
-inverses by back substitution), and per block and exponent pair
-(x, y) the shape of the factor A^x B^y: its lowest and highest exponent
-and its entrywise l1 norms, ints and tuples only, read once from the
-factor formed on packed integers.  Per word, the width comes from the
-shapes: the trace of the product of the factors' l1-norm matrices bounds
-every digit of the trace.  A^+-1 and B^+-1 are packed once at that width
-(entries at q^step -> 2^(8 width), lowest exponent shifted out), each
-factor is formed by integer powers and products and shifted right by its
-own lowest exponent, which gives pack_matrix of the factor, integer for
-integer, and the trace of the integer product is unpacked once per
-block.  A trace whose packed integers would exceed TRACE_BYTES is refused
-with TraceTooLarge: first, before any power is formed, on a lower bound
-of its digit count read off the exponents (three entries of A^a B^b are
-known in closed form), then on its exact size, read off the shapes,
-before the word's factors are packed.
+inverses by back substitution), the only block state the trace reads,
+and per block and exponent pair (x, y) the shape of the factor A^x B^y:
+its lowest and highest exponent and its entrywise l1 norms, ints and
+tuples only, read once from the factor formed on packed integers.  Per
+word, the width comes from the shapes: the trace of the product of the
+factors' l1-norm matrices bounds every digit of the trace.  A^+-1 and
+B^+-1 are packed once at that width (entries at q^step -> 2^(8 width),
+lowest exponent shifted out), each factor is formed by integer powers
+and products and shifted right by its own lowest exponent, which gives
+pack_matrix of the factor, integer for integer, and the trace of the
+integer product is unpacked once per block.  A trace whose packed
+integers would exceed TRACE_BYTES is refused with TraceTooLarge: first,
+before any power is formed, on a lower bound of its digit count read off
+the exponents (three entries of A^a B^b are known in closed form), then
+on its exact size, read off the shapes, before the word's factors are
+packed.
 
 The extended polynomial sum_Q C_Q S_Q is assembled by power-sum
 monomial: with S_Q = sum_lam chi_Q(lam)/z_lam p_lam, the coefficient of
@@ -180,38 +181,38 @@ class CharacterExpansion:
 # --------------------------------------------------------------------------
 # radical-free trace engine
 
-def _block_trace(block, word):
+def _block_trace(spec, word):
     """C_Q for one block: Tr prod_i A^{a_i} B^{b_i} of its triangular pair."""
-    xi = block.eigenvalues
-    if len(xi) == 1:
-        return xi[0] ** word.writhe
-    spec = block.spec
-    step = _generators(spec)[0]
-    _check_budget(block, _digits_at_least(block, word, step), " or more")
+    step, gens = _generators(spec)
+    if len(gens[0][1][1]) == 1:
+        # xi^w for the eigenvalue xi = c q^e, c = +-1
+        ((e, c),) = gens[0][1][1][0][0].items()
+        return _new(LaurentQ, {e * word.writhe: c if word.writhe % 2 else 1})
+    _check_budget(spec, _digits_at_least(spec, word), " or more")
     shapes = {ab: _shape(spec, *ab) for ab in set(word.blocks)}
     width = signed_width(_trace_of_product(
         word.blocks, {ab: norms for ab, (_, _, norms) in shapes.items()}))
     # the factors' digit spans add up in the product: no packed integer
     # below is longer than the trace's
-    _check_budget(block, width * (1 + sum((hi - lo) // step for lo, hi, _
+    _check_budget(spec, width * (1 + sum((hi - lo) // step for lo, hi, _
                                           in map(shapes.get, word.blocks))), "")
     digits = unpack_signed(
         _trace_of_product(word.blocks, _packed_factors(spec, shapes, width)), width)
     base = sum(shapes[ab][0] for ab in word.blocks)
-    return LaurentQ({base + step * k: d for k, d in digits.items()})
+    return _new(LaurentQ, {base + step * k: d for k, d in digits.items()})
 
 
-def _check_budget(block, nbytes, qualifier):
+def _check_budget(spec, nbytes, qualifier):
     if nbytes > TRACE_BYTES:
         # a size past 2^64 is named by its bit length: str() of an int is
         # itself refused past 4,300 digits
         size = ("%d bytes%s" % (nbytes, qualifier) if nbytes < 1 << 64
                 else "over 2^%d bytes" % (nbytes.bit_length() - 1))
         raise TraceTooLarge("block %s: the packed trace needs %s, over the budget of %d"
-                            % (block.spec.Q, size, TRACE_BYTES))
+                            % (spec.Q, size, TRACE_BYTES))
 
 
-def _digits_at_least(block, word, step):
+def _digits_at_least(spec, word):
     """A lower bound on the packed trace's digit count, before any power.
 
     Three entries of each factor F = A^x B^y (indices 1..d) are known in
@@ -220,9 +221,10 @@ def _digits_at_least(block, word, step):
     h_n(u, v) = (u^n - v^n)/(u - v) has |n| terms of distinct exponents.
     Their extreme exponents bound the factor's span from below.
     """
-    e = [next(iter(x._t)) for x in block.eigenvalues]
-    corners = ((block.upper[-2][-1]._t, e[-2], e[-1]),
-               (block.lower[-1][-2]._t, e[1], e[0]))
+    step, gens = _generators(spec)
+    a, b = (g[1][1] for g in gens)
+    e = [next(iter(a[i][i])) for i in range(len(a))]
+    corners = ((a[-2][-1], e[-2], e[-1]), (b[-1][-2], e[1], e[0]))
     digits = 1
     for x, y in word.blocks:
         known = [x * e[-1] + y * e[0]]
@@ -241,7 +243,7 @@ def _digits_at_least(block, word, step):
 @lru_cache(maxsize=None)
 def _generators(spec):
     """(step, ({1: A, -1: A^-1}, {1: B, -1: B^-1})) of one block, once,
-    each generator a qpoly.laurent_matrix.
+    each generator a qpoly.laurent_matrix, A's diagonal the eigenvalues.
 
     Each of A, B has all its exponents in one class modulo step, and so
     then have A^-1, B^-1 and every factor A^x B^y.
@@ -356,10 +358,8 @@ def character_coefficients(word, r):
     Each coefficient is certified radical-free with unit denominator; the
     result is a plain Laurent polynomial per diagram Q.
     """
-    coeffs = {}
-    for spec in cube_blocks(r):
-        coeffs[spec.Q] = _block_trace(build_block(spec), word)
-    return CharacterExpansion(r=r, coefficients=coeffs)
+    return CharacterExpansion(r=r, coefficients={
+        spec.Q: _block_trace(spec, word) for spec in cube_blocks(r)})
 
 
 # --------------------------------------------------------------------------

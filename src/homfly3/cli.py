@@ -251,7 +251,7 @@ def _cmd_compute(args, err):
 
 
 def _cmd_verify(args, err):
-    names = knotdb.KNOT_NAMES if args.knot is None else args.knot
+    names = knotdb.KNOT_NAMES if args.knot is None else dict.fromkeys(args.knot)  # once each
     words = [(name, _knot_word(name)) for name in names]
     ranks = _parse_rep_range(args.rep) if args.rep else knotdb.GOLDEN_RANKS
 

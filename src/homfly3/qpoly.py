@@ -112,6 +112,9 @@ def _mul_naive(a, b):
         for e2, c2 in b.items():
             k = e1 + e2
             out[k] = out.get(k, 0) + c1 * c2
+    if any(isinstance(c, Fraction) for c in chain(a.values(), b.values())):
+        # an integral Fraction becomes an int, as in the packed product
+        return {e: _coeff(c) for e, c in out.items() if c}
     return {e: c for e, c in out.items() if c}
 
 
@@ -264,8 +267,9 @@ def curly_atom_quotient(terms, hooks):
     terms = [(p, atoms) for p, atoms in terms if p]
     if not terms:
         return {}
-    scale = lcm(*(c.denominator for p, _ in terms for c in p.values()))
-    polys = [{e: c.numerator * (scale // c.denominator) for e, c in p.items()}
+    dens = [c.denominator for p, _ in terms for c in p.values() if type(c) is not int]
+    scale = lcm(*dens)
+    polys = [{e: c.numerator * (scale // c.denominator) for e, c in p.items()} if dens else p
              for p, _ in terms]
     atoms, alphas, lifts, reach, bounds = zip(*(a for _, a in terms))
     n = max(alphas)

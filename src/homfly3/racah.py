@@ -1,12 +1,11 @@
-"""Diagonal twist blocks and orthogonal mixing matrices for 3-strand closures.
+"""Twist eigenvalues, mixing matrices and triangular pairs for 3-strand closures.
 
-Every irreducible block of the 3-strand transfer algebra is described by a
-pair (R, U): R is diagonal and holds the signed twist eigenvalues
-xi_j = (-1)^j q^{kappa}, and U is the orthogonal change of basis between the
-two fusion channels.  U is handed out as the integer Laurent triple
-(rho, V, c) with U = S (V/c) S and S = diag(sqrt(rho_j)); it certifies the
-pair that the trace of :mod:`homfly3.braid` reads (below).  Two
-constructions produce it, both in the factored quantum numbers of
+Every irreducible block of the 3-strand transfer algebra has signed twist
+eigenvalues xi_j = (-1)^j q^{kappa} and an orthogonal change of basis U
+between the two fusion channels.  U is handed out as the integer Laurent
+triple (rho, V, c) with U = S (V/c) S and S = diag(sqrt(rho_j)); it
+certifies the pair that the trace of :mod:`homfly3.braid` reads (below).
+Two constructions produce it, both in the factored quantum numbers of
 :mod:`homfly3.radext`:
 
 - ``twisted_basis``: the recoupling sum for three equal spins (the q-6j
@@ -31,10 +30,11 @@ Tuba and Wenzl (Pacific J. Math. 197, 2001), A upper triangular with
 diagonal xi_1..xi_d and B lower triangular, B = J A J up to a diagonal
 dressing (J the reversal), every entry a Laurent polynomial in the
 eigenvalues and one root of their product.  ``certify_pair`` certifies
-the pair once per block against the recoupling triple: ABA = BAB exactly,
-and an exact intertwiner with (diag(xi), S U R U^T S^-1), so a wrong root
-or a wrong entry fails loudly.  ``build_block`` caches the certified
-block.
+the pair once per block against the recoupling triple: ABA = BAB
+exactly, and an exact intertwiner with (diag(xi), S U diag(xi) U^T
+S^-1), so a wrong root or a wrong entry fails loudly.  ``build_block``
+caches the certified block: its eigenvalues and its pair, nothing of the
+triple.
 """
 
 from __future__ import annotations
@@ -701,40 +701,23 @@ class MixingBlock:
     """One irreducible block of the 3-strand transfer algebra.
 
     ``eigenvalues`` are the signed twist monomials xi_j in j-ascending
-    order; ``R`` is the same data viewed as the diagonal of the twist
-    matrix.  ``rho``, ``V`` and ``c`` are the certified mixing matrix U as
-    the triple of :func:`twisted_basis`, U = S (V/c) S.  ``upper`` and
-    ``lower`` are sigma_1 and sigma_2 as the certified triangular pair of
-    :func:`triangular_pair` (both (xi,) at size 1): the trace engine reads
-    only these.
+    order; ``upper`` and ``lower`` are sigma_1 and sigma_2 as the
+    certified triangular pair of :func:`triangular_pair` (both (xi,) at
+    size 1).  The mixing triple that certified the pair is
+    ``twisted_basis(len(eigenvalues), spec.p)``.
     """
 
     spec: BlockSpec
     eigenvalues: tuple
-    rho: tuple
-    V: tuple
-    c: LaurentQ
     upper: tuple
     lower: tuple
-
-    @property
-    def R(self):
-        zero = LaurentQ.zero()
-        n = len(self.eigenvalues)
-        return tuple(
-            tuple(self.eigenvalues[i] if i == j else zero for j in range(n))
-            for i in range(n)
-        )
-
-    @property
-    def size(self):
-        return len(self.eigenvalues)
 
 
 @lru_cache(maxsize=None)
 def build_block(spec):
-    """Twist eigenvalues, mixing triple and certified triangular pair of one
-    young.cube_blocks block, built and certified once per block."""
+    """Twist eigenvalues and certified triangular pair of one
+    young.cube_blocks block, built once per block; each pair of size >= 2
+    is certified against twisted_basis."""
     size = spec.multiplicity
     if size > MAX_SIZE:
         raise UnsupportedMultiplicity(
@@ -746,10 +729,7 @@ def build_block(spec):
         for j in range(spec.j_min, spec.j_max + 1)
     )
     if size == 1:
-        one = LaurentQ.one()
-        return MixingBlock(spec, eigenvalues, (one,), ((one,),), one,
-                           (eigenvalues,), (eigenvalues,))
-    basis = twisted_basis(size, spec.p)
+        return MixingBlock(spec, eigenvalues, (eigenvalues,), (eigenvalues,))
     pair = triangular_pair(eigenvalues)
-    certify_pair(eigenvalues, *pair, *basis)
-    return MixingBlock(spec, eigenvalues, *basis, *pair)
+    certify_pair(eigenvalues, *pair, *twisted_basis(size, spec.p))
+    return MixingBlock(spec, eigenvalues, *pair)

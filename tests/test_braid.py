@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from homfly3 import braid
 from homfly3.braid import (
     Braid3Word,
     CharacterExpansion,
@@ -41,7 +42,7 @@ from homfly3.qpoly import (
     unpack_signed,
 )
 from homfly3.knotdb import KNOT_NAMES, braid_word
-from homfly3.racah import build_block
+from homfly3.racah import build_block, twisted_basis
 from homfly3.symfun import (
     PowerSumPoly,
     adams,
@@ -220,12 +221,12 @@ def reference_coefficients(word, r):
     """C_Q with every factor D_a V D_b V^T built entry by entry by products."""
     out = {}
     for spec in cube_blocks(r):
-        block = build_block(spec)
-        xi, rho, v, c = block.eigenvalues, block.rho, block.V, block.c
+        xi = build_block(spec).eigenvalues
         n = len(xi)
         if n == 1:
             out[spec.Q] = xi[0] ** word.writhe
             continue
+        rho, v, c = twisted_basis(n, spec.p)
         acc = None
         for a, b in word.blocks:
             da = [rho[j] * xi[j] ** a for j in range(n)]
@@ -467,7 +468,8 @@ def recoupling_trace(block, word):
     size = len(xi)
     if size == 1:
         return xi[0] ** word.writhe
-    products = _recoupling_products(block.rho, block.V)
+    rho, v, c = twisted_basis(size, block.spec.p)
+    products = _recoupling_products(rho, v)
     # xi_j = sign_j q^(e_j / 6), so xi_j^x = sign_j^x q^(x e_j / 6)
     monos = [next(iter(x.terms.items())) for x in xi]
     factors = {}
@@ -487,13 +489,13 @@ def recoupling_trace(block, word):
     digits = unpack_signed(_trace_of_product(word.blocks, packed), width)
     base = sum(lo[ab] for ab in word.blocks)
     trace = LaurentQ({base + step * k: d for k, d in digits.items()})
-    return laurent_divexact(trace, block.c ** (2 * len(word.blocks)))
+    return laurent_divexact(trace, c ** (2 * len(word.blocks)))
 
 
 def assert_engine_is_the_recoupling_trace(word, r):
     for spec in cube_blocks(r):
         block = build_block(spec)
-        got, want = _block_trace(block, word), recoupling_trace(block, word)
+        got, want = _block_trace(spec, word), recoupling_trace(block, word)
         assert got.terms == want.terms, (word.render(), r, spec.Q)
         assert all(type(x) is int for x in got.terms.values())
 
@@ -634,6 +636,26 @@ def test_warm_trace_makes_no_laurent_product(monkeypatch):
     assert second == first
 
 
+def test_warm_trace_reads_only_the_generators(monkeypatch):
+    # build_block runs on a _generators miss only; a warm request reads no
+    # block record, and a size-1 trace at negative writhe keeps int signs
+    word = Braid3Word.parse("-1,-1|-1,-1|0,-1")
+    first = {r: character_coefficients(word, r).coefficients for r in (1, 2, 3, 4)}
+    calls = []
+    monkeypatch.setattr(braid, "build_block", lambda spec: calls.append(spec))
+    second = {r: character_coefficients(word, r).coefficients for r in (1, 2, 3, 4)}
+    monkeypatch.undo()
+    assert calls == []
+    assert second == first
+    for r, coeffs in first.items():
+        for spec in cube_blocks(r):
+            c = coeffs[spec.Q]
+            assert all(type(x) is int for x in c.terms.values()), spec.Q
+            (xi, *rest) = build_block(spec).eigenvalues
+            if not rest:
+                assert c.terms == (xi ** word.writhe).terms, spec.Q
+
+
 def test_warm_locus_of_the_extended_polynomial_makes_no_laurent_product(monkeypatch):
     word = braid_word("8_19")
     first = topological_locus(extended_homfly(word, 2))
@@ -666,6 +688,6 @@ def test_budget_lower_bound_is_below_the_packed_size(r, examples):
                 f = reference_factor(block, x, y)
                 exps = [e for row in f for t in row for e in t.terms]
                 digits += (max(exps) - min(exps)) // step
-            assert _digits_at_least(block, word, step) <= digits
+            assert _digits_at_least(block.spec, word) <= digits
 
     check()

@@ -344,6 +344,18 @@ def test_verify_json_single_pair():
     assert payload["results"][0] == {"knot": "3_1", "r": 1, "pass": True}
 
 
+def test_verify_checks_a_repeated_knot_once():
+    argv = ("verify", "--knot", "4_1", "--knot", "3_1", "--knot", "4_1", "--rep", "1,1")
+    code, out, _ = invoke(*argv)
+    assert code == 0
+    assert out == "4_1 r=1: PASS\n3_1 r=1: PASS\n2/2 pass\n"
+    code, out, _ = invoke(*argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["passed"], payload["total"]) == (2, 2)
+    assert [(x["knot"], x["r"]) for x in payload["results"]] == [("4_1", 1), ("3_1", 1)]
+
+
 # ---------------------------------------------------------------------------
 # table
 

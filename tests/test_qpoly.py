@@ -2,10 +2,11 @@
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from homfly3 import qpoly
@@ -184,6 +185,18 @@ def test_packed_power_matches_repeated_multiplication(p, n):
     assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
 
 
+@given(power_bases, power_bases)
+@example(LaurentQ({1: Fraction(1, 2), 0: 1}), LaurentQ({1: Fraction(1, 2), 0: 1}))
+def test_small_products_hold_int_coefficients_where_integral(a, b):
+    # the schoolbook product normalizes as the packed product and ** do
+    assert len(a.terms) * len(b.terms) <= qpoly._NAIVE_MUL_CUTOFF
+    got = a * b
+    assert got.terms == schoolbook(a.terms, b.terms)
+    qa = LaurentQA.from_q(a) * LaurentQA.from_q(b)
+    for c in chain(got.terms.values(), qa.terms.values()):
+        assert type(c) is int or c.denominator != 1
+
+
 # (A, q) keys: negative A-exponents, q-exponents in sixths on the whole
 # lattice or on a coarser step of it (integral q-powers are step 6)
 @st.composite
@@ -251,6 +264,21 @@ def test_curly_atom_quotient_names_the_first_slice_that_does_not_divide():
     assert qpoly.curly_atom_quotient(terms[:1], (1,)) == {(1, 0): 1, (-1, 0): -1}
     with pytest.raises(InexactDivision, match="^A-slice 0$"):
         qpoly.curly_atom_quotient(terms, (1,))
+
+
+def test_curly_atom_quotient_takes_ints_as_they_come_and_scales_fractions():
+    # c {q} {A} / {q} = c {A}: all-int term dicts are packed untouched; an
+    # integral Fraction (as in symfun.schur_in_powersums([1])) or a proper
+    # one goes through the lcm, and the quotient holds ints where integral
+    atoms = qpoly.atom_list([(1, 0)])
+    p = {6: 3, -6: -3}
+    assert qpoly.curly_atom_quotient([(p, atoms)], (1,)) == {(1, 0): 3, (-1, 0): -3}
+    assert p == {6: 3, -6: -3}
+    for c in (Fraction(3, 2), Fraction(3, 1)):
+        got = qpoly.curly_atom_quotient([({6: c, -6: -3}, atoms), ({6: -c, -6: 3}, atoms),
+                                         ({6: c, -6: -c}, atoms)], (1,))
+        assert got == {(1, 0): c, (-1, 0): -c}
+        assert all(type(x) is int or x.denominator != 1 for x in got.values())
 
 
 @pytest.mark.parametrize("k", range(9))

@@ -4,6 +4,7 @@ triangular pairs they certify."""
 
 import hashlib
 import json
+from dataclasses import fields
 from fractions import Fraction
 from functools import reduce
 from math import prod
@@ -205,7 +206,7 @@ def test_basis_certificate_rejects_broken_triples():
             block.eigenvalues, block.upper, block.lower, rho, v, c),
     ]
     rho, v, c = twisted_basis(3, 2)
-    assert (block.rho, block.V, block.c) == (rho, v, c)
+    assert triple(block) == (rho, v, c)
     keeps_layout = [list(row) for row in v]
     keeps_layout[1][2] = -keeps_layout[1][2]
     keeps_layout[2][1] = -keeps_layout[2][1]  # breaks orthogonality only
@@ -220,9 +221,27 @@ def test_basis_certificate_rejects_broken_triples():
             check(rho, v, c * 2)
 
 
+def test_build_block_certifies_its_pair_against_the_triple(monkeypatch):
+    # the record keeps no triple, but each pair is certified against
+    # twisted_basis(size, p) before it is kept: another p's triple (the
+    # same size, orthogonal, another braiding) refuses the block
+    (spec,) = [s for s in cube_blocks(2) if s.multiplicity == 3]
+    real = racah.twisted_basis
+    monkeypatch.setattr(racah, "twisted_basis", lambda n, p: real(n, p + 1))
+    with pytest.raises(NotIntertwined):
+        build_block.__wrapped__(spec)
+    monkeypatch.undo()
+    assert build_block.__wrapped__(spec) == build_block(spec)
+
+
 def blocks_of_size(size):
     return [build_block(spec) for r in young.SUPPORTED_R for spec in cube_blocks(r)
             if spec.multiplicity == size]
+
+
+def triple(block):
+    """The mixing triple (rho, V, c) that certified a block's pair."""
+    return twisted_basis(len(block.eigenvalues), block.spec.p)
 
 
 def test_triangular_pairs_are_certified_on_every_block():
@@ -232,7 +251,7 @@ def test_triangular_pairs_are_certified_on_every_block():
     for size in range(2, racah.MAX_SIZE + 1):
         for block in blocks_of_size(size):
             a, b = block.upper, block.lower
-            certify_pair(block.eigenvalues, a, b, block.rho, block.V, block.c)
+            certify_pair(block.eigenvalues, a, b, *triple(block))
             for i in range(size):
                 for j in range(size):
                     x, y = a[size - 1 - i][size - 1 - j], b[i][j]
@@ -250,8 +269,7 @@ def test_pair_certificate_rejects_a_sign_flipped_entry():
             flipped = [list(row) for row in block.upper]
             flipped[i][j] = -flipped[i][j]
             with pytest.raises(NotIntertwined):
-                certify_pair(block.eigenvalues, flipped, block.lower,
-                             block.rho, block.V, block.c)
+                certify_pair(block.eigenvalues, flipped, block.lower, *triple(block))
 
 
 def test_pair_certificate_rejects_the_wrong_root():
@@ -264,12 +282,12 @@ def test_pair_certificate_rejects_the_wrong_root():
             xi = block.eigenvalues
             a, b = racah._pair(xi, -racah._root(prod(xi), degree))
             with pytest.raises(NotIntertwined):
-                certify_pair(xi, a, b, block.rho, block.V, block.c)
+                certify_pair(xi, a, b, *triple(block))
             if size == 4:
                 ab = mat_mul(a, b)
                 assert mat_mul(ab, a) == mat_mul(b, ab)
                 with pytest.raises(NotIntertwined, match="not the block's braiding"):
-                    certify_pair(xi, a, b, block.rho, block.V, block.c)
+                    certify_pair(xi, a, b, *triple(block))
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +469,16 @@ def test_divide_out_reaches_lowest_terms():
 def test_build_block_r1():
     specs = {spec.Q: spec for spec in cube_blocks(1)}
     blocks = {Q: build_block(spec) for Q, spec in specs.items()}
-    sizes = {Q.rows: b.size for Q, b in blocks.items()}
+    sizes = {Q.rows: len(b.eigenvalues) for Q, b in blocks.items()}
     assert sizes == {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
     b = blocks[[Q for Q in blocks if Q.rows == (2, 1)][0]]
     assert b.eigenvalues == (LaurentQ.monomial(1, 1), LaurentQ.monomial(-1, -1))
     assert isinstance(b, MixingBlock)
-    assert b.R[0][1] == LaurentQ.zero()
+    assert [f.name for f in fields(MixingBlock)] == ["spec", "eigenvalues", "upper", "lower"]
+    assert b.upper[1][0] == b.lower[0][1] == LaurentQ.zero()
+    for block in blocks.values():
+        if len(block.eigenvalues) == 1:
+            assert block.upper == block.lower == (block.eigenvalues,)
 
 
 def test_size_cap_covers_the_supported_ranks(monkeypatch):
@@ -489,10 +511,11 @@ def test_braid_relation_cube_root_block():
     # rho K rho K + c^2 rho K + c^4 = 0 in integer Laurent polynomials.
     (spec,) = [s for s in cube_blocks(1) if s.multiplicity == 2]
     block = build_block(spec)
-    d, rd, v, vt = twisted_factors(block.eigenvalues, block.rho, block.V)
-    rk = mat_mul(diag(block.rho), mat_mul(mat_mul(d, v), mat_mul(rd, vt)))
+    rho, v, c = triple(block)
+    d, rd, v, vt = twisted_factors(block.eigenvalues, rho, v)
+    rk = mat_mul(diag(rho), mat_mul(mat_mul(d, v), mat_mul(rd, vt)))
     rkrk = mat_mul(rk, rk)
-    c2 = block.c * block.c
+    c2 = c * c
     for i in range(2):
         for j in range(2):
             ident = c2 * c2 if i == j else LaurentQ.zero()
@@ -518,15 +541,15 @@ def test_braid_relation_twisted_form():
             if spec.multiplicity < 2:
                 continue
             b = build_block(spec)
-            assert braid_relation_holds(b.eigenvalues, b.rho, b.V, b.c), spec.Q
-            flipped = [list(row) for row in b.V]
+            rho, v, c = triple(b)
+            assert braid_relation_holds(b.eigenvalues, rho, v, c), spec.Q
+            flipped = [list(row) for row in v]
             flipped[0][1] = -flipped[0][1]
-            assert not braid_relation_holds(b.eigenvalues, b.rho, flipped, b.c)
+            assert not braid_relation_holds(b.eigenvalues, rho, flipped, c)
             # a 2x2 block satisfies the relation with its eigenvalues swapped
             # as well, so reversal is a mutation from size 3 on
             if spec.multiplicity > 2:
-                assert not braid_relation_holds(
-                    b.eigenvalues[::-1], b.rho, b.V, b.c)
+                assert not braid_relation_holds(b.eigenvalues[::-1], rho, v, c)
             checked += 1
     assert checked == 23
 
@@ -537,14 +560,16 @@ def test_dressed_triple_certifies_the_same_pair():
     # and the pair, built from the eigenvalues alone, is the same
     for spec in cube_blocks(2):
         block = build_block(spec)
-        if block.size == 1:
+        size = len(block.eigenvalues)
+        if size == 1:
             continue
-        signs = [-1 if k == 1 else 1 for k in range(block.size)]
+        rho, v, c = triple(block)
+        signs = [-1 if k == 1 else 1 for k in range(size)]
         dressed = tuple(
             tuple(x if signs[i] == signs[j] else -x for j, x in enumerate(row))
-            for i, row in enumerate(block.V)
+            for i, row in enumerate(v)
         )
-        assert dressed != block.V
+        assert dressed != v
         pair = triangular_pair(block.eigenvalues)
         assert pair == (block.upper, block.lower)
-        certify_pair(block.eigenvalues, *pair, block.rho, dressed, block.c)
+        certify_pair(block.eigenvalues, *pair, rho, dressed, c)
