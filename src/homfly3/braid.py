@@ -19,22 +19,19 @@ once per block against the recoupling sum's mixing matrix
 division on the trace path.
 
 Per block, A, B, A^-1 and B^-1 are kept as qpoly.laurent_matrix (the
-inverses by back substitution), the only block state the trace reads,
-and per block and exponent pair (x, y) the shape of the factor A^x B^y:
-its lowest and highest exponent and its entrywise l1 norms, ints and
-tuples only, read once from the factor formed on packed integers.  Per
-word, the width comes from the shapes: the trace of the product of the
-factors' l1-norm matrices bounds every digit of the trace.  A^+-1 and
-B^+-1 are packed once at that width (entries at q^step -> 2^(8 width),
-lowest exponent shifted out), each factor is formed by integer powers
-and products and shifted right by its own lowest exponent, which gives
-pack_matrix of the factor, integer for integer, and the trace of the
-integer product is unpacked once per block.  A trace whose packed
+inverses by back substitution), the only block state the trace reads, and
+per block and exponent pair (x, y) the factor A^x B^y itself, in the same
+form plus its highest exponent: formed once by integer powers and products
+of A^+-1 and B^+-1 packed at a width that bounds its entries, and unpacked
+once.  Per word, the width comes from the factors' l1 norms: the trace of
+the product of their norm matrices bounds every digit of the trace.  Each
+distinct factor is packed once at that width (pack_matrix: entries at
+q^step -> 2^(8 width), its lowest exponent shifted out), and the trace of
+the integer product is unpacked once per block.  A trace whose packed
 integers would exceed TRACE_BYTES is refused with TraceTooLarge: first,
 before any power is formed, on a lower bound of its digit count read off
 the exponents (three entries of A^a B^b are known in closed form), then
-on its exact size, read off the shapes, before the word's factors are
-packed.
+on its exact size, read off the cached factors, before they are packed.
 
 The extended polynomial sum_Q C_Q S_Q is assembled by power-sum
 monomial: with S_Q = sum_lam chi_Q(lam)/z_lam p_lam, the coefficient of
@@ -189,16 +186,16 @@ def _block_trace(spec, word):
         ((e, c),) = gens[0][1][1][0][0].items()
         return _new(LaurentQ, {e * word.writhe: c if word.writhe % 2 else 1})
     _check_budget(spec, _digits_at_least(spec, word), " or more")
-    shapes = {ab: _shape(spec, *ab) for ab in set(word.blocks)}
+    factors = {ab: _factor(spec, *ab) for ab in set(word.blocks)}
     width = signed_width(_trace_of_product(
-        word.blocks, {ab: norms for ab, (_, _, norms) in shapes.items()}))
+        word.blocks, {ab: f[2] for ab, (f, _) in factors.items()}))
     # the factors' digit spans add up in the product: no packed integer
     # below is longer than the trace's
-    _check_budget(spec, width * (1 + sum((hi - lo) // step for lo, hi, _
-                                          in map(shapes.get, word.blocks))), "")
-    digits = unpack_signed(
-        _trace_of_product(word.blocks, _packed_factors(spec, shapes, width)), width)
-    base = sum(shapes[ab][0] for ab in word.blocks)
+    _check_budget(spec, width * (1 + sum((hi - f[0]) // step for f, hi
+                                          in map(factors.get, word.blocks))), "")
+    digits = unpack_signed(_trace_of_product(
+        word.blocks, {ab: pack_matrix(f, width, step) for ab, (f, _) in factors.items()}), width)
+    base = sum(factors[ab][0][0] for ab in word.blocks)
     return _new(LaurentQ, {base + step * k: d for k, d in digits.items()})
 
 
@@ -273,65 +270,39 @@ def _inverse(m):
 
 
 # bounded: every distinct exponent pair of every word adds an entry (the 19
-# catalog knots at r = 1..3 and 4_1 at r = 4 add 199 entries, 94 KB)
+# catalog knots at r = 1..3 and 4_1 at r = 4 add 199 entries, 600 KB)
 @lru_cache(maxsize=1024)
-def _shape(spec, x, y):
-    """(lo, hi, norms) of the factor F = A^x B^y of one block: its lowest
-    and highest exponent and its entrywise l1 norms, as ints and tuples.
+def _factor(spec, x, y):
+    """(F, hi) of the factor F = A^x B^y of one block: F as a
+    qpoly.laurent_matrix (lowest exponent, rows of term dicts, rows of l1
+    norms) and hi its highest exponent.
 
     F is formed once on packed integers, at a width that bounds the
-    entries of |A^+-1|^|x| |B^+-1|^|y|, and unpacked once; its polynomials
-    are not kept.
+    entries of |A^+-1|^|x| |B^+-1|^|y|, and unpacked once.
     """
     step, gens = _generators(spec)
-    width = signed_width(max(chain(*_products(gens, {(x, y)}, lambda g: g[2])[x, y])))
-    packed = _products(gens, {(x, y)}, lambda g: pack_matrix(g, width, step))[x, y]
-    digits = [[unpack_signed(v, width) if v else {} for v in row] for row in packed]
-    span = [k for row in digits for t in row for k in t]
-    base = _base(gens, x, y)
-    return (base + step * min(span), base + step * max(span),
-            tuple(tuple(sum(map(abs, t.values())) for t in row) for row in digits))
+    mats = [g[1 if n > 0 else -1] for g, n in zip(gens, (x, y))]
+    width = signed_width(max(chain(*_product(x, y, *(m[2] for m in mats)))))
+    packed = _product(x, y, *(pack_matrix(m, width, step) for m in mats))
+    # every entry of the packed product is shifted by the lowest exponents
+    base = abs(x) * mats[0][0] + abs(y) * mats[1][0]
+    rows = tuple(tuple({base + step * k: d for k, d in unpack_signed(v, width).items()}
+                       for v in row) for row in packed)
+    return laurent_matrix(rows), max(max(t) for row in rows for t in row if t)
 
 
-def _packed_factors(spec, pairs, width):
-    """{(x, y): A^x B^y} over pairs, each packed at width (its entries at
-    q^step -> 2^(8 width), its lowest exponent shifted out): pack_matrix of
-    the factor, integer for integer, formed by integer powers and
-    products of A^+-1 and B^+-1, packed once."""
-    step, gens = _generators(spec)
-    out = {}
-    for (x, y), m in _products(gens, pairs, lambda g: pack_matrix(g, width, step)).items():
-        # F's lowest digits are zero in every entry: the shift is exact
-        bits = 8 * width * ((_shape(spec, x, y)[0] - _base(gens, x, y)) // step)
-        out[x, y] = [[v >> bits for v in row] for row in m]
-    return out
+def _product(x, y, a, b):
+    """a^|x| b^|y| for square matrices a, b of Python ints."""
+    return int_matmul(_power(a, abs(x)), _power(b, abs(y)))
 
 
-def _base(gens, x, y):
-    """The exponent that every entry of the product of |x| copies of A^+-1
-    and |y| of B^+-1 is shifted by when packed."""
-    return sum(abs(n) * g[n // abs(n)][0] for g, n in zip(gens, (x, y)) if n)
-
-
-def _products(gens, pairs, matrix):
-    """{(x, y): M(A)^x M(B)^y} over pairs, M(g) = matrix(g) for each
-    generator g the pairs use, by integer powers and products."""
-    size = len(gens[0][1][1])
-    one = [[int(i == j) for j in range(size)] for i in range(size)]
-    caches = [{0: one, **{s: matrix(g[s]) for s in {(n > 0) - (n < 0) for n in ns} if s}}
-              for g, ns in zip(gens, zip(*pairs))]
-    return {(x, y): int_matmul(_power(caches[0], x), _power(caches[1], y)) for x, y in pairs}
-
-
-def _power(cache, n):
-    """cache[sign n]^|n| by squaring; cache holds the identity at 0 and
-    keeps every power formed."""
-    if n not in cache:
-        unit = 1 if n > 0 else -1
-        half = _power(cache, unit * (abs(n) // 2))
-        square = int_matmul(half, half)
-        cache[n] = int_matmul(square, cache[unit]) if n % 2 else square
-    return cache[n]
+def _power(m, n):
+    """m^n, n >= 0, for a square matrix m of Python ints, by squaring."""
+    if not n:
+        return [[int(i == j) for j in range(len(m))] for i in range(len(m))]
+    half = _power(m, n // 2)
+    square = int_matmul(half, half)
+    return int_matmul(square, m) if n % 2 else square
 
 
 def _trace_of_product(keys, mats):

@@ -14,9 +14,10 @@ to be integral -- ints and ``Fraction``s mix transparently and integer
 arithmetic is considerably faster on the hot paths.
 
 LaurentQ, LaurentQA and symfun.PowerSumPoly share one implementation of
-their operators (_Sparse).  An (A, q) product or power runs on the
-q-kernel under A -> q^S, one packed integer product once the operands are
-large.  Each substitution rule is one table entry: the image of a term.
+their operators (_Sparse); a power is square and multiply through the
+ring's own product.  An (A, q) product runs on the q-kernel under
+A -> q^S, one packed integer product once the operands are large.  Each
+substitution rule is one table entry: the image of a term.
 """
 
 from __future__ import annotations
@@ -342,27 +343,10 @@ def _mul_dicts(a, b):
             for k, d in digits.items()}
 
 
-def _pow_dict(t, n):
-    """t^n (n >= 0) for a term dict of at least two terms, as one packed power.
+def _on_q_kernel(*dicts):
+    """The product of two nonempty (A, q) term dicts, run on the q-kernel
+    under A -> q^S.
 
-    (L t)^n, with L the lcm of the denominators, has l1 norm at most
-    |L t|_1^n, which fixes the digit width; the power is unpacked once and
-    divided by L^n.
-    """
-    scale, ints = _int_content(t)
-    lo = min(ints)
-    step = _support_step(ints)
-    width = signed_width(sum(map(abs, ints.values())) ** n)
-    digits = unpack_signed(pack_signed(ints, lo, width, step) ** n, width)
-    den = scale ** n
-    return {n * lo + step * k: d if den == 1 else _coeff(Fraction(d, den))
-            for k, d in digits.items()}
-
-
-def _on_q_kernel(op, dicts, n=1):
-    """op on nonempty (A, q) term dicts, run on the q-kernel under A -> q^S.
-
-    op is the product of two term dicts (n = 1) or the n-th power of one.
     Each key (a, e) becomes the q-exponent a*S + e, where S is the least
     multiple of the q-exponents' common step that exceeds the q-span of
     the result, so no two A-slices of the result meet and the packed
@@ -370,12 +354,12 @@ def _on_q_kernel(op, dicts, n=1):
     a = (f - lo) // S, e = f - a*S, with lo the result's lowest q-exponent.
     """
     qs = [[e for _, e in d] for d in dicts]
-    lo = n * sum(map(min, qs))
-    span = n * sum(map(max, qs)) - lo
+    lo = sum(map(min, qs))
+    span = sum(map(max, qs)) - lo
     step = _support_step(*qs) or 1
     S = (span // step + 1) * step
     out = {}
-    for f, c in op(*({a * S + e: c for (a, e), c in d.items()} for d in dicts)).items():
+    for f, c in _mul_dicts(*({a * S + e: c for (a, e), c in d.items()} for d in dicts)).items():
         a = (f - lo) // S
         out[a, f - a * S] = c
     return out
@@ -400,9 +384,10 @@ class _Sparse:
     supplies its key type (``_key``, and ``_scale_key`` for the key of a
     monomial's n-th power), its coefficient check (``_check``), the
     operands it accepts (``_coerce``), its product (``__mul__``/``__rmul__``,
-    written in its own body), its power of a polynomial of two or more
-    terms (``_power``) and its rendering (``render``, or ``_triples``).
-    Instances are immutable; all operators return fresh objects.
+    written in its own body) and its rendering (``render``, or
+    ``_triples``).  A power of a polynomial of two or more terms is square
+    and multiply through that product; a monomial's is one term.
+    Instances are immutable.
     """
 
     __slots__ = ("_t", "_h")
@@ -480,9 +465,14 @@ class _Sparse:
             raise InexactDivision("only monomials are invertible")
         if not n:
             return self.one()
-        if not self._t:
-            return self
-        return _new(type(self), self._power(n))
+        base, out = self, None
+        while True:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
 
     def inverse_monomial(self):
         """Inverse, defined only for monomials (the units of the ring)."""
@@ -567,9 +557,6 @@ class LaurentQ(_Sparse):
         return _new(LaurentQ, _mul_dicts(self._t, other._t))
 
     __rmul__ = __mul__
-
-    def _power(self, n):
-        return _pow_dict(self._t, n)
 
     def shift6(self, d: int) -> "LaurentQ":
         """Multiply by q^(d/6)."""
@@ -735,7 +722,7 @@ class LaurentQA(_Sparse):
     """Laurent polynomial in A and q; q-exponents on the 1/6 lattice.
 
     Term map: (A-exponent, q-exponent numerator over 6) -> coefficient.
-    Products and powers run on the q-kernel under A -> q^S (_on_q_kernel).
+    Products run on the q-kernel under A -> q^S (_on_q_kernel).
     """
 
     __slots__ = ()
@@ -827,12 +814,9 @@ class LaurentQA(_Sparse):
             return NotImplemented
         if not self._t or not o._t:
             return _QA_ZERO
-        return _new(LaurentQA, _on_q_kernel(_mul_dicts, (self._t, o._t)))
+        return _new(LaurentQA, _on_q_kernel(self._t, o._t))
 
     __rmul__ = __mul__
-
-    def _power(self, n):
-        return _on_q_kernel(lambda t: _pow_dict(t, n), (self._t,), n)
 
     # -- rendering -----------------------------------------------------------
 

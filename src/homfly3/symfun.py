@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import factorial
 from operator import index
 
-from .qpoly import LaurentQ, LaurentQA, _accumulate, _new, _Sparse, curly_atom_sum, curly_q_product
+from .qpoly import (LaurentQ, LaurentQA, _accumulate, _div_coeff, _new, _Sparse,
+                    curly_atom_sum, curly_q_product)
 from .young import SUPPORTED_R, FractionQA, YoungDiagram, kappa  # noqa: F401  (kappa re-exported for tests)
 
 # ---------------------------------------------------------------------------
@@ -171,9 +172,6 @@ class PowerSumPoly(_Sparse):
 
     __rmul__ = __mul__
 
-    def _power(self, n):
-        return reduce(PowerSumPoly.__mul__, [self] * n)._t
-
     def render(self) -> str:
         if not self._t:
             return "0"
@@ -195,7 +193,8 @@ MAX_GRADING = 3 * max(SUPPORTED_R)
 
 
 def schur_in_powersums(Q) -> PowerSumPoly:
-    """S_Q = sum over mu of chi_Q(mu)/z_mu * p_mu.
+    """S_Q = sum over mu of chi_Q(mu)/z_mu * p_mu, each coefficient an int
+    where it is integral.
 
     >>> schur_in_powersums((2, 1)).coeff((3,))
     Fraction(-1, 3)
@@ -213,7 +212,7 @@ def _schur_in_powersums(rows) -> PowerSumPoly:
     for mu in partitions_of(n):
         chi = murnaghan_nakayama(rows, mu)
         if chi:
-            out[mu] = Fraction(chi, z_of(mu))
+            out[mu] = _div_coeff(chi, z_of(mu))
     return _new(PowerSumPoly, out)
 
 

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -15,9 +16,8 @@ from homfly3.braid import (
     NonPolynomialResult,
     _block_trace,
     _digits_at_least,
-    _packed_factors,
+    _factor,
     _reduction_plan,
-    _shape,
     _trace_of_product,
     antisymmetric_dual,
     character_coefficients,
@@ -36,6 +36,7 @@ from homfly3.qpoly import (
     _support_step,
     curly_q,
     laurent_divexact,
+    pack_matrix,
     pack_signed,
     signed_width,
     substitute,
@@ -599,27 +600,30 @@ def test_packed_factors_are_the_reference_factors_packed(r, examples):
             refs = {ab: reference_factor(block, *ab) for ab in pairs}
             width = extra + max(signed_width(sum(map(abs, t.terms.values())))
                                 for f in refs.values() for row in f for t in row)
-            got = _packed_factors(block.spec, pairs, width)
             for (x, y), f in refs.items():
                 exps = [e for row in f for t in row for e in t.terms]
                 norms = tuple(tuple(sum(map(abs, t.terms.values())) for t in row) for row in f)
-                assert _shape(block.spec, x, y) == (min(exps), max(exps), norms)
-                assert got[x, y] == [[pack_signed(t.terms, min(exps), width, step) if t else 0
-                                      for t in row] for row in f], (block.spec.Q, x, y)
+                got, hi = _factor(block.spec, x, y)
+                assert (got[0], hi, got[2]) == (min(exps), max(exps), norms)
+                assert pack_matrix(got, width, step) == [
+                    [pack_signed(t.terms, min(exps), width, step) if t else 0 for t in row]
+                    for row in f], (block.spec.Q, x, y)
 
     check()
 
 
-def test_shapes_hold_only_ints_and_tuples():
-    def plain(v):
-        return type(v) is int or type(v) is tuple and all(map(plain, v))
+def test_factors_hold_term_dicts_of_ints():
+    def term_dict(t):
+        return type(t) is dict and all(type(v) is int for v in chain(t, t.values()))
 
     for r in (1, 2, 3, 4):
         for spec in cube_blocks(r):
             if spec.multiplicity > 1:
                 for ab in ((0, 0), (3, -2), (-1, 4)):
-                    assert plain(_shape(spec, *ab)), (spec.Q, ab)
-                    assert _shape(spec, *ab) is _shape(spec, *ab)
+                    (lo, rows, norms), hi = _factor(spec, *ab)
+                    assert type(lo) is int and type(hi) is int, (spec.Q, ab)
+                    assert all(term_dict(t) for row in rows for t in row), (spec.Q, ab)
+                    assert _factor(spec, *ab) is _factor(spec, *ab)
 
 
 def test_warm_trace_makes_no_laurent_product(monkeypatch):
@@ -654,6 +658,19 @@ def test_warm_trace_reads_only_the_generators(monkeypatch):
             (xi, *rest) = build_block(spec).eigenvalues
             if not rest:
                 assert c.terms == (xi ** word.writhe).terms, spec.Q
+
+
+def test_warm_trace_builds_no_factor(monkeypatch):
+    # the integer powers run on a _factor miss only: a warm request packs
+    # the cached factors and forms no power
+    word = Braid3Word.parse("-2,1|3,3|-1,-3|0,2|-2,1|3,3")
+    first = {r: character_coefficients(word, r).coefficients for r in (1, 2, 3, 4)}
+    calls = []
+    monkeypatch.setattr(braid, "_power", lambda m, n: calls.append(n))
+    second = {r: character_coefficients(word, r).coefficients for r in (1, 2, 3, 4)}
+    monkeypatch.undo()
+    assert calls == []
+    assert second == first
 
 
 def test_warm_locus_of_the_extended_polynomial_makes_no_laurent_product(monkeypatch):

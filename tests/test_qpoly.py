@@ -237,6 +237,15 @@ def test_packed_qa_power_matches_repeated_multiplication(t, n):
             p ** -max(n, 1)
 
 
+def test_power_of_a_wide_gap_is_the_product():
+    # square and multiply through the product: the gap of 10^7 q is never
+    # packed digit by digit
+    p = LaurentQ({0: 1, 6: 1, 6 * 10 ** 7: 1})
+    assert (p ** 2).terms == (p * p).terms
+    qa = LaurentQA({(0, 0): 1, (1, 6): 1, (0, 6 * 10 ** 7): 1})
+    assert (qa ** 3).terms == (qa * qa * qa).terms
+
+
 def test_power_edge_cases():
     assert LaurentQ.zero() ** 0 == LaurentQ.one()
     assert LaurentQ.zero() ** 3 == LaurentQ.zero()

@@ -65,6 +65,13 @@ def test_schur_small():
     assert (s2 - s11) * two == adams(s1, 2) * two  # p2 = psi_2(p1)
 
 
+def test_schur_coefficients_are_ints_where_integral():
+    assert schur_in_powersums(YoungDiagram([1])).terms == {(1,): 1}
+    for d in diagrams_up_to(8):
+        for c in schur_in_powersums(d).terms.values():
+            assert type(c) is int or c.denominator != 1, (d, c)
+
+
 def test_expand_in_schur_inverts_schur():
     for d in diagrams_up_to(6):
         exp = expand_in_schur(schur_in_powersums(d), d.size)
@@ -169,16 +176,16 @@ def test_power_sum_powers(monkeypatch):
     with pytest.raises(InexactDivision):
         (p1 + p2) ** -1
     assert p1 ** 0 == PowerSumPoly.one()
-    powered = []
-    power = PowerSumPoly._power
-    monkeypatch.setattr(PowerSumPoly, "_power",
-                        lambda f, n: powered.append(n) or power(f, n))
-    m = 2 * p1
-    assert m ** 3 == m * m * m == PowerSumPoly({(1, 1, 1): 8})
-    assert powered == []  # a monomial's power is one term
-    f = p1 + p2
-    assert f ** 2 == f * f
-    assert powered == [2]
+    m, f = 2 * p1, p1 + p2
+    cube, square = m * m * m, f * f
+    products = []
+    mul = PowerSumPoly.__mul__
+    monkeypatch.setattr(PowerSumPoly, "__mul__",
+                        lambda x, y: products.append(1) or mul(x, y))
+    assert m ** 3 == cube == PowerSumPoly({(1, 1, 1): 8})
+    assert products == []  # a monomial's power is one term
+    assert f ** 2 == square
+    assert products == [1]
 
 
 # ---------------------------------------------------------------------------
