@@ -25,13 +25,14 @@ form plus its highest exponent: formed once by integer powers and products
 of A^+-1 and B^+-1 packed at a width that bounds its entries, and unpacked
 once.  Per word, the width comes from the factors' l1 norms: the trace of
 the product of their norm matrices bounds every digit of the trace.  Each
-distinct factor is packed once at that width (pack_matrix: entries at
-q^step -> 2^(8 width), its lowest exponent shifted out), and the trace of
-the integer product is unpacked once per block.  A trace whose packed
-integers would exceed TRACE_BYTES is refused with TraceTooLarge: first,
-before any power is formed, on a lower bound of its digit count read off
-the exponents (three entries of A^a B^b are known in closed form), then
-on its exact size, read off the cached factors, before they are packed.
+factor is packed once per width (pack_matrix: entries at q^step ->
+2^(8 width), its lowest exponent shifted out) and kept per (block, x, y,
+width), and the trace of the integer product is unpacked once per block.
+A trace whose packed integers would exceed TRACE_BYTES is refused with
+TraceTooLarge: first, before any power is formed, on a lower bound of its
+digit count, 1 plus a span bound per factor read off its exponents (three
+entries of A^x B^y are known in closed form) and kept per (block, x, y),
+then on its exact size, read off the cached factors, before any is packed.
 
 The extended polynomial sum_Q C_Q S_Q is assembled by power-sum
 monomial: with S_Q = sum_lam chi_Q(lam)/z_lam p_lam, the coefficient of
@@ -194,7 +195,7 @@ def _block_trace(spec, word):
     _check_budget(spec, width * (1 + sum((hi - f[0]) // step for f, hi
                                           in map(factors.get, word.blocks))), "")
     digits = unpack_signed(_trace_of_product(
-        word.blocks, {ab: pack_matrix(f, width, step) for ab, (f, _) in factors.items()}), width)
+        word.blocks, {ab: _packed_factor(spec, *ab, width) for ab in factors}), width)
     base = sum(factors[ab][0][0] for ab in word.blocks)
     return _new(LaurentQ, {base + step * k: d for k, d in digits.items()})
 
@@ -210,31 +211,37 @@ def _check_budget(spec, nbytes, qualifier):
 
 
 def _digits_at_least(spec, word):
-    """A lower bound on the packed trace's digit count, before any power.
+    """A lower bound on the packed trace's digit count, before any power:
+    1 + the sum of the factors' span bounds (_span_at_least)."""
+    return 1 + sum(_span_at_least(spec, x, y) for x, y in word.blocks)
 
-    Three entries of each factor F = A^x B^y (indices 1..d) are known in
-    closed form: F_dd = xi_d^x xi_1^y, F_(d-1)d = A_(d-1)d h_x(xi_(d-1),
-    xi_d) xi_1^y and F_d(d-1) = xi_d^x B_d(d-1) h_y(xi_2, xi_1), where
-    h_n(u, v) = (u^n - v^n)/(u - v) has |n| terms of distinct exponents.
-    Their extreme exponents bound the factor's span from below.
+
+# bounded like _factor: one entry per block and distinct exponent pair
+@lru_cache(maxsize=1024)
+def _span_at_least(spec, x, y):
+    """A lower bound on the digit span of the factor F = A^x B^y, from its
+    exponents alone.
+
+    Three entries of F (indices 1..d) are known in closed form: F_dd =
+    xi_d^x xi_1^y, F_(d-1)d = A_(d-1)d h_x(xi_(d-1), xi_d) xi_1^y and
+    F_d(d-1) = xi_d^x B_d(d-1) h_y(xi_2, xi_1), where h_n(u, v) = (u^n -
+    v^n)/(u - v) has |n| terms of distinct exponents.  Their extreme
+    exponents bound the factor's span from below.
     """
     step, gens = _generators(spec)
     a, b = (g[1][1] for g in gens)
     e = [next(iter(a[i][i])) for i in range(len(a))]
     corners = ((a[-2][-1], e[-2], e[-1]), (b[-1][-2], e[1], e[0]))
-    digits = 1
-    for x, y in word.blocks:
-        known = [x * e[-1] + y * e[0]]
-        for n, (t, u, v), shift in zip((x, y), corners, (y * e[0], x * e[-1])):
-            if n and t:
-                # h_n(q^u, q^v) spans (|n| - 1) min(u, v) .. (|n| - 1)
-                # max(u, v), shifted by -|n| (u + v) when n < 0
-                k = abs(n) - 1
-                shift -= abs(n) * (u + v) if n < 0 else 0
-                known += [min(t) + shift + k * min(u, v),
-                          max(t) + shift + k * max(u, v)]
-        digits += (max(known) - min(known)) // step
-    return digits
+    known = [x * e[-1] + y * e[0]]
+    for n, (t, u, v), shift in zip((x, y), corners, (y * e[0], x * e[-1])):
+        if n and t:
+            # h_n(q^u, q^v) spans (|n| - 1) min(u, v) .. (|n| - 1)
+            # max(u, v), shifted by -|n| (u + v) when n < 0
+            k = abs(n) - 1
+            shift -= abs(n) * (u + v) if n < 0 else 0
+            known += [min(t) + shift + k * min(u, v),
+                      max(t) + shift + k * max(u, v)]
+    return (max(known) - min(known)) // step
 
 
 @lru_cache(maxsize=None)
@@ -289,6 +296,15 @@ def _factor(spec, x, y):
     rows = tuple(tuple({base + step * k: d for k, d in unpack_signed(v, width).items()}
                        for v in row) for row in packed)
     return laurent_matrix(rows), max(max(t) for row in rows for t in row if t)
+
+
+# bounded: one entry per factor and trace width (of the 199 factors of the
+# catalog words above, 194 are packed at one width and 5 at two)
+@lru_cache(maxsize=1024)
+def _packed_factor(spec, x, y, width):
+    """pack_matrix of the factor A^x B^y of one block at width, rows as
+    tuples."""
+    return tuple(map(tuple, pack_matrix(_factor(spec, x, y)[0], width, _generators(spec)[0])))
 
 
 def _product(x, y, a, b):

@@ -142,15 +142,20 @@ def pack_signed(terms, emin, width, step=1):
     Exponent e fills digit (e - emin) // step: the polynomial evaluated at
     2^(8 width), for |coefficients| below 2^(8 width - 1).  Positive and
     negative coefficients go into separate carry-free buffers, subtracted
-    once at the end, so packing is linear in the number of digits.
+    once at the end, so packing is linear in the number of digits.  A
+    coefficient too wide for its digit raises ValueError.
     """
     span = (max(terms) - emin) // step + 1
     pos = bytearray(span * width)
     neg = bytearray(span * width)
+    limit = 1 << (8 * width - 1)
     for e, c in terms.items():
         k = (e - emin) // step * width
         buf = pos if c > 0 else neg
         c = abs(c)
+        if c >= limit:
+            raise ValueError("a coefficient of %d bits does not fit a signed digit of %d bytes"
+                             % (c.bit_length(), width))
         n = c.bit_length() // 8 + 1
         buf[k:k + n] = c.to_bytes(n, "little")
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
@@ -261,9 +266,11 @@ def curly_atom_quotient(terms, hooks):
     sum_i |L*p_i|_1 * C(k_i, k_i // 2), k_i = #atoms_i, and the width is
     taken from that bound.
     The shifted terms are summed into one integer and unpacked once
-    (unpack_digits), qspan digits per A-slice.  On a slice's digits each
-    {q^h} is q^-h (X^k - 1) with k = 12 h / step: one synthetic pass, which
-    must leave the k lowest digits zero.  The quotient is divided by L.
+    (unpack_digits), qspan digits per A-slice.  A slice's zero digits at
+    both ends are stripped (X^k - 1 is prime to X, so the low ones only
+    shift the quotient), and on the rest each {q^h} is q^-h (X^k - 1) with
+    k = 12 h / step: one synthetic pass, which must leave the k lowest
+    digits zero.  The quotient is divided by L.
     """
     terms = [(p, atoms) for p, atoms in terms if p]
     if not terms:
@@ -295,7 +302,15 @@ def curly_atom_quotient(terms, hooks):
     lo = qlo + EXP_DEN * sum(hooks)
     out = {}
     for i in range(0, len(digits), qspan):
-        dense = digits[i:i + qspan]
+        end = min(i + qspan, len(digits))
+        while end > i and not digits[end - 1]:
+            end -= 1
+        if end == i:
+            continue
+        low = i
+        while not digits[low]:
+            low += 1
+        dense = digits[low:end]
         a = i // qspan * astep - n
         for k in shifts:
             for j in range(len(dense) - 1, k - 1, -1):
@@ -303,7 +318,8 @@ def curly_atom_quotient(terms, hooks):
             if any(dense[:k]):
                 raise InexactDivision("A-slice %d" % a)
             del dense[:k]
-        out.update(((a, lo + j * step), d // scale if d % scale == 0 else Fraction(d, scale))
+        base = lo + (low - i) * step
+        out.update(((a, base + j * step), d // scale if d % scale == 0 else Fraction(d, scale))
                    for j, d in enumerate(dense) if d)
     return out
 

@@ -25,7 +25,7 @@ from math import factorial
 from operator import index
 
 from .qpoly import (LaurentQ, LaurentQA, _accumulate, _div_coeff, _new, _Sparse,
-                    curly_atom_sum, curly_q_product)
+                    atom_list, curly_atom_quotient, curly_q_product)
 from .young import SUPPORTED_R, FractionQA, YoungDiagram, kappa  # noqa: F401  (kappa re-exported for tests)
 
 # ---------------------------------------------------------------------------
@@ -264,28 +264,35 @@ def topological_locus(f: PowerSumPoly) -> FractionQA:
 
         sum_lam c_lam * prod_{v in lam} {A^v} * prod_{v missing} {q^v},
 
-    computed in Z on one packed integer by qpoly.curly_atom_sum; its kernel,
-    curly_atom_quotient, documents the layout and the width bound.
+    computed in Z on one packed integer by qpoly.curly_atom_quotient, which
+    documents the layout and the width bound.  What depends on the
+    monomials alone, each lam's qpoly.atom_list and the denominator, is
+    planned once per tuple of monomials (_locus_plan); a request collects
+    the coefficients' term dicts, each checked first, and packs them.
     """
     if not f._t:
         return FractionQA(LaurentQA.zero(), LaurentQA.one())
-    polys = {lam: _coefficient_terms(c) for lam, c in f._t.items()}
-    den_mult = Counter()
-    for lam in polys:
-        den_mult |= Counter(lam)
-    num = curly_atom_sum(
-        (p, [(0, v) for v in (den_mult - Counter(lam)).elements()] + [(v, 0) for v in lam])
-        for lam, p in polys.items())
-    # curly_atom_sum's terms are canonical: int keys, nonzero coefficients,
-    # ints when integral
-    return FractionQA(_new(LaurentQA, num), _locus_denominator(tuple(sorted(den_mult.elements()))))
+    polys = [_coefficient_terms(c) for c in f._t.values()]
+    atoms, den = _locus_plan(tuple(f._t))
+    # curly_atom_quotient's terms are canonical: int keys, nonzero
+    # coefficients, ints when integral
+    return FractionQA(_new(LaurentQA, curly_atom_quotient(list(zip(polys, atoms)), ())), den)
 
 
-# bounded: one entry per multiset of part values
+# bounded: one entry per tuple of monomials (the extended polynomials of the
+# 19 catalog knots at r = 2 and of 3_1 and 5_2 at r = 3 share 3 entries)
 @lru_cache(maxsize=256)
-def _locus_denominator(values):
-    """prod {q^v} over the sorted part values, as a LaurentQA."""
-    return LaurentQA.from_q(curly_q_product(values))
+def _locus_plan(monomials):
+    """(atoms, den) of the locus over the monomials: per lam the
+    qpoly.atom_list of {q^v}, v in common - lam, and {A^v}, v in lam, where
+    common is the multiset union of the monomials' parts; and den = prod
+    {q^v}, v in common, as a LaurentQA."""
+    common = Counter()
+    for lam in monomials:
+        common |= Counter(lam)
+    atoms = tuple(atom_list([(0, v) for v in (common - Counter(lam)).elements()]
+                            + [(v, 0) for v in lam]) for lam in monomials)
+    return atoms, LaurentQA.from_q(curly_q_product(sorted(common.elements())))
 
 
 def _coefficient_terms(c):

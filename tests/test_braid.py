@@ -661,12 +661,14 @@ def test_warm_trace_reads_only_the_generators(monkeypatch):
 
 
 def test_warm_trace_builds_no_factor(monkeypatch):
-    # the integer powers run on a _factor miss only: a warm request packs
-    # the cached factors and forms no power
+    # the integer powers run on a _factor miss only, and each factor is
+    # packed once per trace width: a warm request forms no power and packs
+    # nothing
     word = Braid3Word.parse("-2,1|3,3|-1,-3|0,2|-2,1|3,3")
     first = {r: character_coefficients(word, r).coefficients for r in (1, 2, 3, 4)}
     calls = []
     monkeypatch.setattr(braid, "_power", lambda m, n: calls.append(n))
+    monkeypatch.setattr(braid, "pack_matrix", lambda *args: calls.append(args))
     second = {r: character_coefficients(word, r).coefficients for r in (1, 2, 3, 4)}
     monkeypatch.undo()
     assert calls == []

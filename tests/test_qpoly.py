@@ -290,6 +290,21 @@ def test_curly_atom_quotient_takes_ints_as_they_come_and_scales_fractions():
         assert all(type(x) is int or x.denominator != 1 for x in got.values())
 
 
+def test_curly_atom_quotient_strips_zero_digits_and_skips_empty_slices():
+    # ({A}{q} + {q^3}) / {q} = {A} + q^2 + 1 + q^-2: the {q^3} term pulls
+    # the lowest q-exponent to -3, so A-slices -1 and 1 start with zero
+    # digits; (A^2 + A^-2) {q} = {A}^2 {q} + 2 {q} leaves A-slice 0 all zero
+    terms = [({0: 1}, qpoly.atom_list([(1, 0), (0, 1)])), ({0: 1}, qpoly.atom_list([(0, 3)]))]
+    assert qpoly.curly_atom_quotient(terms, (1,)) == {
+        (1, 0): 1, (-1, 0): -1, (0, 12): 1, (0, 0): 1, (0, -12): 1}
+    terms = [({6: 1, -6: -1}, qpoly.atom_list([(1, 0), (1, 0)])),
+             ({6: 2, -6: -2}, qpoly.atom_list([]))]
+    assert qpoly.curly_atom_quotient(terms, (1,)) == {(2, 0): 1, (-2, 0): 1}
+    # a slice with digits left below the divisor's degree does not divide
+    with pytest.raises(InexactDivision, match="^A-slice 0$"):
+        qpoly.curly_atom_quotient(terms + [({0: 1}, qpoly.atom_list([]))], (1,))
+
+
 @pytest.mark.parametrize("k", range(9))
 @pytest.mark.parametrize("atom", [(0, 1), (1, 0), (1, -2)])
 def test_curly_atom_sum_width_at_the_littlewood_offord_bound(k, atom):
@@ -317,6 +332,16 @@ def test_signed_digits_round_trip_at_the_extremes(width):
     packed = pack_signed(digits, 0, width)
     assert packed == sum(d << (8 * width * k) for k, d in digits.items())
     assert unpack_signed(packed, width) == digits
+
+
+def test_pack_signed_refuses_a_coefficient_wider_than_its_digit():
+    # a coefficient of 2^(8 width - 1) or more would spill into the next
+    # digit (200 at width 1 once read back as -56 and a stray 2)
+    for c in (200, -200, 128, -128, 2 ** 15):
+        with pytest.raises(ValueError, match="does not fit"):
+            pack_signed({0: c, 6: 1}, 0, 1, 6)
+    assert unpack_signed(pack_signed({0: 127, 6: -127}, 0, 1, 6), 1) == {0: 127, 1: -127}
+    assert unpack_signed(pack_signed({0: 200, 6: 1}, 0, 2, 6), 2) == {0: 200, 1: 1}
 
 
 @given(st.integers(1, 3).flatmap(lambda w: st.tuples(

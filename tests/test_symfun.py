@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from homfly3 import symfun
 from homfly3.braid import extended_homfly
 from homfly3.knotdb import KNOT_NAMES, braid_word
 from homfly3.qpoly import InexactDivision, LaurentQ, LaurentQA, curly_q
@@ -265,11 +266,33 @@ def test_locus_matches_schoolbook(f):
     assert all(type(c) is int or c.denominator != 1 for c in got.num.terms.values())
 
 
-def test_locus_refuses_other_coefficients():
-    with pytest.raises(TypeError):
-        topological_locus(PowerSumPoly({(1,): LaurentQA.monomial(1, a=1)}))
-    with pytest.raises(TypeError):
-        topological_locus(PowerSumPoly({(2,): 1, (1, 1): 0.5}))
+def test_locus_refuses_other_coefficients(monkeypatch):
+    # a bad coefficient anywhere in the polynomial is refused before the
+    # monomials are planned or anything is packed
+    calls = []
+    monkeypatch.setattr(symfun, "_locus_plan", lambda *args: calls.append(args))
+    monkeypatch.setattr(symfun, "curly_atom_quotient", lambda *args: calls.append(args))
+    for f in (PowerSumPoly({(1,): LaurentQA.monomial(1, a=1)}),
+              PowerSumPoly({(2,): 1, (1, 1): 0.5}),
+              PowerSumPoly({(1,): 0.5, (2,): LaurentQ({6: 1})})):
+        with pytest.raises(TypeError):
+            topological_locus(f)
+    assert calls == []
+
+
+def test_second_locus_over_the_same_monomials_plans_nothing(monkeypatch):
+    # the atom lists and the denominator are planned once per tuple of
+    # monomials: another polynomial over the same monomials reuses them
+    f = extended_homfly(braid_word("5_2"), 3)
+    g = PowerSumPoly({lam: 7 * c for lam, c in f.terms.items()})
+    assert tuple(g.terms) == tuple(f.terms)
+    first = [topological_locus(h).render() for h in (f, g)]
+    calls = []
+    monkeypatch.setattr(symfun, "atom_list", lambda atoms: calls.append(atoms))
+    second = [topological_locus(h).render() for h in (f, g)]
+    monkeypatch.undo()
+    assert calls == []
+    assert second == first
 
 
 def _sha256_of_renders(values):
