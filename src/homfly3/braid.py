@@ -47,8 +47,8 @@ the common hook denominator the hooks of [r].  What depends on the color
 alone, each C_Q's remaining curly-bracket atoms and the remaining hooks,
 is planned once per color.  One qpoly.curly_atom_quotient then forms each
 C_Q times its atoms on one packed integer, by shifts and subtractions,
-unpacks the sum once into one dense digit list per A-slice and divides
-each remaining {q^h} out there by one synthetic pass.
+divides the sum once, as one integer, by the product of the remaining
+{q^h}, and unpacks the quotient once.
 """
 
 from __future__ import annotations
@@ -407,11 +407,11 @@ def reduce_expansion(expansion, writhe):
 
     over the remaining prod {q^h}, h in common - hooks [r], both planned
     once per color, is one qpoly.curly_atom_quotient: packed once, each
-    atom one shift and one subtraction, unpacked once into one dense digit
-    list per A-slice, each {q^h} divided out there by one synthetic pass.
-    A slice it does not divide exactly raises NonPolynomialResult
-    (multi-component closures genuinely do this; for knots it would signal
-    a bug).
+    atom one shift and one subtraction, divided once as one integer by the
+    packed prod {q^h}, and the quotient unpacked once.  A division that is
+    not exact raises NonPolynomialResult naming the lowest A-slice it does
+    not divide (multi-component closures genuinely do this; for knots it
+    would signal a bug).
     """
     r = expansion.r
     atoms, hooks = _reduction_plan(r, tuple(expansion.coefficients))

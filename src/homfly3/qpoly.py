@@ -23,10 +23,12 @@ substitution rule is one table entry: the image of a term.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, repeat
-from math import comb, gcd as _int_gcd, lcm
-from operator import index, mul
+from math import comb, gcd as _int_gcd, lcm, prod
+from operator import index, mul, sub
 
 EXP_DEN = 6  # fixed denominator of the q-exponent lattice
 
@@ -113,7 +115,7 @@ def _mul_naive(a, b):
         for e2, c2 in b.items():
             k = e1 + e2
             out[k] = out.get(k, 0) + c1 * c2
-    if any(isinstance(c, Fraction) for c in chain(a.values(), b.values())):
+    if any(type(c) is Fraction for c in chain(a.values(), b.values())):
         # an integral Fraction becomes an int, as in the packed product
         return {e: _coeff(c) for e, c in out.items() if c}
     return {e: c for e, c in out.items() if c}
@@ -131,6 +133,15 @@ def _int_content(d):
     return den, {e: int(c * den) for e, c in d.items()}
 
 
+# A memoryview cast reads and writes each slot in the host's byte order, so
+# its buffer is one integer in that order, whose first slot is the highest
+# digit on a big-endian host: there the slots are walked in reverse.  _CAST
+# maps a digit width in bytes to the signed format of that itemsize.
+_ORDER = sys.byteorder
+_DIR = 1 if _ORDER == "little" else -1
+_CAST = {memoryview(bytes(8)).cast(f).itemsize: f for f in "bhiq"}
+
+
 def signed_width(bound):
     """Bytes per signed digit for digits of absolute value at most bound."""
     return (bound.bit_length() + 8) // 8
@@ -140,25 +151,34 @@ def pack_signed(terms, emin, width, step=1):
     """Pack {exponent: int} into one integer, width bytes per signed digit.
 
     Exponent e fills digit (e - emin) // step: the polynomial evaluated at
-    2^(8 width), for |coefficients| below 2^(8 width - 1).  Positive and
-    negative coefficients go into separate carry-free buffers, subtracted
-    once at the end, so packing is linear in the number of digits.  A
-    coefficient too wide for its digit raises ValueError.
+    2^(8 width), for |coefficients| below 2^(8 width - 1).  Each digit is
+    written in two's complement into its slot of one zeroed buffer, which
+    reads as one integer T; flipping each slot's top bit adds half a
+    digit's range to it, so the value is (T ^ bias) - bias, bias the
+    integer whose slots all hold that half (_half_slots).  A width of 1, 2,
+    4 or 8 bytes writes the slots through one memoryview cast, any other
+    width slot by slot.  A coefficient too wide for its digit raises
+    ValueError.
     """
+    widest = abs(max(terms.values(), key=abs))
+    if widest >> (8 * width - 1):
+        raise ValueError("a coefficient of %d bits does not fit a signed digit of %d bytes"
+                         % (widest.bit_length(), width))
     span = (max(terms) - emin) // step + 1
-    pos = bytearray(span * width)
-    neg = bytearray(span * width)
-    limit = 1 << (8 * width - 1)
-    for e, c in terms.items():
-        k = (e - emin) // step * width
-        buf = pos if c > 0 else neg
-        c = abs(c)
-        if c >= limit:
-            raise ValueError("a coefficient of %d bits does not fit a signed digit of %d bytes"
-                             % (c.bit_length(), width))
-        n = c.bit_length() // 8 + 1
-        buf[k:k + n] = c.to_bytes(n, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    buf = bytearray(span * width)
+    fmt = _CAST.get(width)
+    if fmt:
+        slots = memoryview(buf).cast(fmt)[::_DIR]
+        for e, c in terms.items():
+            slots[(e - emin) // step] = c
+        order = _ORDER
+    else:
+        for e, c in terms.items():
+            k = (e - emin) // step * width
+            buf[k:k + width] = c.to_bytes(width, "little", signed=True)
+        order = "little"
+    bias = _half_slots(width, span)
+    return (int.from_bytes(buf, order) ^ bias) - bias
 
 
 def unpack_digits(value, width):
@@ -167,15 +187,24 @@ def unpack_digits(value, width):
 
     Half a digit's range is added to every slot first, so each slot of the
     biased integer holds its digit plus that half with no borrow between
-    slots, and every slot is read on its own.
+    slots; flipping each slot's top bit leaves the digit in two's
+    complement, read at a width of 1, 2, 4 or 8 bytes through one
+    memoryview cast, at any other width slot by slot.
     """
-    half = 1 << (8 * width - 1)
     slots = abs(value).bit_length() // (8 * width) + 1
-    bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
-    buf = (value + bias).to_bytes(slots * width, "little")
-    biased = map(int.from_bytes, [buf[i:i + width] for i in range(0, len(buf), width)],
-                 repeat("little"))
-    return [d - half for d in biased]
+    bias = _half_slots(width, slots)
+    biased = (value + bias) ^ bias
+    fmt = _CAST.get(width)
+    if fmt:
+        return memoryview(biased.to_bytes(slots * width, _ORDER)).cast(fmt)[::_DIR].tolist()
+    buf = biased.to_bytes(slots * width, "little")
+    return [int.from_bytes(buf[i:i + width], "little", signed=True)
+            for i in range(0, len(buf), width)]
+
+
+def _half_slots(width, slots):
+    """The integer of slots digits of width bytes, each 2^(8 width - 1)."""
+    return int.from_bytes((1 << 8 * width - 1).to_bytes(width, "little") * slots, "little")
 
 
 def unpack_signed(value, width):
@@ -219,16 +248,20 @@ def _support_step(*dicts) -> int:
 
 
 def atom_list(atoms):
-    """(atoms, alpha, lift, reach, bound) of atoms (alpha, beta), checked:
-    their tuple, sum of alphas, EXP_DEN times the sums of beta and |beta|,
-    and C(k, k // 2) for k atoms, all that curly_atom_quotient reads."""
+    """(atoms, alpha, lift, reach, bound, agcd, qgcd) of atoms (alpha,
+    beta), checked: their tuple, sum of alphas, EXP_DEN times the sums of
+    beta and |beta|, C(k, k // 2) for k atoms, and the gcds of the atoms'
+    2 alpha and of their 2 EXP_DEN |beta|, all that curly_atom_quotient
+    reads."""
     atoms = tuple(atoms)
     for alpha, beta in atoms:
         if alpha < 0 or (alpha == 0 and beta <= 0):
             raise ValueError("atom {A^%d q^%d} needs alpha > 0, or alpha = 0 "
                              "and beta > 0" % (alpha, beta))
     return (atoms, sum(alpha for alpha, _ in atoms), EXP_DEN * sum(beta for _, beta in atoms),
-            EXP_DEN * sum(abs(beta) for _, beta in atoms), comb(len(atoms), len(atoms) // 2))
+            EXP_DEN * sum(abs(beta) for _, beta in atoms), comb(len(atoms), len(atoms) // 2),
+            _int_gcd(*(2 * alpha for alpha, _ in atoms)),
+            _int_gcd(*(2 * EXP_DEN * beta for _, beta in atoms)))
 
 
 def curly_atom_sum(terms):
@@ -246,7 +279,8 @@ def curly_atom_quotient(terms, hooks):
     standing for the atom {A^alpha q^beta} = A^alpha q^beta - A^-alpha
     q^-beta; ``hooks`` holds positive integers.  Returns the quotient as a
     term dict {(A-exponent, q-exponent in sixths): coefficient}; an inexact
-    division raises InexactDivision naming the A-slice.
+    division raises InexactDivision naming the lowest A-slice that the
+    divisor does not divide.
 
     Every coefficient is scaled by L, the lcm of all denominators, and each
     L*p_i is packed once (pack_signed) in the bivariate Kronecker layout
@@ -262,66 +296,111 @@ def curly_atom_quotient(terms, hooks):
     multiplying by it is one shift and one subtraction.  A coefficient of a
     product of k such binomials counts, with signs, the subsets of shifts
     with one sum, at most C(k, k // 2) of them (Erdos's Littlewood-Offord
-    bound, all s >= 1), so no coefficient of the sum exceeds
+    bound, all s >= 1), so no coefficient of the sum P exceeds B =
     sum_i |L*p_i|_1 * C(k_i, k_i // 2), k_i = #atoms_i, and the width is
-    taken from that bound.
-    The shifted terms are summed into one integer and unpacked once
-    (unpack_digits), qspan digits per A-slice.  A slice's zero digits at
-    both ends are stripped (X^k - 1 is prime to X, so the low ones only
-    shift the quotient), and on the rest each {q^h} is q^-h (X^k - 1) with
-    k = 12 h / step: one synthetic pass, which must leave the k lowest
-    digits zero.  The quotient is divided by L.
+    taken from that bound, rounded up to a width unpack_digits casts.
+
+    Each {q^h} is q^-h (X^k - 1) with k = 12 h / step, so the packed sum is
+    divided once, as one integer, by D = prod_h (X^k - 1) (_hook_product,
+    cached per hook list and width).  The integer quotient Q is unpacked
+    once and taken for the polynomial quotient only when three checks pass:
+    the remainder is zero; every digit d of Q has |d| |D|_1 < 2^(8 width -
+    1), |D|_1 the l1 norm of D's coefficients (at most 2^#hooks), so that
+    every coefficient of Q*D fits its digit and Q*D = P holds for the
+    polynomials, not only at X; and the top sum(k) digits of every A-slice
+    of Q are zero, so that each slice's quotient times D stays inside its
+    slice and D divides every slice of P on its own.  A quotient too wide
+    for the digit bound is repacked and divided again at a wider width, up
+    to one that holds every true quotient: B * prod_k (qspan // k + 1) *
+    |D|_1 bounds one, as each division by X^k - 1 sums at most qspan // k +
+    1 digits of its dividend.  Any other failure, or one at that width, is
+    an inexact division, and the sum's digits are then divided slice by
+    slice (_lowest_inexact_slice) to name the lowest A-slice that does not
+    divide.  The quotient is divided by L.
     """
     terms = [(p, atoms) for p, atoms in terms if p]
     if not terms:
         return {}
-    dens = [c.denominator for p, _ in terms for c in p.values() if type(c) is not int]
-    scale = lcm(*dens)
-    polys = [{e: c.numerator * (scale // c.denominator) for e, c in p.items()} if dens else p
-             for p, _ in terms]
-    atoms, alphas, lifts, reach, bounds = zip(*(a for _, a in terms))
+    polys = [p for p, _ in terms]
+    scale = 1
+    if not {int}.issuperset(chain.from_iterable(map(type, p.values()) for p in polys)):
+        scale = lcm(*(c.denominator for p in polys for c in p.values()))
+        polys = [{e: c.numerator * (scale // c.denominator) for e, c in p.items()} for p in polys]
+    atoms, alphas, lifts, reach, bounds, agcds, qgcds = zip(*(a for _, a in terms))
     n = max(alphas)
-    qlo = min(min(p) - r for p, r in zip(polys, reach))
+    lows = [min(p) for p in polys]
+    qlo = min(lo - r for lo, r in zip(lows, reach))
     qhi = max(max(p) + r for p, r in zip(polys, reach))
-    step = _int_gcd(*(2 * EXP_DEN * abs(beta) for pairs in atoms for _, beta in pairs),
-                    *(2 * EXP_DEN * h for h in hooks),
-                    *(e - lift - qlo for p, lift in zip(polys, lifts) for e in p)) or 1
-    astep = _int_gcd(*(2 * alpha for pairs in atoms for alpha, _ in pairs),
-                     *(n - a for a in alphas)) or 1
+    step = _int_gcd(*qgcds, *(2 * EXP_DEN * h for h in hooks),
+                    *(lo - lift - qlo for lo, lift in zip(lows, lifts)),
+                    *chain.from_iterable(map(sub, p, repeat(lo)) for p, lo in zip(polys, lows))) or 1
+    astep = _int_gcd(*agcds, *(n - a for a in alphas)) or 1
     qspan = (qhi - qlo) // step + 1
-    width = signed_width(sum(sum(map(abs, p.values())) * b for p, b in zip(polys, bounds)))
-    bits = 8 * width
-    total = 0
-    for p, pairs, a, lift in zip(polys, atoms, alphas, lifts):
-        x = pack_signed(p, qlo + lift, width, step)
-        for alpha, beta in pairs:
-            x = (x << ((2 * alpha // astep * qspan + 2 * EXP_DEN * beta // step) * bits)) - x
-        total += x << ((n - a) // astep * qspan * bits)
-    digits = unpack_digits(total, width)
-    shifts = [2 * EXP_DEN * h // step for h in hooks]
+    bound = sum(sum(map(abs, p.values())) * b for p, b in zip(polys, bounds))
+    shifts = tuple(sorted(2 * EXP_DEN * h // step for h in hooks))
+    norm = sum(map(abs, _hook_divisor(shifts)))
+    widest = signed_width(bound * prod(qspan // k + 1 for k in shifts) * norm)
+    width = _cast_width(signed_width(bound))
+    while True:
+        bits = 8 * width
+        total = 0
+        for p, pairs, a, lift in zip(polys, atoms, alphas, lifts):
+            x = pack_signed(p, qlo + lift, width, step)
+            for alpha, beta in pairs:
+                x = (x << ((2 * alpha // astep * qspan + 2 * EXP_DEN * beta // step) * bits)) - x
+            total += x << ((n - a) // astep * qspan * bits)
+        quotient, rest = divmod(total, _hook_product(shifts, width))
+        digits = unpack_digits(quotient, width)
+        fits = max(max(digits), -min(digits)) * norm < 1 << (bits - 1)
+        if rest or fits or width >= widest:
+            break
+        width = _cast_width(min(2 * width, widest))
+    cut = max(qspan - sum(shifts), 0)
+    if rest or not fits or any(any(digits[i + cut:i + qspan])
+                               for i in range(0, len(digits), qspan)):
+        a = _lowest_inexact_slice(total, width, qspan, shifts)
+        raise InexactDivision("A-slice %d" % (a * astep - n))
     lo = qlo + EXP_DEN * sum(hooks)
     out = {}
     for i in range(0, len(digits), qspan):
-        end = min(i + qspan, len(digits))
-        while end > i and not digits[end - 1]:
-            end -= 1
-        if end == i:
-            continue
-        low = i
-        while not digits[low]:
-            low += 1
-        dense = digits[low:end]
-        a = i // qspan * astep - n
-        for k in shifts:
-            for j in range(len(dense) - 1, k - 1, -1):
-                dense[j - k] += dense[j]
-            if any(dense[:k]):
-                raise InexactDivision("A-slice %d" % a)
-            del dense[:k]
-        base = lo + (low - i) * step
-        out.update(((a, base + j * step), d // scale if d % scale == 0 else Fraction(d, scale))
-                   for j, d in enumerate(dense) if d)
-    return out
+        keys = zip(repeat(i // qspan * astep - n), range(lo, lo + cut * step, step))
+        out.update((k, d) for k, d in zip(keys, digits[i:i + cut]) if d)
+    if scale == 1:
+        return out
+    return {k: d // scale if d % scale == 0 else Fraction(d, scale) for k, d in out.items()}
+
+
+def _cast_width(width):
+    """The least digit width of 1, 2, 4 or 8 bytes at least width, or
+    width past 8 bytes."""
+    return min((w for w in _CAST if w >= width), default=width)
+
+
+# bounded: one entry per hook list and width, a handful per color
+@lru_cache(maxsize=64)
+def _hook_product(shifts, width):
+    """prod_k (X^k - 1) over the shifts k, at X = 2^(8 width)."""
+    return prod((1 << 8 * width * k) - 1 for k in shifts)
+
+
+# bounded: one entry per hook list, one or two per color
+@lru_cache(maxsize=64)
+def _hook_divisor(shifts):
+    """The coefficients of prod_k (X^k - 1) over the shifts k, lowest first."""
+    divisor = [1]
+    for k in shifts:
+        divisor = [x - y for x, y in zip([0] * k + divisor, divisor + [0] * k)]
+    return tuple(divisor)
+
+
+def _lowest_inexact_slice(total, width, qspan, shifts):
+    """The index of the lowest qspan-digit slice of total that prod_k
+    (X^k - 1) does not divide: curly_atom_quotient's failure path."""
+    digits = unpack_digits(total, width)
+    for i in range(0, len(digits), qspan):
+        if _dense_divmod(digits[i:i + qspan], _hook_divisor(shifts))[1]:
+            return i // qspan
+    raise AssertionError("every slice divides, yet the packed quotient failed its checks")
 
 
 def curly_q_product(values):
@@ -892,32 +971,45 @@ def substitute(poly: LaurentQA, rule: str) -> LaurentQA:
 # canonical rendering / parsing
 # ---------------------------------------------------------------------------
 
-def _render_exp(e6: int) -> str:
+@lru_cache(maxsize=1024)
+def _a_power(a: int) -> str:
+    """The factor A^a of a rendered term ('A' for a = 1)."""
+    return "A" if a == 1 else "A^%d" % a
+
+
+@lru_cache(maxsize=1024)
+def _q_power(e6: int) -> str:
+    """The factor q^(e6/6) of a rendered term: 'q' for an exponent of 1, a
+    bare integer exponent (q^-2), or an off-integer one as a parenthesized
+    fraction (q^(2/3))."""
+    if e6 == EXP_DEN:
+        return "q"
     if e6 % EXP_DEN == 0:
-        return str(e6 // EXP_DEN)
+        return "q^%d" % (e6 // EXP_DEN)
     f = Fraction(e6, EXP_DEN)
-    return "(%d/%d)" % (f.numerator, f.denominator)
+    return "q^(%d/%d)" % (f.numerator, f.denominator)
 
 
 def _render_terms(triples) -> str:
     """Render [(A-exp, q-exp6, coeff)] canonically.
 
-    Terms are sorted by A-exponent descending, then q-exponent descending;
-    integer exponents print bare (A^4*q^-2), off-integer q-exponents print
-    as parenthesized fractions (q^(2/3)).
+    Terms are sorted by A-exponent descending, then q-exponent descending
+    (the keys (A-exp, q-exp6) are distinct, so a plain reverse sort of the
+    triples never compares coefficients); integer exponents print bare
+    (A^4*q^-2), off-integer q-exponents print as parenthesized fractions
+    (q^(2/3)).
     """
     if not triples:
         return "0"
-    triples = sorted(triples, key=lambda t: (-t[0], -t[1]))
     chunks = []
-    for a, e6, c in triples:
+    for a, e6, c in sorted(triples, reverse=True):
         neg = c < 0
         mag = -c if neg else c
         parts = []
         if a:
-            parts.append("A" if a == 1 else "A^%d" % a)
+            parts.append(_a_power(a))
         if e6:
-            parts.append("q" if e6 == EXP_DEN else "q^%s" % _render_exp(e6))
+            parts.append(_q_power(e6))
         if mag != 1 or not parts:
             num = mag.numerator
             den = mag.denominator

@@ -33,8 +33,9 @@ eigenvalues and one root of their product.  ``certify_pair`` certifies
 the pair once per block against the recoupling triple: ABA = BAB
 exactly, and an exact intertwiner with (diag(xi), S U diag(xi) U^T
 S^-1), so a wrong root or a wrong entry fails loudly.  ``build_block``
-caches the certified block: its eigenvalues and its pair, nothing of the
-triple.
+runs these checks of the pair alone, as twisted_basis has certified the
+triple once, and caches the certified block: its eigenvalues and its
+pair, nothing of the triple.
 """
 
 from __future__ import annotations
@@ -624,7 +625,7 @@ def triangular_pair(xi):
     diagonal xi reversed; every entry is a Laurent polynomial in the
     eigenvalues and the positive (size 5: the real) root of _upper_form,
     the one every block of the supported ranks needs.  Uncertified:
-    build_block certifies it with certify_pair.
+    build_block certifies it as certify_pair does.
     """
     n = len(xi)
     if not 2 <= n <= MAX_SIZE:
@@ -660,6 +661,12 @@ def certify_pair(xi, upper, lower, rho, v, c):
     division.
     """
     certify_basis(rho, v, c)
+    _certify_braiding(xi, upper, lower, rho, v, c)
+
+
+def _certify_braiding(xi, upper, lower, rho, v, c):
+    """certify_pair past certify_basis, for a triple already certified
+    (twisted_basis certifies each one it returns)."""
     n = len(xi)
     a, b = upper, lower
     for i in range(n):
@@ -717,7 +724,8 @@ class MixingBlock:
 def build_block(spec):
     """Twist eigenvalues and certified triangular pair of one
     young.cube_blocks block, built once per block; each pair of size >= 2
-    is certified against twisted_basis."""
+    is certified against twisted_basis, as certify_pair does, less the
+    check of the triple that twisted_basis has made."""
     size = spec.multiplicity
     if size > MAX_SIZE:
         raise UnsupportedMultiplicity(
@@ -731,5 +739,5 @@ def build_block(spec):
     if size == 1:
         return MixingBlock(spec, eigenvalues, (eigenvalues,), (eigenvalues,))
     pair = triangular_pair(eigenvalues)
-    certify_pair(eigenvalues, *pair, *twisted_basis(size, spec.p))
+    _certify_braiding(eigenvalues, *pair, *twisted_basis(size, spec.p))
     return MixingBlock(spec, eigenvalues, *pair)

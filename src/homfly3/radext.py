@@ -72,13 +72,22 @@ def _qfactorial(n):
 def _expand(exps, sign=1, u6=0):
     """sign * q^(u6/6) * prod_d Phi_d(q^2)^exps[d], exps >= 0, as a LaurentQ.
 
-    ``exps`` may also be a set of d, standing for exponents 1.
+    ``exps`` may also be a set of d, standing for exponents 1.  The product
+    of the Phi_d is formed once per exponent tuple (_cyclotomic_product).
     """
     if not isinstance(exps, dict):
         exps = dict.fromkeys(exps, 1)
-    acc = LaurentQ({u6: sign})
-    for d in sorted(exps):
-        acc = acc * _cyclotomic(d) ** exps[d]
+    return (_cyclotomic_product(tuple(sorted(exps.items()))) * sign).shift6(u6)
+
+
+# bounded: 111 exponent tuples after the set-up of r <= 4, 172 after
+# racah-dump at N = 5, p = 50
+@lru_cache(maxsize=1024)
+def _cyclotomic_product(exps):
+    """prod_d Phi_d(q^2)^e over the pairs (d, e) of exps, d ascending."""
+    acc = LaurentQ.one()
+    for d, e in exps:
+        acc = acc * _cyclotomic(d) ** e
     return acc
 
 

@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 from itertools import chain
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import Phase, assume, example, given, settings
@@ -26,6 +27,7 @@ from homfly3.qpoly import (
     quantum_int,
     signed_width,
     substitute,
+    unpack_digits,
     unpack_signed,
 )
 from homfly3.symfun import PowerSumPoly
@@ -358,6 +360,108 @@ def test_signed_digits_round_trip(case):
         # exponents on a step-6 lattice starting at -12 pack to the same value
         terms = {6 * k - 12: d for k, d in expect.items()}
         assert pack_signed(terms, -12, width, 6) == value
+
+
+def stripped(digits):
+    """digits without their trailing zeros."""
+    digits = list(digits)
+    while digits and not digits[-1]:
+        digits.pop()
+    return digits
+
+
+@given(st.integers(1, 9).flatmap(lambda w: st.tuples(
+    st.just(w),
+    st.lists(st.integers(-(2 ** (8 * w - 1) - 1), 2 ** (8 * w - 1) - 1), min_size=1, max_size=30),
+    st.integers(1, 6),
+    st.integers(-20, 20),
+)))
+def test_cast_and_byte_digit_paths_agree(case):
+    # widths 1, 2, 4 and 8 write and read digits through one memoryview
+    # cast, the others slot by slot; emptying the cast table forces the
+    # byte path at every width, and it gives the same integer and digits
+    width, digits, step, emin = case
+    assume(any(digits))
+    terms = {emin + step * k: d for k, d in enumerate(digits) if d}
+    value = sum(d << (8 * width * k) for k, d in enumerate(digits))
+    packed, unpacked = pack_signed(terms, emin, width, step), unpack_digits(value, width)
+    assert packed == value
+    assert stripped(unpacked) == stripped(digits)
+    with patch.dict(qpoly._CAST, clear=True):
+        assert pack_signed(terms, emin, width, step) == packed
+        assert unpack_digits(value, width) == unpacked
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_pack_signed_refuses_half_a_digit_at_every_cast_width(width):
+    # the signed digit holds |c| < 2^(8 width - 1): a raw two's-complement
+    # slot would also take -2^(8 width - 1), which the check refuses
+    half = 2 ** (8 * width - 1)
+    for c in (half, -half, 2 * half):
+        with pytest.raises(ValueError, match="does not fit"):
+            pack_signed({0: 1, 6: c}, 0, width, 6)
+    packed = pack_signed({0: half - 1, 6: 1 - half}, 0, width, 6)
+    assert unpack_signed(packed, width) == {0: half - 1, 1: 1 - half}
+
+
+def test_curly_atom_quotient_widens_for_a_quotient_wider_than_its_sum(monkeypatch):
+    # {q^10}^4 / {q}^4 = [10]^4: the numerator's coefficients (at most
+    # C(4, 2) = 6) fit one byte, the quotient's reach 670, and 670 times
+    # |(X - 1)^4|_1 = 16 does not, so the sum is packed and divided again
+    # at two bytes
+    widths = []
+    product = qpoly._hook_product
+    monkeypatch.setattr(qpoly, "_hook_product",
+                        lambda shifts, width: widths.append(width) or product(shifts, width))
+    got = qpoly.curly_atom_quotient([({0: 1}, qpoly.atom_list([(0, 10)] * 4))], (1,) * 4)
+    assert got == {(0, e): c for e, c in (quantum_int(10) ** 4).terms.items()}
+    assert max(got.values()) == 670
+    assert widths == [1, 2]
+
+
+atom_pairs = st.one_of(st.tuples(st.integers(1, 2), st.integers(-3, 3)),
+                       st.tuples(st.just(0), st.integers(1, 3)))
+quotient_coeffs = st.one_of(coeffs.filter(bool),
+                            st.builds(Fraction, coeffs.filter(bool), st.integers(1, 4)))
+
+
+@given(st.lists(st.tuples(st.dictionaries(st.integers(-4, 4).map(lambda e: 6 * e),
+                                          quotient_coeffs, min_size=1, max_size=4),
+                          st.lists(atom_pairs, max_size=3)), min_size=1, max_size=3),
+       st.lists(st.integers(1, 4), max_size=4),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(-20, 20)), max_size=2))
+def test_curly_atom_quotient_matches_schoolbook_division(terms, hooks, extra):
+    # each p is multiplied by prod {q^h} first, so the sum divides; each
+    # extra term q^e {A^a} (q^e itself for a = 0) may leave A-slices that do
+    # not, and the kernel must then name the lowest of them, as dividing
+    # slice by slice does
+    den = LaurentQ.one()
+    for h in hooks:
+        den = den * curly_q(h)
+    terms = [((LaurentQ(p) * den).terms, atoms) for p, atoms in terms]
+    terms += [({6 * e: 1}, [(a, 0)] if a else []) for a, e in extra]
+    num = {}
+    for p, atoms in terms:
+        product = {(0, e): c for e, c in p.items()}
+        for alpha, beta in atoms:
+            product = schoolbook(product, {(alpha, 6 * beta): 1, (-alpha, -6 * beta): -1},
+                                 add_pairs)
+        for k, c in product.items():
+            num[k] = num.get(k, 0) + c
+    packed_terms = [(p, qpoly.atom_list(atoms)) for p, atoms in terms]
+    want, failing = {}, None
+    for a in sorted({a for (a, _), c in num.items() if c}):
+        row = LaurentQ({e: c for (b, e), c in num.items() if b == a and c})
+        try:
+            want.update({(a, e): c for e, c in laurent_divexact(row, den).terms.items()})
+        except InexactDivision:
+            failing = a
+            break
+    if failing is None:
+        assert qpoly.curly_atom_quotient(packed_terms, hooks) == want
+    else:
+        with pytest.raises(InexactDivision, match="^A-slice %d$" % failing):
+            qpoly.curly_atom_quotient(packed_terms, hooks)
 
 
 @given(st.integers(1, 6), st.integers(-12, 12), st.integers(0, 1), st.integers(1, 3).flatmap(

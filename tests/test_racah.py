@@ -234,6 +234,21 @@ def test_build_block_certifies_its_pair_against_the_triple(monkeypatch):
     assert build_block.__wrapped__(spec) == build_block(spec)
 
 
+def test_build_block_certifies_no_triple_twice(monkeypatch):
+    # twisted_basis certifies each triple it returns; build_block checks
+    # only its pair's braiding against it, so building every block of the
+    # supported colors again certifies no triple
+    specs = [s for r in young.SUPPORTED_R for s in cube_blocks(r) if s.multiplicity >= 2]
+    blocks = [build_block(spec) for spec in specs]
+    calls = []
+    real = racah.certify_basis
+    monkeypatch.setattr(racah, "certify_basis", lambda *t: calls.append(t) or real(*t))
+    assert [build_block.__wrapped__(spec) for spec in specs] == blocks
+    assert calls == []
+    twisted_basis.__wrapped__(3, 2)
+    assert len(calls) == 1
+
+
 def blocks_of_size(size):
     return [build_block(spec) for r in young.SUPPORTED_R for spec in cube_blocks(r)
             if spec.multiplicity == size]
