@@ -43,7 +43,8 @@ EXIT_UNSUPPORTED = 3
 MAX_RANK = max(SUPPORTED_R)
 MAX_MATRIX = MAX_SIZE
 # the largest p racah-dump builds U(N|p) for: its cost grows steeply with p
-# (seconds at p = 50 for N = 5, minutes past p = 500)
+# (racah-dump --dim 5 --p 50 took 2.1-2.7 s in-process, --dim 4 0.23 s, on
+# a shared 2-vCPU x86-64 host under Python 3.11; minutes past p = 500)
 MAX_P = 50
 
 _OUTPUTS = ("reduced", "extended", "special", "jones", "coefficients")
@@ -119,7 +120,7 @@ def _rank(digits, text):
 
 
 def _parse_rep(text):
-    """'3' -> (3, False); '1^3' -> (3, True).  Ranks 1..4 only."""
+    """'3' -> (3, False); '1^3' -> (3, True).  Ranks 1..MAX_RANK only."""
     m = re.fullmatch(r"\s*([0-9]+)\s*(?:\^\s*([0-9]+)\s*)?", text)
     if not m:
         raise _CliError(EXIT_PARSE, "cannot parse --rep %r" % _clip(text))
@@ -330,7 +331,7 @@ _MODES = {
             "--braid": {"help": "word 'a1,b1|a2,b2|...'"},
             "--knot": {"help": "catalog name, e.g. 4_1"},
             "--rep": {"default": "1",
-                      "help": "rank 1..4, or '1^r' for the transposed color"},
+                      "help": "rank 1..%d, or '1^r' for the transposed color" % MAX_RANK},
             "--out": {"action": "append", "help": "comma-separated subset of %s "
                       "(default: reduced)" % ",".join(_OUTPUTS)},
         },
@@ -341,19 +342,20 @@ _MODES = {
         {
             "--knot": {"action": "append",
                        "help": "catalog name (repeatable; default all)"},
-            "--rep": {"help": "rank selection: '3', '1..4', or '1,3' (default 1..4)"},
+            "--rep": {"help": "rank selection: '3', '1..4', or '1,3' (default %d..%d)"
+                      % (knotdb.GOLDEN_RANKS[0], knotdb.GOLDEN_RANKS[-1])},
         },
     ),
     "table": (
         "print the block table (Q, j-range, multiplicity) for a rank",
         _cmd_table,
-        {"--rep": {"required": True, "help": "rank 1..4"}},
+        {"--rep": {"required": True, "help": "rank 1..%d" % MAX_RANK}},
     ),
     "racah-dump": (
         "print the mixing matrix U(N|p)",
         _cmd_racah_dump,
         {
-            "--dim": {"required": True, "help": "matrix size N (2..5)"},
+            "--dim": {"required": True, "help": "matrix size N (2..%d)" % MAX_MATRIX},
             "--p": {"required": True, "help": "family argument p (N-1..%d)" % MAX_P},
         },
     ),
@@ -369,7 +371,7 @@ def _build_parser():
     parser = _Parser(
         prog="homfly3",
         description="Colored reduced/extended polynomial engine for "
-        "3-strand braids (symmetric colors, ranks 1..4).",
+        "3-strand braids (symmetric colors, ranks 1..%d)." % MAX_RANK,
     )
     sub = parser.add_subparsers(dest="mode")
     for mode, (help_text, _, flags) in _MODES.items():

@@ -14,10 +14,12 @@ to be integral -- ints and ``Fraction``s mix transparently and integer
 arithmetic is considerably faster on the hot paths.
 
 LaurentQ, LaurentQA and symfun.PowerSumPoly share one implementation of
-their operators (_Sparse); a power is square and multiply through the
-ring's own product.  An (A, q) product runs on the q-kernel under
-A -> q^S, one packed integer product once the operands are large.  Each
-substitution rule is one table entry: the image of a term.
+their operators (_Sparse) and one schoolbook product (_mul_terms), to
+which each ring passes its own sum of keys; a power is square and multiply
+through that product.  Two kernels run on packed integers: products and
+quotients of quantum numbers (curly_atom_quotient), and the integer matrix
+products of the trace and the certificates (pack_matrix, int_matmul).
+Each substitution rule is one table entry: the image of a term.
 """
 
 from __future__ import annotations
@@ -28,13 +30,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
 from math import comb, gcd as _int_gcd, lcm, prod
-from operator import index, mul, sub
+from operator import add, index, mul, sub
 
 EXP_DEN = 6  # fixed denominator of the q-exponent lattice
-
-# Maximum len(a)*len(b) for which schoolbook dict multiplication is used;
-# larger products go through Kronecker substitution into integer multiply.
-_NAIVE_MUL_CUTOFF = 1024
 
 
 class PolyParseError(ValueError):
@@ -109,28 +107,23 @@ def _scale_dict(a, c):
     return {e: v * c for e, v in a.items()}
 
 
-def _mul_naive(a, b):
+def _mul_terms(a, b, add):
+    """Schoolbook product of two term dicts {key: coefficient}; add sums
+    two keys.  An integral Fraction becomes an int, as every ring keeps its
+    coefficients."""
     out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            k = e1 + e2
-            out[k] = out.get(k, 0) + c1 * c2
-    if any(type(c) is Fraction for c in chain(a.values(), b.values())):
-        # an integral Fraction becomes an int, as in the packed product
-        return {e: _coeff(c) for e, c in out.items() if c}
-    return {e: c for e, c in out.items() if c}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = add(k1, k2)
+            v = out.get(k)
+            out[k] = c1 * c2 if v is None else v + c1 * c2
+    return {k: int(c) if type(c) is Fraction and c.denominator == 1 else c
+            for k, c in out.items() if c}
 
 
-def _int_content(d):
-    """Return (den, ints) with d == (1/den) * ints and ints integer-valued."""
-    den = 1
-    for c in d.values():
-        cd = c.denominator
-        if cd != 1:
-            den = den * cd // _int_gcd(den, cd)
-    if den == 1:
-        return 1, {e: int(c) for e, c in d.items()}
-    return den, {e: int(c * den) for e, c in d.items()}
+def _add_pairs(x, y):
+    """The sum of two (A-exponent, q-exponent) keys."""
+    return x[0] + y[0], x[1] + y[1]
 
 
 # A memoryview cast reads and writes each slot in the host's byte order, so
@@ -409,57 +402,6 @@ def curly_q_product(values):
                            curly_atom_sum([({0: 1}, [(0, v) for v in values])]).items()})
 
 
-def _mul_dicts(a, b):
-    """Product of two term dicts {exponent: coefficient}.
-
-    Small products are schoolbook.  A larger one packs each operand into
-    fixed-width signed digits of one integer, exponent e at digit
-    (e - min) / step with step the common exponent step of both operands,
-    so that one big-int multiplication performs the whole convolution
-    exactly; the width comes from an a-priori bound on the result's
-    coefficients, so unpacking is unambiguous.
-    """
-    if not a or not b:
-        return {}
-    if len(a) * len(b) <= _NAIVE_MUL_CUTOFF:
-        return _mul_naive(a, b)
-    step = _support_step(a, b)
-    # Kronecker packing needs a bounded number of digits; fall back for pathological gaps.
-    if (max(a) - min(a) + max(b) - min(b)) // step > 1 << 22:
-        return _mul_naive(a, b)
-    dena, ia = _int_content(a)
-    denb, ib = _int_content(b)
-    amin, bmin = min(ia), min(ib)
-    width = signed_width(sum(map(abs, ia.values())) * max(map(abs, ib.values())))
-    digits = unpack_signed(
-        pack_signed(ia, amin, width, step) * pack_signed(ib, bmin, width, step), width)
-    den = dena * denb
-    return {amin + bmin + step * k: d if den == 1 else _coeff(Fraction(d, den))
-            for k, d in digits.items()}
-
-
-def _on_q_kernel(*dicts):
-    """The product of two nonempty (A, q) term dicts, run on the q-kernel
-    under A -> q^S.
-
-    Each key (a, e) becomes the q-exponent a*S + e, where S is the least
-    multiple of the q-exponents' common step that exceeds the q-span of
-    the result, so no two A-slices of the result meet and the packed
-    kernel keeps that step.  A result exponent f decodes as
-    a = (f - lo) // S, e = f - a*S, with lo the result's lowest q-exponent.
-    """
-    qs = [[e for _, e in d] for d in dicts]
-    lo = sum(map(min, qs))
-    span = sum(map(max, qs)) - lo
-    step = _support_step(*qs) or 1
-    S = (span // step + 1) * step
-    out = {}
-    for f, c in _mul_dicts(*({a * S + e: c for (a, e), c in d.items()} for d in dicts)).items():
-        a = (f - lo) // S
-        out[a, f - a * S] = c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the shared operators, and LaurentQ
 # ---------------------------------------------------------------------------
@@ -649,7 +591,7 @@ class LaurentQ(_Sparse):
             return _new(LaurentQ, _scale_dict(self._t, _coeff(other)))
         if not isinstance(other, LaurentQ):
             return NotImplemented
-        return _new(LaurentQ, _mul_dicts(self._t, other._t))
+        return _new(LaurentQ, _mul_terms(self._t, other._t, add))
 
     __rmul__ = __mul__
 
@@ -817,7 +759,7 @@ class LaurentQA(_Sparse):
     """Laurent polynomial in A and q; q-exponents on the 1/6 lattice.
 
     Term map: (A-exponent, q-exponent numerator over 6) -> coefficient.
-    Products run on the q-kernel under A -> q^S (_on_q_kernel).
+    A product is _mul_terms over the pairwise sum of keys.
     """
 
     __slots__ = ()
@@ -907,9 +849,7 @@ class LaurentQA(_Sparse):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self._t or not o._t:
-            return _QA_ZERO
-        return _new(LaurentQA, _on_q_kernel(self._t, o._t))
+        return _new(LaurentQA, _mul_terms(self._t, o._t, _add_pairs))
 
     __rmul__ = __mul__
 

@@ -58,7 +58,6 @@ from .qpoly import (
 from .radext import (
     NotASquare,
     NotCyclotomic,
-    _cyclotomic,
     _expand,
     _fprod,
     _qfactorial,
@@ -171,10 +170,12 @@ MAX_SIZE = max(_SUM_DRESS)
 def _recoupling(N, p):
     """U(N|p) in factored form: (odd, nums, dens).
 
-    U_ij = nums[i, j] / prod_d Phi_d(q^2)^dens[i, j][d]
+    U_ij = num_ij / prod_d Phi_d(q^2)^dens[i, j][d]
            * sqrt(rho_i rho_j),   rho_j = prod_d Phi_d(q^2)^odd[j][d],
-    with each ratio in lowest terms.  Row i carries the intermediate spin
-    j = p - i of the recoupling sum.
+    with each ratio in lowest terms; nums[i, j] = (poly, factored) holds
+    num_ij as a LaurentQ times a factored value, which radext._expand
+    multiplies out.  Row i carries the intermediate spin j = p - i of the
+    recoupling sum.
     """
     k = N - 1
     spins = [p - i for i in range(N)]
@@ -200,8 +201,7 @@ def _recoupling(N, p):
             sign, u6, exps = _fprod([(sign, 0, {}), root, (1, 0, common)])
             total, den = divide_out(
                 total, {d: -e for d, e in exps.items() if e < 0})
-            pos = {d: e for d, e in exps.items() if e > 0}
-            nums[i, jj] = total * _expand(pos, sign, u6)
+            nums[i, jj] = total, (sign, u6, {d: e for d, e in exps.items() if e > 0})
             dens[i, jj] = den
     return odd, nums, dens
 
@@ -233,8 +233,9 @@ def twisted_basis(N, p):
 
 def _triple(odd, nums, dens):
     """(rho, V, c) from factored rho_j and entries U_ij / sqrt(rho_i rho_j)
-    = nums[i, j] / prod_d Phi_d(q^2)^dens[i, j][d]; c is their least common
-    denominator."""
+    = num_ij / prod_d Phi_d(q^2)^dens[i, j][d], nums[i, j] = (poly,
+    factored) as _recoupling writes them; c is their least common
+    denominator, and each V_ij one radext._expand."""
     n = len(odd)
     rho = tuple(_expand(o) for o in odd)
     c_exps = {}
@@ -242,15 +243,19 @@ def _triple(odd, nums, dens):
         for d, e in den.items():
             c_exps[d] = max(c_exps.get(d, 0), e)
     c = _expand(c_exps)
-    v = tuple(
-        tuple(
-            nums[i, j] * _expand(
-                {d: e - dens[i, j].get(d, 0) for d, e in c_exps.items()})
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    v = tuple(tuple(_entry(nums[i, j], {d: e - dens[i, j].get(d, 0) for d, e in c_exps.items()})
+                    for j in range(n)) for i in range(n))
     return rho, v, c
+
+
+def _entry(num, extra):
+    """poly * factored * prod_d Phi_d(q^2)^extra[d] of num = (poly,
+    factored): one radext._expand."""
+    poly, (sign, u6, exps) = num
+    exps = dict(exps)
+    for d, e in extra.items():
+        exps[d] = exps.get(d, 0) + e
+    return _expand(exps, sign, u6, poly)
 
 
 def certify_basis(rho, v, c):
@@ -258,7 +263,8 @@ def certify_basis(rho, v, c):
 
     Checks the sign layout V_ji = (-1)^(i+j) V_ij and diag(rho) V
     diag(rho) V^T = c^2 I, which is V diag(rho) V^T = c^2 diag(1/rho), on
-    packed integers; raises NonOrthogonal on the first failure.
+    packed integers, c^2 I as the chain (c I)(c I); raises NonOrthogonal on
+    the first failure.
     """
     n = len(rho)
     for i in range(n):
@@ -268,7 +274,8 @@ def certify_basis(rho, v, c):
                     "sign layout breaks the alternating transpose rule at "
                     "(%d,%d)" % (i, j)
                 )
-    bad = _mismatches((rho, v, rho, tuple(zip(*v))), ((c * c,) * n,))
+    cs = (c,) * n
+    bad = _mismatches((rho, v, rho, tuple(zip(*v))), (cs, cs))
     if bad:
         raise NonOrthogonal(
             "rows %d and %d of V diag(rho) V^T break U U^T = I" % min(bad))
@@ -325,12 +332,13 @@ def racah_su2(N, p):
     for i in range(N):
         row = []
         for j in range(N):
-            num, den = nums[i, j], dict(dens[i, j])
+            den, shared = dict(dens[i, j]), {}
             for d in odd[i].keys() & odd[j].keys():
                 if den.get(d):
                     den[d] -= 1
                 else:
-                    num = num * _cyclotomic(d)
+                    shared[d] = 1
+            num = _entry(nums[i, j], shared)
             text = num.render()
             den = _expand(den)
             if num and not den.is_one():
@@ -520,16 +528,17 @@ def racah_from_eigenvalues(xi):
             raise NonOrthogonal(
                 "U_%d%d^2 is not rho_%d rho_%d times a square" % (i, j, i, j)
                 + outside)
-        nums[i, j] = _expand({d: e for d, e in exps.items() if e > 0},
-                             sign, u6)
+        nums[i, j] = LaurentQ.one(), (sign, u6, {d: e for d, e in exps.items() if e > 0})
         dens[i, j] = {d: -e for d, e in exps.items() if e < 0}
     for i, (fac, (sign, u6, exps)) in enumerate(diags):
-        nums[i, i], dens[i, i] = divide_out(
+        poly, dens[i, i] = divide_out(
             fac.shift6(-u6) * sign, _fprod([(1, 0, exps), (1, 0, odd[i])])[2])
+        nums[i, i] = poly, (1, 0, {})
 
     for i in range(n):
         for j in range(i):
-            nums[i, j] = nums[j, i] * (-1) ** (i + j)
+            poly, factored = nums[j, i]
+            nums[i, j] = poly * (-1) ** (i + j), factored
             dens[i, j] = dens[j, i]
     rho, v, c = _triple(odd, nums, dens)
 
@@ -695,8 +704,9 @@ def _certify_braiding(xi, upper, lower, rho, v, c):
     # E' = diag(heads) times n - 1 diagonals, each holding one other row's end
     others = [[ends[j] for j in range(n) if j != k] for k in range(n)]
     scale = (heads,) + tuple(zip(*others))
+    cs = (c,) * n
     if _mismatches((rho, v, rho, xi, tuple(zip(*v))) + scale + (p,),
-                   ((c * c,) * n,) + scale + (p, b)):
+                   (cs, cs) + scale + (p, b)):
         raise NotIntertwined("the pair is not the block's braiding")
 
 

@@ -7,9 +7,13 @@ cyclotomic polynomials Phi_d(q^2).  Since
     [k] = q^-(k-1) * prod_{d | k, d > 1} Phi_d(q^2),
 
 products, quotients and square roots of quantum integers are exponent
-arithmetic (``_fprod``, ``sqrt_of``); only sums need polynomials, which are
-expanded (``_expand``) and divided back by the Phi_d they share with a
-denominator (``divide_out``).  The one sum written in this form directly
+arithmetic (``_fprod``, ``sqrt_of``); only sums need polynomials.  A
+polynomial times a factored value is expanded (``_expand``) on the atom
+kernel of :mod:`homfly3.qpoly`: Moebius inversion writes prod_d
+Phi_d(q^2)^e as a monomial times atoms {q^k} over hooks {q^k}, which
+``curly_atom_quotient`` multiplies and divides as one packed integer.  A
+sum is divided back by the Phi_d it shares with a denominator
+(``divide_out``).  The one sum written in this form directly
 is a binomial +-q^(2n) - 1, in closed form over the divisors of n or 2n
 (``binomial``).  Every Phi_d(x) is positive for x > 1, so the sign of a
 factored value at every q > 1 is its sign field.
@@ -22,7 +26,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .qpoly import EXP_DEN, InexactDivision, LaurentQ, laurent_divexact
+from .qpoly import (EXP_DEN, InexactDivision, LaurentQ, _new, atom_list, curly_atom_quotient,
+                    laurent_divexact)
 
 # q^2 in sixths: the exponent step of Phi_d(q^2)
 _Q2 = 2 * EXP_DEN
@@ -34,16 +39,6 @@ class NotCyclotomic(ArithmeticError):
 
 class NotASquare(ArithmeticError):
     """A factored value has an odd exponent or a negative sign under a root."""
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(d):
-    """Phi_d(q^2): x^d - 1 divided by Phi_k(x) for every k | d, k < d."""
-    phi = LaurentQ({_Q2 * d: 1, 0: -1})
-    for k in range(1, d):
-        if d % k == 0:
-            phi = laurent_divexact(phi, _cyclotomic(k))
-    return phi
 
 
 def _qint(k):
@@ -69,26 +64,56 @@ def _qfactorial(n):
     return _fprod([_qint(k) for k in range(1, n + 1)])
 
 
-def _expand(exps, sign=1, u6=0):
-    """sign * q^(u6/6) * prod_d Phi_d(q^2)^exps[d], exps >= 0, as a LaurentQ.
+def _expand(exps, sign=1, u6=0, poly=None):
+    """poly * sign * q^(u6/6) * prod_d Phi_d(q^2)^exps[d], exps >= 0, as a
+    LaurentQ; poly is a LaurentQ, 1 if omitted, and exps may be a set of d,
+    standing for exponents 1.
 
-    ``exps`` may also be a set of d, standing for exponents 1.  The product
-    of the Phi_d is formed once per exponent tuple (_cyclotomic_product).
+    A poly of two or more terms takes one qpoly.curly_atom_quotient
+    (_times_cyclotomic); a monomial scales the product of the Phi_d, which
+    is formed once per exponent tuple (_cyclotomic_product).
     """
     if not isinstance(exps, dict):
         exps = dict.fromkeys(exps, 1)
-    return (_cyclotomic_product(tuple(sorted(exps.items()))) * sign).shift6(u6)
+    exps = tuple(sorted((d, e) for d, e in exps.items() if e))
+    if poly is not None:
+        if len(poly._t) != 1:
+            return _times_cyclotomic(exps, {e + u6: sign * c for e, c in poly._t.items()})
+        ((e, c),) = poly._t.items()
+        sign, u6 = sign * c, u6 + e
+    return (_cyclotomic_product(exps) * sign).shift6(u6)
 
 
-# bounded: 111 exponent tuples after the set-up of r <= 4, 172 after
-# racah-dump at N = 5, p = 50
+# bounded: 62 exponent tuples after the set-up of r <= 4, 137 after
+# racah-dump at N = 5, p = 50 on top of it
 @lru_cache(maxsize=1024)
 def _cyclotomic_product(exps):
     """prod_d Phi_d(q^2)^e over the pairs (d, e) of exps, d ascending."""
-    acc = LaurentQ.one()
-    for d, e in exps:
-        acc = acc * _cyclotomic(d) ** e
-    return acc
+    return _times_cyclotomic(exps, {0: 1})
+
+
+def _times_cyclotomic(exps, terms):
+    """The term dict terms times prod_d Phi_d(q^2)^e over the pairs (d, e)
+    of exps, as a LaurentQ: one qpoly.curly_atom_quotient.
+
+    Phi_d(q^2) divides q^2k - 1 = q^k {q^k} once for each multiple k of d,
+    so the product is q^(sum_k k m_k) prod_k {q^k}^m_k, where m solves
+    e_d = sum_{d | k} m_k from the largest d down (the Moebius inversion
+    m_k = sum_{k | d} mu(d/k) e_d): an atom {q^k} for each m_k > 0, a hook
+    {q^k} for each m_k < 0.
+    """
+    exps = dict(exps)
+    top = max(exps, default=0)
+    m = {}
+    for k in range(top, 0, -1):
+        m[k] = exps.get(k, 0) - sum(m[j] for j in range(2 * k, top + 1, k))
+    atoms = [(0, k) for k, x in m.items() for _ in range(x)]
+    hooks = [k for k, x in m.items() for _ in range(-x)]
+    if atoms or hooks:
+        shift = EXP_DEN * sum(k * x for k, x in m.items())
+        terms = {e + shift: c for (_, e), c in
+                 curly_atom_quotient([(terms, atom_list(atoms))], hooks).items()}
+    return _new(LaurentQ, terms)
 
 
 def divide_out(poly, exps):
@@ -101,7 +126,7 @@ def divide_out(poly, exps):
     for d, e in exps.items():
         while e:
             try:
-                poly = laurent_divexact(poly, _cyclotomic(d))
+                poly = laurent_divexact(poly, _expand({d: 1}))
             except InexactDivision:
                 break
             e -= 1

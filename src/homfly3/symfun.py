@@ -24,8 +24,8 @@ from functools import lru_cache
 from math import factorial
 from operator import index
 
-from .qpoly import (LaurentQ, LaurentQA, _accumulate, _div_coeff, _new, _Sparse,
-                    atom_list, curly_atom_quotient, curly_q_product)
+from .qpoly import (LaurentQ, LaurentQA, _accumulate, _div_coeff, _mul_terms, _new,
+                    _Sparse, atom_list, curly_atom_quotient, curly_q_product)
 from .young import SUPPORTED_R, FractionQA, YoungDiagram, kappa  # noqa: F401  (kappa re-exported for tests)
 
 # ---------------------------------------------------------------------------
@@ -112,6 +112,11 @@ def _norm_partition(lam):
     return tuple(sorted((index(x) for x in lam if x), reverse=True))
 
 
+def _merge(l1, l2):
+    """The partition of p_l1 * p_l2."""
+    return tuple(sorted(l1 + l2, reverse=True))
+
+
 class PowerSumPoly(_Sparse):
     """Polynomial in the power sums: map {partition: coefficient}.
 
@@ -162,9 +167,7 @@ class PowerSumPoly(_Sparse):
 
     def __mul__(self, other):
         if isinstance(other, PowerSumPoly):
-            return _new(PowerSumPoly, _accumulate(
-                (tuple(sorted(l1 + l2, reverse=True)), c1 * c2)
-                for l1, c1 in self._t.items() for l2, c2 in other._t.items()))
+            return _new(PowerSumPoly, _mul_terms(self._t, other._t, _merge))
         # scalar
         if not other:
             return PowerSumPoly.zero()

@@ -295,7 +295,10 @@ def test_help_goes_to_out_and_exits_0(argv, capsys):
 
 def test_main_prints_help_and_returns_0(capsys):
     assert cli.main(["--help"]) == 0
-    assert capsys.readouterr().out.startswith("usage: homfly3")
+    out = capsys.readouterr().out
+    assert out.startswith("usage: homfly3")
+    # the rank range is formatted from the cap, however the text wraps
+    assert "ranks 1..%d)." % cli.MAX_RANK in " ".join(out.split())
 
 
 def test_braid_exponent_of_any_length_gets_a_short_message():

@@ -131,7 +131,7 @@ def test_ring_laws_q(x, y):
 
 
 # ---------------------------------------------------------------------------
-# Kronecker multiplication and the signed-digit format
+# products and the signed-digit format
 
 def schoolbook(a, b, add=lambda x, y: x + y):
     """Product of plain term dicts; add combines two keys."""
@@ -165,7 +165,6 @@ wide_terms = st.dictionaries(
 @settings(phases=[Phase.explicit, Phase.generate])
 @given(wide_terms, wide_terms)
 def test_kronecker_product_matches_schoolbook(a, b):
-    assert len(a) * len(b) > qpoly._NAIVE_MUL_CUTOFF
     assert (LaurentQ(a) * LaurentQ(b)).terms == schoolbook(a, b)
 
 
@@ -187,16 +186,32 @@ def test_packed_power_matches_repeated_multiplication(p, n):
     assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
 
 
-@given(power_bases, power_bases)
-@example(LaurentQ({1: Fraction(1, 2), 0: 1}), LaurentQ({1: Fraction(1, 2), 0: 1}))
-def test_small_products_hold_int_coefficients_where_integral(a, b):
-    # the schoolbook product normalizes as the packed product and ** do
-    assert len(a.terms) * len(b.terms) <= qpoly._NAIVE_MUL_CUTOFF
+def merge_partitions(x, y):
+    return tuple(sorted(x + y, reverse=True))
+
+
+@given(power_bases, power_bases, st.dictionaries(
+    st.tuples(st.integers(-3, -1), st.integers(-40, 40)), st.integers(-9, 9).filter(bool),
+    min_size=1, max_size=6))
+@example(LaurentQ({1: Fraction(1, 2), 0: 1}), LaurentQ({1: Fraction(1, 2), 0: 1}), {(-1, 0): 1})
+def test_small_products_hold_int_coefficients_where_integral(a, b, t):
+    # the one schoolbook product normalizes as ** does, in each ring with
+    # its own sum of keys
     got = a * b
     assert got.terms == schoolbook(a.terms, b.terms)
     qa = LaurentQA.from_q(a) * LaurentQA.from_q(b)
     for c in chain(got.terms.values(), qa.terms.values()):
         assert type(c) is int or c.denominator != 1
+    # (A, q) keys with negative A-exponents add pairwise
+    qb = LaurentQA(t) + LaurentQA.from_q(b)
+    assert (LaurentQA(t) * qb).terms == schoolbook(t, qb.terms, add_pairs)
+    # power-sum keys merge as partitions, over int, Fraction and LaurentQ
+    # coefficients; 1/3 times 3 is the int 1
+    x = PowerSumPoly({(2, 1): a, (1,): Fraction(1, 3), (): 2})
+    y = PowerSumPoly({(1,): b, (3,): 3, (2,): Fraction(3, 2)})
+    prod_xy = x * y
+    assert prod_xy.terms == schoolbook(x.terms, y.terms, merge_partitions)
+    assert prod_xy.terms[3, 1] == 1 and type(prod_xy.terms[3, 1]) is int
 
 
 # (A, q) keys: negative A-exponents, q-exponents in sixths on the whole
@@ -211,7 +226,6 @@ def wide_qa_terms(draw):
 @settings(phases=[Phase.explicit, Phase.generate])
 @given(wide_qa_terms(), wide_qa_terms())
 def test_packed_qa_product_matches_schoolbook(a, b):
-    assert len(a) * len(b) > qpoly._NAIVE_MUL_CUTOFF
     assert (LaurentQA(a) * LaurentQA(b)).terms == schoolbook(a, b, add_pairs)
 
 

@@ -6,7 +6,7 @@ import hashlib
 import json
 from dataclasses import fields
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import prod
 
 import pytest
@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from homfly3 import racah, young
-from homfly3.qpoly import LaurentQ, quantum_int
+from homfly3.qpoly import LaurentQ, laurent_divexact, quantum_int
 from homfly3.racah import (
     DegenerateP,
     MixingBlock,
@@ -219,6 +219,11 @@ def test_basis_certificate_rejects_broken_triples():
                 check(rho, tuple(map(tuple, rows)), c)
         with pytest.raises(NonOrthogonal):
             check(rho, v, c * 2)
+    # past certify_basis, the braiding check takes c^2 as c twice in its
+    # chain: a c off by a constant or by a power of q breaks it
+    for wrong in (c * 2, c.shift6(6)):
+        with pytest.raises(NotIntertwined):
+            racah._certify_braiding(block.eigenvalues, block.upper, block.lower, rho, v, wrong)
 
 
 def test_build_block_certifies_its_pair_against_the_triple(monkeypatch):
@@ -456,6 +461,34 @@ def test_binomial_closed_form(sign):
     for k in range(1, 12):
         assert _fprod([binomial((1, 12 * k, {}))],
                       [(1, 6 * (k - 1), {}), binomial((1, 12, {}))]) == _qint(k)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_reference(d):
+    """Phi_d(q^2): q^(2d) - 1 divided exactly by Phi_k(q^2) for every k | d,
+    k < d."""
+    phi = LaurentQ({12 * d: 1, 0: -1})
+    for k in range(1, d):
+        if d % k == 0:
+            phi = laurent_divexact(phi, cyclotomic_reference(k))
+    return phi
+
+
+@given(st.dictionaries(st.integers(1, 60), st.integers(0, 3), max_size=4),
+       st.sampled_from([1, -1]), st.integers(-60, 60),
+       st.dictionaries(st.integers(-60, 60), st.integers(-9, 9).filter(bool), max_size=6))
+@example({}, -1, 5, {0: 2, 12: -1})
+@example({60: 3, 30: 3, 1: 3, 7: 2}, 1, 0, {6: 1, 0: 1})
+def test_expand_is_the_product_of_cyclotomic_polynomials(exps, sign, u6, terms):
+    # one atom-kernel call against the divided-out reference, with its
+    # monomial and cached paths
+    poly = LaurentQ(terms)
+    expect = (poly * sign).shift6(u6)
+    for d, e in exps.items():
+        expect = expect * cyclotomic_reference(d) ** e
+    assert _expand(exps, sign, u6, poly) == expect
+    assert _expand(exps, sign, u6) == (LaurentQ.one() * sign).shift6(u6) * prod(
+        (cyclotomic_reference(d) ** e for d, e in exps.items()), start=LaurentQ.one())
 
 
 def test_sqrt_of_perfect_square():
