@@ -44,10 +44,11 @@ product is formed.
 The reduction divides sum_Q C_Q S_Q* by S_[r]* with the atoms of S_[r]*
 cancelled up front: each S_Q* already holds the content atoms of [r], and
 the common hook denominator the hooks of [r].  What depends on the color
-alone, each C_Q's remaining curly-bracket atoms and the remaining hooks,
-is planned once per color.  One qpoly.curly_atom_quotient then forms each
-C_Q times its atoms on one packed integer, by shifts and subtractions,
-divides the sum once, as one integer, by the product of the remaining
+alone, the C_Q's remaining curly-bracket atoms and the remaining hooks,
+is planned once per color, the atoms as one program that factors out the
+atoms the C_Q share (qpoly.atom_plan).  One qpoly.curly_atom_quotient
+then forms the sum of the C_Q times their atoms on one packed integer, by
+shifts and subtractions, divides the sum once, as one integer, by the product of the remaining
 {q^h}, and unpacks the quotient once.
 """
 
@@ -69,7 +70,7 @@ from .qpoly import (
     _div_coeff,
     _new,
     _support_step,
-    atom_list,
+    atom_plan,
     curly_atom_quotient,
     int_matmul,
     laurent_matrix,
@@ -407,17 +408,17 @@ def reduce_expansion(expansion, writhe):
 
     over the remaining prod {q^h}, h in common - hooks [r], both planned
     once per color, is one qpoly.curly_atom_quotient: packed once, each
-    atom one shift and one subtraction, divided once as one integer by the
-    packed prod {q^h}, and the quotient unpacked once.  A division that is
+    atom one shift and one subtraction for all the C_Q that share it,
+    divided once as one integer by the packed prod {q^h}, and the quotient unpacked once.  A division that is
     not exact raises NonPolynomialResult naming the lowest A-slice it does
     not divide (multi-component closures genuinely do this; for knots it
     would signal a bug).
     """
     r = expansion.r
-    atoms, hooks = _reduction_plan(r, tuple(expansion.coefficients))
+    plan, hooks = _reduction_plan(r, tuple(expansion.coefficients))
     try:
-        quotient = curly_atom_quotient(
-            [(c._t, a) for c, a in zip(expansion.coefficients.values(), atoms)], hooks)
+        quotient = curly_atom_quotient([c._t for c in expansion.coefficients.values()],
+                                       plan, hooks)
     except InexactDivision as exc:
         raise NonPolynomialResult("quantum-dimension denominator does not divide "
                                   "the character sum (%s)" % exc) from None
@@ -430,19 +431,19 @@ def reduce_expansion(expansion, writhe):
 # bounded: one entry per tuple of diagrams, in practice one per color
 @lru_cache(maxsize=16)
 def _reduction_plan(r, diagrams):
-    """(atoms, hooks) of the reduction at color r: per diagram Q the
-    qpoly.atom_list of {A q^c}, c in contents Q - contents [r], and {q^h},
-    h in common - hooks Q; and the remaining hooks, common - hooks [r]."""
+    """(plan, hooks) of the reduction at color r: the qpoly.atom_plan of the
+    diagrams' atom lists, per diagram Q {A q^c}, c in contents Q - contents
+    [r], and {q^h}, h in common - hooks Q; and the remaining hooks, common -
+    hooks [r]."""
     hooks = {Q: Counter(Q.hooks()) for Q in diagrams}
     common = Counter()
     for hq in hooks.values():
         common |= hq
     color = YoungDiagram([r])
     contents_r = Counter(color.contents())
-    atoms = tuple(atom_list([(1, k) for k in (Counter(Q.contents()) - contents_r).elements()]
-                            + [(0, h) for h in (common - hooks[Q]).elements()])
-                  for Q in diagrams)
-    return atoms, tuple((common - Counter(color.hooks())).elements())
+    plan = atom_plan([[(1, k) for k in (Counter(Q.contents()) - contents_r).elements()]
+                      + [(0, h) for h in (common - hooks[Q]).elements()] for Q in diagrams])
+    return plan, tuple((common - Counter(color.hooks())).elements())
 
 
 def closure_components(word):

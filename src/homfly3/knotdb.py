@@ -205,8 +205,11 @@ def printed(name, r):
     return _parse_fixture(name, r, _read_table("%s_r%d.printed.txt" % (name, r)), ".printed")
 
 
+# bounded: only a catalog name returns, so one entry per knot
+@lru_cache(maxsize=None)
 def braid_word(name):
-    """The catalog braid word of the named knot."""
+    """The catalog braid word of the named knot, parsed once per name
+    (Braid3Word is frozen, so every caller may share it)."""
     _check_name(name)
     return Braid3Word.parse(_WORDS[name])
 

@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, repeat
+from functools import lru_cache, partial, reduce
+from itertools import chain, compress, repeat
 from math import comb, gcd as _int_gcd, lcm, prod
-from operator import add, index, mul, sub
+from operator import add, index, itemgetter, mul, sub
+from typing import NamedTuple
 
 EXP_DEN = 6  # fixed denominator of the q-exponent lattice
 
@@ -240,58 +242,197 @@ def _support_step(*dicts) -> int:
     return g
 
 
-def atom_list(atoms):
-    """(atoms, alpha, lift, reach, bound, agcd, qgcd) of atoms (alpha,
-    beta), checked: their tuple, sum of alphas, EXP_DEN times the sums of
-    beta and |beta|, C(k, k // 2) for k atoms, and the gcds of the atoms'
-    2 alpha and of their 2 EXP_DEN |beta|, all that curly_atom_quotient
-    reads."""
-    atoms = tuple(atoms)
-    for alpha, beta in atoms:
+class AtomPlan(NamedTuple):
+    """atom_plan's program over a tuple of atom lists, and each list's
+    constants, all that curly_atom_quotient reads."""
+    atoms: tuple      # the distinct atoms (alpha, beta), in order of first use
+    alphas: tuple     # per list: the sum of alphas
+    lifts: tuple      # per list: EXP_DEN times the sum of betas
+    reach: tuple      # per list: EXP_DEN times the sum of |beta|
+    bounds: tuple     # per list: C(k, k // 2) for its k atoms
+    agcds: tuple      # per list: the gcd of its atoms' 2 alpha
+    qgcds: tuple      # per list: the gcd of its atoms' 2 EXP_DEN beta
+    program: tuple    # steps (dst, chain, src), see atom_plan
+    root: int         # the slot that holds the sum once the program ran
+
+
+def atom_plan(lists):
+    """The AtomPlan of a sequence of atom lists, each of pairs (alpha,
+    beta) standing for {A^alpha q^beta}, checked.
+
+    Its program computes sum_i x_i * prod_{a in list_i} (X^s_a - 1) from
+    slots x_i, one per list, by greedy factoring: take out the atom that
+    the most lists of a group hold, and recurse on the lists that hold it
+    (less one copy) and on those that do not, until no atom is shared; a
+    lone list applies its own atoms.  An atom that every list of a group
+    holds is the greedy choice until it is gone, so all such atoms come out
+    at once.  A step (dst, chain, src) sets slot dst to x_dst * prod_{a in
+    chain} (X^s_a - 1), plus slot src unless src is None; chain holds
+    indices into atoms.  The whole sum ends in slot root.  Each factor is
+    one shift and one subtraction, and one applied to a group stands for
+    one per list in it, so the program applies at most as many as the
+    lists hold, and a single list is its own chain.
+
+    The planner keeps one dict per list, of the atoms it has left, and
+    removes the atoms taken out in place, as every list is in one group at
+    a time; a group counts the lists that hold each atom on its smaller
+    side only, and the other side's counts by subtraction.
+    """
+    lists = [tuple(atoms) for atoms in lists]
+    index = {atom: k for k, atom in enumerate(dict.fromkeys(chain.from_iterable(lists)))}
+    for alpha, beta in index:
         if alpha < 0 or (alpha == 0 and beta <= 0):
             raise ValueError("atom {A^%d q^%d} needs alpha > 0, or alpha = 0 "
                              "and beta > 0" % (alpha, beta))
-    return (atoms, sum(alpha for alpha, _ in atoms), EXP_DEN * sum(beta for _, beta in atoms),
-            EXP_DEN * sum(abs(beta) for _, beta in atoms), comb(len(atoms), len(atoms) // 2),
-            _int_gcd(*(2 * alpha for alpha, _ in atoms)),
-            _int_gcd(*(2 * EXP_DEN * beta for _, beta in atoms)))
+    program, root = [], 0
+    if len(lists) > 1:
+        held = [dict(Counter(map(index.get, atoms))) for atoms in lists]
+        root, pending = _factor_group(list(range(len(lists))),
+                                      dict(Counter(chain.from_iterable(held))), held, program)
+    else:  # a single list is its own chain
+        pending = [index[a] for a in chain.from_iterable(lists)]
+    if pending:
+        program.append((root, tuple(pending), None))
+    columns = tuple(zip(*map(_list_constants, lists))) or ((),) * 6
+    return AtomPlan(tuple(index), *columns, tuple(program), root)
+
+
+def _list_constants(atoms):
+    """An atom list's (alpha, lift, reach, bound, agcd, qgcd) of AtomPlan."""
+    alphas, betas = zip(*atoms) if atoms else ((), ())
+    return (sum(alphas), EXP_DEN * sum(betas), EXP_DEN * sum(map(abs, betas)),
+            comb(len(atoms), len(atoms) // 2), 2 * _int_gcd(*alphas),
+            2 * EXP_DEN * _int_gcd(*betas))
+
+
+def _factor_group(members, counts, held, program):
+    """Append to program the steps that sum the group members (slots,
+    held[i] the atoms slot i has left, counts how many members hold each
+    atom, both dicts that this call consumes); return (slot, chain): the
+    group's sum is the slot times the chain's factors, still to be
+    applied."""
+    size = len(members)
+    if size == 1:
+        return members[0], _elements(held[members[0]])
+    # the atoms every member holds come out at once, as often as each
+    # member holds them: the greedy choice while any is left
+    common = []
+    for atom in [a for a, c in counts.items() if c == size]:
+        times = min(held[i][atom] for i in members)
+        common += [atom] * times
+        counts[atom] = 0
+        for i in members:
+            if held[i][atom] == times:
+                held[i].pop(atom)
+            else:
+                held[i][atom] -= times
+                counts[atom] += 1
+        if not counts[atom]:
+            counts.pop(atom)
+    atom, most = max(counts.items(), key=itemgetter(1), default=(None, 0))
+    if most < 2:
+        slot, _ = reduce(partial(_add_step, program), [(i, _elements(held[i])) for i in members])
+        return slot, common
+    holders = [i for i in members if atom in held[i]]
+    rest = [i for i in members if atom not in held[i]]
+    fewer = holders if len(holders) <= len(rest) else rest
+    counted = dict(Counter(chain.from_iterable(held[i] for i in fewer)))
+    for a, c in counted.items():
+        if counts[a] == c:
+            counts.pop(a)
+        else:
+            counts[a] -= c
+    inner, outer = (counted, counts) if fewer is holders else (counts, counted)
+    for i in holders:
+        left = held[i]
+        if left[atom] == 1:
+            left.pop(atom)
+            inner[atom] -= 1
+        else:
+            left[atom] -= 1
+    if not inner[atom]:
+        inner.pop(atom)
+    slot, pending = _factor_group(holders, inner, held, program)
+    pending.append(atom)
+    slot, _ = _add_step(program, (slot, pending), _factor_group(rest, outer, held, program))
+    return slot, common
+
+
+def _elements(held):
+    """The atoms of a dict {atom: multiplicity}, each as often as it is held."""
+    return [a for a, m in held.items() for _ in range(m)]
+
+
+def _add_step(program, left, right):
+    """Append the steps that add the pending sum right into left; return
+    left's slot, with nothing pending."""
+    (dst, chain_left), (src, chain_right) = left, right
+    if chain_right:
+        program.append((src, tuple(chain_right), None))
+    program.append((dst, tuple(chain_left), src))
+    return dst, []
+
+
+def _run_program(program, root, slots, shifts):
+    """Run an AtomPlan's program on the packed slots, at the atoms' shifts
+    in bits; return the root slot.  A zero slot skips its factors: an atom
+    that only zero terms hold gets a shift from the layout of the others,
+    which may be below 1."""
+    for dst, factors, src in program:
+        x = slots[dst]
+        if x:
+            for a in factors:
+                x = (x << shifts[a]) - x
+        if src is not None:
+            x += slots[src]
+        slots[dst] = x
+    return slots[root]
 
 
 def curly_atom_sum(terms):
     """sum_i p_i * prod_{(alpha, beta) in atoms_i} {A^alpha q^beta}, in Z:
-    curly_atom_quotient of the pairs (p, atom_list(atoms)), with no hooks."""
-    return curly_atom_quotient([(p, atom_list(atoms)) for p, atoms in terms], ())
+    curly_atom_quotient of the pairs (p, atoms), with no hooks."""
+    terms = list(terms)
+    return curly_atom_quotient([p for p, _ in terms], atom_plan([a for _, a in terms]), ())
 
 
-def curly_atom_quotient(terms, hooks):
+def curly_atom_quotient(polys, plan, hooks):
     """sum_i p_i * prod_{(alpha, beta) in atoms_i} {A^alpha q^beta} over
     prod_{h in hooks} {q^h}, in Z.
 
-    ``terms`` holds pairs (p, atoms): p a term dict {q-exponent in sixths:
-    int or Fraction}, atoms an atom_list of pairs (alpha, beta), each
-    standing for the atom {A^alpha q^beta} = A^alpha q^beta - A^-alpha
-    q^-beta; ``hooks`` holds positive integers.  Returns the quotient as a
-    term dict {(A-exponent, q-exponent in sixths): coefficient}; an inexact
-    division raises InexactDivision naming the lowest A-slice that the
-    divisor does not divide.
+    ``polys`` holds term dicts p_i {q-exponent in sixths: int or
+    Fraction}, one for each atom list of ``plan``, an atom_plan; an atom
+    (alpha, beta) stands for {A^alpha q^beta} = A^alpha q^beta - A^-alpha
+    q^-beta, and ``hooks`` holds positive integers.  Returns the quotient
+    as a term dict {(A-exponent, q-exponent in sixths): coefficient}; an
+    inexact division raises InexactDivision naming the lowest A-slice that
+    the divisor does not divide.
 
     Every coefficient is scaled by L, the lcm of all denominators, and each
-    L*p_i is packed once (pack_signed) in the bivariate Kronecker layout
+    nonzero L*p_i is packed once (pack_signed) in the bivariate Kronecker
+    layout
 
         digit index = (a + n) / astep * qspan + (e - qlo) / step,
 
     for the term A^a q^(e/6), where n is the largest sum of alphas, qlo
-    (qhi) the lowest (highest) q-exponent any term can reach, step the gcd
+    (qhi) the lowest (highest) q-exponent any term can reach, all over the
+    nonzero p_i, step the gcd
     of all q-exponent offsets, atom shifts and 12 h, astep that of the
     A-offsets and atom shifts, and qspan = (qhi - qlo) / step + 1.  With X =
     2^(8 width) per digit, an atom is the monomial A^-alpha q^-beta times
     X^s - 1 with s = 2 alpha / astep * qspan + 12 beta / step > 0, so
-    multiplying by it is one shift and one subtraction.  A coefficient of a
-    product of k such binomials counts, with signs, the subsets of shifts
-    with one sum, at most C(k, k // 2) of them (Erdos's Littlewood-Offord
-    bound, all s >= 1), so no coefficient of the sum P exceeds B =
-    sum_i |L*p_i|_1 * C(k_i, k_i // 2), k_i = #atoms_i, and the width is
-    taken from that bound, rounded up to a width unpack_digits casts.
+    multiplying by it is one shift and one subtraction.  The plan's program
+    applies them (_run_program): the atoms the p_i share are factored out
+    of their sum, so each such atom is one shift and one subtraction for
+    the group, not one per term.  The sum is exact integer arithmetic and
+    only its bracketing differs from term by term, so the packed sum P is
+    the same integer either way, and so is the bound below, which is
+    taken from P's terms, not from the program.  A coefficient of a product of k such
+    binomials counts, with signs, the subsets of shifts with one sum, at
+    most C(k, k // 2) of them (Erdos's Littlewood-Offord bound, all s >=
+    1), so no coefficient of P exceeds B = sum_i |L*p_i|_1 * C(k_i, k_i //
+    2), k_i = #atoms_i, and the width is taken from that bound, rounded up
+    to a width unpack_digits casts.
 
     Each {q^h} is q^-h (X^k - 1) with k = 12 h / step, so the packed sum is
     divided once, as one integer, by D = prod_h (X^k - 1) (_hook_product,
@@ -311,37 +452,35 @@ def curly_atom_quotient(terms, hooks):
     slice (_lowest_inexact_slice) to name the lowest A-slice that does not
     divide.  The quotient is divided by L.
     """
-    terms = [(p, atoms) for p, atoms in terms if p]
-    if not terms:
+    live = list(map(bool, polys))
+    if not any(live):
         return {}
-    polys = [p for p, _ in terms]
     scale = 1
     if not {int}.issuperset(chain.from_iterable(map(type, p.values()) for p in polys)):
         scale = lcm(*(c.denominator for p in polys for c in p.values()))
         polys = [{e: c.numerator * (scale // c.denominator) for e, c in p.items()} for p in polys]
-    atoms, alphas, lifts, reach, bounds, agcds, qgcds = zip(*(a for _, a in terms))
-    n = max(alphas)
-    lows = [min(p) for p in polys]
-    qlo = min(lo - r for lo, r in zip(lows, reach))
-    qhi = max(max(p) + r for p, r in zip(polys, reach))
-    step = _int_gcd(*qgcds, *(2 * EXP_DEN * h for h in hooks),
-                    *(lo - lift - qlo for lo, lift in zip(lows, lifts)),
+    alphas, lifts = plan.alphas, plan.lifts
+    n = max(compress(alphas, live))
+    lows = [min(p) if p else 0 for p in polys]
+    qlo = min(compress(map(sub, lows, plan.reach), live))
+    qhi = max(max(p) + r for p, r in zip(polys, plan.reach) if p)
+    step = _int_gcd(*compress(plan.qgcds, live), *(2 * EXP_DEN * h for h in hooks),
+                    *compress((lo - lift - qlo for lo, lift in zip(lows, lifts)), live),
                     *chain.from_iterable(map(sub, p, repeat(lo)) for p, lo in zip(polys, lows))) or 1
-    astep = _int_gcd(*agcds, *(n - a for a in alphas)) or 1
+    astep = _int_gcd(*compress(plan.agcds, live), *(n - a for a in compress(alphas, live))) or 1
     qspan = (qhi - qlo) // step + 1
-    bound = sum(sum(map(abs, p.values())) * b for p, b in zip(polys, bounds))
+    bound = sum(sum(map(abs, p.values())) * b for p, b in zip(polys, plan.bounds))
     shifts = tuple(sorted(2 * EXP_DEN * h // step for h in hooks))
     norm = sum(map(abs, _hook_divisor(shifts)))
     widest = signed_width(bound * prod(qspan // k + 1 for k in shifts) * norm)
     width = _cast_width(signed_width(bound))
     while True:
         bits = 8 * width
-        total = 0
-        for p, pairs, a, lift in zip(polys, atoms, alphas, lifts):
-            x = pack_signed(p, qlo + lift, width, step)
-            for alpha, beta in pairs:
-                x = (x << ((2 * alpha // astep * qspan + 2 * EXP_DEN * beta // step) * bits)) - x
-            total += x << ((n - a) // astep * qspan * bits)
+        slots = [pack_signed(p, qlo + lift, width, step) << ((n - a) // astep * qspan * bits)
+                 if p else 0 for p, a, lift in zip(polys, alphas, lifts)]
+        total = _run_program(plan.program, plan.root, slots,
+                             [(2 * alpha // astep * qspan + 2 * EXP_DEN * beta // step) * bits
+                              for alpha, beta in plan.atoms])
         quotient, rest = divmod(total, _hook_product(shifts, width))
         digits = unpack_digits(quotient, width)
         fits = max(max(digits), -min(digits)) * norm < 1 << (bits - 1)
@@ -356,8 +495,9 @@ def curly_atom_quotient(terms, hooks):
     lo = qlo + EXP_DEN * sum(hooks)
     out = {}
     for i in range(0, len(digits), qspan):
+        row = digits[i:i + cut]
         keys = zip(repeat(i // qspan * astep - n), range(lo, lo + cut * step, step))
-        out.update((k, d) for k, d in zip(keys, digits[i:i + cut]) if d)
+        out.update(zip(compress(keys, row), filter(None, row)))
     if scale == 1:
         return out
     return {k: d // scale if d % scale == 0 else Fraction(d, scale) for k, d in out.items()}
@@ -911,13 +1051,11 @@ def substitute(poly: LaurentQA, rule: str) -> LaurentQA:
 # canonical rendering / parsing
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1024)
 def _a_power(a: int) -> str:
     """The factor A^a of a rendered term ('A' for a = 1)."""
     return "A" if a == 1 else "A^%d" % a
 
 
-@lru_cache(maxsize=1024)
 def _q_power(e6: int) -> str:
     """The factor q^(e6/6) of a rendered term: 'q' for an exponent of 1, a
     bare integer exponent (q^-2), or an off-integer one as a parenthesized
@@ -930,6 +1068,14 @@ def _q_power(e6: int) -> str:
     return "q^(%d/%d)" % (f.numerator, f.denominator)
 
 
+# bounded: one entry per key rendered, a few thousand over the catalog
+@lru_cache(maxsize=8192)
+def _monomial(a: int, e6: int) -> str:
+    """'*A^a*q^(e6/6)' of a rendered term, each factor of exponent 0 left
+    out ('' for the constant term)."""
+    return ("*" + _a_power(a) if a else "") + ("*" + _q_power(e6) if e6 else "")
+
+
 def _render_terms(triples) -> str:
     """Render [(A-exp, q-exp6, coeff)] canonically.
 
@@ -937,29 +1083,21 @@ def _render_terms(triples) -> str:
     (the keys (A-exp, q-exp6) are distinct, so a plain reverse sort of the
     triples never compares coefficients); integer exponents print bare
     (A^4*q^-2), off-integer q-exponents print as parenthesized fractions
-    (q^(2/3)).
+    (q^(2/3)).  A coefficient of 1 or -1 prints as its sign alone, unless
+    the term is constant.
     """
     if not triples:
         return "0"
     chunks = []
     for a, e6, c in sorted(triples, reverse=True):
-        neg = c < 0
-        mag = -c if neg else c
-        parts = []
-        if a:
-            parts.append(_a_power(a))
-        if e6:
-            parts.append(_q_power(e6))
-        if mag != 1 or not parts:
-            num = mag.numerator
-            den = mag.denominator
-            parts.insert(0, str(num) if den == 1 else "%d/%d" % (num, den))
-        body = "*".join(parts)
-        if not chunks:
-            chunks.append("-" + body if neg else body)
+        monomial = _monomial(a, e6)
+        sign = " - " if c < 0 else " + "
+        if monomial and (c == 1 or c == -1):
+            chunks.append(sign + monomial[1:])
         else:
-            chunks.append((" - " if neg else " + ") + body)
-    return "".join(chunks)
+            chunks.append("%s%s%s" % (sign, abs(c), monomial))
+    text = "".join(chunks)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 # One signed term: a run of signs, required except before the first term

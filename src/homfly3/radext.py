@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .qpoly import (EXP_DEN, InexactDivision, LaurentQ, _new, atom_list, curly_atom_quotient,
+from .qpoly import (EXP_DEN, InexactDivision, LaurentQ, _new, atom_plan, curly_atom_quotient,
                     laurent_divexact)
 
 # q^2 in sixths: the exponent step of Phi_d(q^2)
@@ -112,7 +112,7 @@ def _times_cyclotomic(exps, terms):
     if atoms or hooks:
         shift = EXP_DEN * sum(k * x for k, x in m.items())
         terms = {e + shift: c for (_, e), c in
-                 curly_atom_quotient([(terms, atom_list(atoms))], hooks).items()}
+                 curly_atom_quotient([terms], atom_plan([atoms]), hooks).items()}
     return _new(LaurentQ, terms)
 
 

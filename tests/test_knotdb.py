@@ -64,6 +64,18 @@ def test_unknown_and_missing():
         printed("3_1", 1)  # only quarantined slots ship a printed variant
 
 
+def test_catalog_word_is_parsed_once_per_name():
+    # the frozen word is shared by every request for its knot; an unknown
+    # name raises every time and leaves nothing cached
+    assert knotdb.braid_word("4_1") is knotdb.braid_word("4_1")
+    assert knotdb.braid_word("4_1") == Braid3Word.parse(knotdb._WORDS["4_1"])
+    entries = knotdb.braid_word.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(UnknownKnot):
+            knotdb.braid_word("9_99")
+    assert knotdb.braid_word.cache_info().currsize == entries
+
+
 # ---------------------------------------------------------------------------
 # checksums
 

@@ -283,25 +283,32 @@ def test_curly_atom_sum_refuses_a_nonpositive_shift():
     assert qpoly.curly_atom_sum([({0: 1}, [(1, -2)])]) == {(1, -12): 1, (-1, 12): -1}
 
 
+def quotient(terms, hooks):
+    """curly_atom_quotient of the pairs (p, atoms), over the atom_plan of
+    their atom lists."""
+    return qpoly.curly_atom_quotient([p for p, _ in terms],
+                                     qpoly.atom_plan([atoms for _, atoms in terms]), hooks)
+
+
 def test_curly_atom_quotient_names_the_first_slice_that_does_not_divide():
     # (A - A^-1) {q} + 1: {q} divides A-slices -1 and 1, not A-slice 0
-    terms = [({6: 1, -6: -1}, qpoly.atom_list([(1, 0)])), ({0: 1}, qpoly.atom_list([]))]
-    assert qpoly.curly_atom_quotient(terms[:1], (1,)) == {(1, 0): 1, (-1, 0): -1}
+    terms = [({6: 1, -6: -1}, [(1, 0)]), ({0: 1}, [])]
+    assert quotient(terms[:1], (1,)) == {(1, 0): 1, (-1, 0): -1}
     with pytest.raises(InexactDivision, match="^A-slice 0$"):
-        qpoly.curly_atom_quotient(terms, (1,))
+        quotient(terms, (1,))
 
 
 def test_curly_atom_quotient_takes_ints_as_they_come_and_scales_fractions():
     # c {q} {A} / {q} = c {A}: all-int term dicts are packed untouched; an
     # integral Fraction (as in symfun.schur_in_powersums([1])) or a proper
     # one goes through the lcm, and the quotient holds ints where integral
-    atoms = qpoly.atom_list([(1, 0)])
+    atoms = [(1, 0)]
     p = {6: 3, -6: -3}
-    assert qpoly.curly_atom_quotient([(p, atoms)], (1,)) == {(1, 0): 3, (-1, 0): -3}
+    assert quotient([(p, atoms)], (1,)) == {(1, 0): 3, (-1, 0): -3}
     assert p == {6: 3, -6: -3}
     for c in (Fraction(3, 2), Fraction(3, 1)):
-        got = qpoly.curly_atom_quotient([({6: c, -6: -3}, atoms), ({6: -c, -6: 3}, atoms),
-                                         ({6: c, -6: -c}, atoms)], (1,))
+        got = quotient([({6: c, -6: -3}, atoms), ({6: -c, -6: 3}, atoms),
+                        ({6: c, -6: -c}, atoms)], (1,))
         assert got == {(1, 0): c, (-1, 0): -c}
         assert all(type(x) is int or x.denominator != 1 for x in got.values())
 
@@ -310,15 +317,15 @@ def test_curly_atom_quotient_strips_zero_digits_and_skips_empty_slices():
     # ({A}{q} + {q^3}) / {q} = {A} + q^2 + 1 + q^-2: the {q^3} term pulls
     # the lowest q-exponent to -3, so A-slices -1 and 1 start with zero
     # digits; (A^2 + A^-2) {q} = {A}^2 {q} + 2 {q} leaves A-slice 0 all zero
-    terms = [({0: 1}, qpoly.atom_list([(1, 0), (0, 1)])), ({0: 1}, qpoly.atom_list([(0, 3)]))]
-    assert qpoly.curly_atom_quotient(terms, (1,)) == {
+    terms = [({0: 1}, [(1, 0), (0, 1)]), ({0: 1}, [(0, 3)])]
+    assert quotient(terms, (1,)) == {
         (1, 0): 1, (-1, 0): -1, (0, 12): 1, (0, 0): 1, (0, -12): 1}
-    terms = [({6: 1, -6: -1}, qpoly.atom_list([(1, 0), (1, 0)])),
-             ({6: 2, -6: -2}, qpoly.atom_list([]))]
-    assert qpoly.curly_atom_quotient(terms, (1,)) == {(2, 0): 1, (-2, 0): 1}
+    terms = [({6: 1, -6: -1}, [(1, 0), (1, 0)]),
+             ({6: 2, -6: -2}, [])]
+    assert quotient(terms, (1,)) == {(2, 0): 1, (-2, 0): 1}
     # a slice with digits left below the divisor's degree does not divide
     with pytest.raises(InexactDivision, match="^A-slice 0$"):
-        qpoly.curly_atom_quotient(terms + [({0: 1}, qpoly.atom_list([]))], (1,))
+        quotient(terms + [({0: 1}, [])], (1,))
 
 
 @pytest.mark.parametrize("k", range(9))
@@ -427,7 +434,7 @@ def test_curly_atom_quotient_widens_for_a_quotient_wider_than_its_sum(monkeypatc
     product = qpoly._hook_product
     monkeypatch.setattr(qpoly, "_hook_product",
                         lambda shifts, width: widths.append(width) or product(shifts, width))
-    got = qpoly.curly_atom_quotient([({0: 1}, qpoly.atom_list([(0, 10)] * 4))], (1,) * 4)
+    got = quotient([({0: 1}, [(0, 10)] * 4)], (1,) * 4)
     assert got == {(0, e): c for e, c in (quantum_int(10) ** 4).terms.items()}
     assert max(got.values()) == 670
     assert widths == [1, 2]
@@ -437,6 +444,41 @@ atom_pairs = st.one_of(st.tuples(st.integers(1, 2), st.integers(-3, 3)),
                        st.tuples(st.just(0), st.integers(1, 3)))
 quotient_coeffs = st.one_of(coeffs.filter(bool),
                             st.builds(Fraction, coeffs.filter(bool), st.integers(1, 4)))
+
+
+def assert_schoolbook_quotient(terms, hooks, den):
+    """The kernel's quotient of the pairs (p, atoms) by den = prod {q^h} is
+    the schoolbook sum of the products p * prod {A^alpha q^beta} divided
+    slice by slice, and where a slice does not divide, the kernel names the
+    lowest such slice."""
+    num = {}
+    for p, atoms in terms:
+        product = {(0, e): c for e, c in p.items()}
+        for alpha, beta in atoms:
+            product = schoolbook(product, {(alpha, 6 * beta): 1, (-alpha, -6 * beta): -1},
+                                 add_pairs)
+        for k, c in product.items():
+            num[k] = num.get(k, 0) + c
+    want, failing = {}, None
+    for a in sorted({a for (a, _), c in num.items() if c}):
+        row = LaurentQ({e: c for (b, e), c in num.items() if b == a and c})
+        try:
+            want.update({(a, e): c for e, c in laurent_divexact(row, den).terms.items()})
+        except InexactDivision:
+            failing = a
+            break
+    if failing is None:
+        assert quotient(terms, hooks) == want
+    else:
+        with pytest.raises(InexactDivision, match="^A-slice %d$" % failing):
+            quotient(terms, hooks)
+
+
+def hook_product(hooks):
+    den = LaurentQ.one()
+    for h in hooks:
+        den = den * curly_q(h)
+    return den
 
 
 @given(st.lists(st.tuples(st.dictionaries(st.integers(-4, 4).map(lambda e: 6 * e),
@@ -449,33 +491,58 @@ def test_curly_atom_quotient_matches_schoolbook_division(terms, hooks, extra):
     # extra term q^e {A^a} (q^e itself for a = 0) may leave A-slices that do
     # not, and the kernel must then name the lowest of them, as dividing
     # slice by slice does
-    den = LaurentQ.one()
-    for h in hooks:
-        den = den * curly_q(h)
+    den = hook_product(hooks)
     terms = [((LaurentQ(p) * den).terms, atoms) for p, atoms in terms]
     terms += [({6 * e: 1}, [(a, 0)] if a else []) for a, e in extra]
-    num = {}
-    for p, atoms in terms:
-        product = {(0, e): c for e, c in p.items()}
-        for alpha, beta in atoms:
-            product = schoolbook(product, {(alpha, 6 * beta): 1, (-alpha, -6 * beta): -1},
-                                 add_pairs)
-        for k, c in product.items():
-            num[k] = num.get(k, 0) + c
-    packed_terms = [(p, qpoly.atom_list(atoms)) for p, atoms in terms]
-    want, failing = {}, None
-    for a in sorted({a for (a, _), c in num.items() if c}):
-        row = LaurentQ({e: c for (b, e), c in num.items() if b == a and c})
-        try:
-            want.update({(a, e): c for e, c in laurent_divexact(row, den).terms.items()})
-        except InexactDivision:
-            failing = a
-            break
-    if failing is None:
-        assert qpoly.curly_atom_quotient(packed_terms, hooks) == want
-    else:
-        with pytest.raises(InexactDivision, match="^A-slice %d$" % failing):
-            qpoly.curly_atom_quotient(packed_terms, hooks)
+    assert_schoolbook_quotient(terms, hooks, den)
+
+
+@st.composite
+def shared_atom_terms(draw):
+    """Pairs (p, atoms) whose atom lists draw, with repeats, from a pool of
+    3 or 4 atoms, so that they share factors; a p may be zero and a list
+    empty."""
+    pool = draw(st.lists(atom_pairs, min_size=3, max_size=4, unique=True))
+    lists = draw(st.lists(st.lists(st.sampled_from(pool), max_size=5), min_size=1, max_size=6))
+    polys = st.one_of(st.just({}), st.dictionaries(st.integers(-4, 4).map(lambda e: 6 * e),
+                                                   quotient_coeffs, min_size=1, max_size=3))
+    return [(draw(polys), atoms) for atoms in lists]
+
+
+@given(shared_atom_terms(), st.lists(st.integers(1, 4), max_size=3))
+# an atom only a zero term holds may get a shift below 1 from the layout of
+# the others: here 2 qspan / astep + 12 beta / step = 4 - 5
+@example([({}, [(1, -5)]), ({0: 1}, [(0, 1)])], [])
+@example([({0: 1}, [(0, 2), (0, 2), (1, 1)])], [2])
+def test_atom_program_packs_the_term_by_term_sum(terms, hooks):
+    # the plan's program brackets the sum by the atoms the terms share; the
+    # packed numerator it leaves is the integer the term-by-term loop makes
+    # from the same packed slots and shifts, and the quotient is schoolbook
+    # division
+    runs = []
+    program_sum = qpoly._run_program
+
+    def recorded(program, root, slots, shifts):
+        total = program_sum(program, root, list(slots), shifts)
+        runs.append((slots, shifts, total))
+        return total
+
+    den = hook_product(hooks)
+    terms = [((LaurentQ(p) * den).terms, atoms) for p, atoms in terms]
+    plan = qpoly.atom_plan([atoms for _, atoms in terms])
+    with patch.object(qpoly, "_run_program", recorded):
+        assert_schoolbook_quotient(terms, hooks, den)
+    for slots, shifts, total in runs:
+        # the loop the program replaced: each term's atoms one at a time
+        expect = 0
+        for x, (p, atoms) in zip(slots, terms):
+            for atom in atoms if p else ():
+                x = (x << shifts[plan.atoms.index(atom)]) - x
+            expect += x
+        assert total == expect
+    assert runs or not any(p for p, _ in terms)
+    applied = sum(len(factors) for _, factors, _ in plan.program)
+    assert applied <= sum(len(atoms) for _, atoms in terms)
 
 
 @given(st.integers(1, 6), st.integers(-12, 12), st.integers(0, 1), st.integers(1, 3).flatmap(
@@ -650,6 +717,42 @@ def qa_with_fractions(draw):
     keys = st.tuples(st.integers(-4, 4), st.integers(-18, 18))  # q-exponent in sixths
     values = st.fractions(-9, 9, max_denominator=4).filter(bool)
     return LaurentQA(draw(st.dictionaries(keys, values, max_size=5)))
+
+
+def reference_render(triples):
+    """The renderer as it was before its monomials were cached: each term's
+    factors formatted and joined on their own."""
+    if not triples:
+        return "0"
+    chunks = []
+    for a, e6, c in sorted(triples, reverse=True):
+        neg = c < 0
+        mag = -c if neg else c
+        parts = []
+        if a:
+            parts.append("A" if a == 1 else "A^%d" % a)
+        if e6:
+            e = Fraction(e6, 6)
+            parts.append("q" if e == 1 else "q^%d" % e if e.denominator == 1
+                         else "q^(%d/%d)" % (e.numerator, e.denominator))
+        if mag != 1 or not parts:
+            num = mag.numerator
+            den = mag.denominator
+            parts.insert(0, str(num) if den == 1 else "%d/%d" % (num, den))
+        body = "*".join(parts)
+        if not chunks:
+            chunks.append("-" + body if neg else body)
+        else:
+            chunks.append((" - " if neg else " + ") + body)
+    return "".join(chunks)
+
+
+@given(st.one_of(laurent_qa(), qa_with_fractions(), laurent_q(),
+                 st.builds(LaurentQ, st.dictionaries(st.integers(-18, 18),
+                                                     st.fractions(-9, 9, max_denominator=4)))))
+@example(LaurentQA({(0, 0): -1, (1, 6): 1, (-1, -6): -1, (0, 3): Fraction(-1, 2)}))
+def test_render_matches_the_term_by_term_reference(p):
+    assert p.render() == reference_render(p._triples())
 
 
 @given(qa_with_fractions(), st.data())

@@ -281,14 +281,14 @@ def test_locus_refuses_other_coefficients(monkeypatch):
 
 
 def test_second_locus_over_the_same_monomials_plans_nothing(monkeypatch):
-    # the atom lists and the denominator are planned once per tuple of
+    # the atom program and the denominator are planned once per tuple of
     # monomials: another polynomial over the same monomials reuses them
     f = extended_homfly(braid_word("5_2"), 3)
     g = PowerSumPoly({lam: 7 * c for lam, c in f.terms.items()})
     assert tuple(g.terms) == tuple(f.terms)
     first = [topological_locus(h).render() for h in (f, g)]
     calls = []
-    monkeypatch.setattr(symfun, "atom_list", lambda atoms: calls.append(atoms))
+    monkeypatch.setattr(symfun, "atom_plan", lambda lists: calls.append(lists))
     second = [topological_locus(h).render() for h in (f, g)]
     monkeypatch.undo()
     assert calls == []
