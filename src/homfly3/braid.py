@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import index, mul
@@ -116,8 +115,38 @@ class TraceTooLarge(Exception):
     """A block trace would pack integers over TRACE_BYTES."""
 
 
-@dataclass(frozen=True)
-class Braid3Word:
+class _Record:
+    """An immutable record over its __slots__, compared, hashed and
+    printed by its fields in order, as a frozen dataclass is."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Braid3Word(_Record):
     """A 3-strand braid word as alternating generator exponents.
 
     ``blocks`` is a nonempty sequence of pairs (a_i, b_i): the braid is
@@ -125,10 +154,10 @@ class Braid3Word:
     exponents are allowed, so any 3-strand braid fits this shape.
     """
 
-    blocks: tuple
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        blocks = tuple((index(a), index(b)) for (a, b) in self.blocks)
+    def __init__(self, blocks):
+        blocks = tuple((index(a), index(b)) for (a, b) in blocks)
         if not blocks:
             raise ValueError("a braid word needs at least one (a, b) block")
         object.__setattr__(self, "blocks", blocks)
@@ -166,12 +195,14 @@ class Braid3Word:
         return self.render()
 
 
-@dataclass(frozen=True)
-class CharacterExpansion:
+class CharacterExpansion(_Record):
     """Character-expansion coefficients C_Q of one braid word at color r."""
 
-    r: int
-    coefficients: dict
+    __slots__ = ("r", "coefficients")
+
+    def __init__(self, r, coefficients):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "coefficients", coefficients)
 
     def __iter__(self):
         return iter(sorted(self.coefficients, key=lambda Q: Q.rows))
@@ -409,23 +440,24 @@ def reduce_expansion(expansion, writhe):
     over the remaining prod {q^h}, h in common - hooks [r], both planned
     once per color, is one qpoly.curly_atom_quotient: packed once, each
     atom one shift and one subtraction for all the C_Q that share it,
-    divided once as one integer by the packed prod {q^h}, and the quotient unpacked once.  A division that is
-    not exact raises NonPolynomialResult naming the lowest A-slice it does
-    not divide (multi-component closures genuinely do this; for knots it
-    would signal a bug).
+    divided once as one integer by the packed prod {q^h}, and the quotient
+    unpacked once, into keys already shifted by the framing monomial.  A
+    division that is not exact raises NonPolynomialResult naming the
+    lowest A-slice it does not divide (multi-component closures genuinely
+    do this; for knots it would signal a bug).
     """
     r = expansion.r
     plan, hooks = _reduction_plan(r, tuple(expansion.coefficients))
+    # framing A^(-r w) q^(-2r(r-1)w), a monomial: a shift of the keys the
+    # quotient is read into
+    framing = -r * writhe, -2 * EXP_DEN * r * (r - 1) * writhe
     try:
         quotient = curly_atom_quotient([c._t for c in expansion.coefficients.values()],
-                                       plan, hooks)
+                                       plan, hooks, framing)
     except InexactDivision as exc:
         raise NonPolynomialResult("quantum-dimension denominator does not divide "
                                   "the character sum (%s)" % exc) from None
-
-    # framing A^(-r w) q^(-2r(r-1)w), a monomial: one shift
-    da, de = -r * writhe, -2 * EXP_DEN * r * (r - 1) * writhe
-    return _new(LaurentQA, {(a + da, e + de): c for (a, e), c in quotient.items()})
+    return _new(LaurentQA, quotient)
 
 
 # bounded: one entry per tuple of diagrams, in practice one per color

@@ -17,11 +17,10 @@ misprint identification itself stays machine-checkable.  See ``QUARANTINED``.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .braid import Braid3Word
 from .qpoly import LaurentQA
@@ -111,8 +110,7 @@ QUARANTINED = MappingProxyType(
 AMPHICHIRAL = ("4_1", "6_3", "8_9", "8_17", "8_18")
 
 
-@dataclass(frozen=True)
-class KnotEntry:
+class KnotEntry(NamedTuple):
     """One catalog row: name, braid word, and the golden polynomials."""
 
     name: str
@@ -233,6 +231,9 @@ def verify_checksums():
     the manifest is missing, any listed file is absent or altered (even by
     a single character), or an unlisted file sits in the tables directory.
     """
+    # here, not at the top: hashlib loads OpenSSL, which no other request needs
+    import hashlib
+
     root = _tables_root()
     try:
         manifest = root.joinpath("MANIFEST.sha256").read_text(encoding="ascii")

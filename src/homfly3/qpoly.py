@@ -396,9 +396,10 @@ def curly_atom_sum(terms):
     return curly_atom_quotient([p for p, _ in terms], atom_plan([a for _, a in terms]), ())
 
 
-def curly_atom_quotient(polys, plan, hooks):
+def curly_atom_quotient(polys, plan, hooks, shift=(0, 0)):
     """sum_i p_i * prod_{(alpha, beta) in atoms_i} {A^alpha q^beta} over
-    prod_{h in hooks} {q^h}, in Z.
+    prod_{h in hooks} {q^h}, in Z, times the monomial A^da q^(de/6), (da,
+    de) = shift.
 
     ``polys`` holds term dicts p_i {q-exponent in sixths: int or
     Fraction}, one for each atom list of ``plan``, an atom_plan; an atom
@@ -450,7 +451,9 @@ def curly_atom_quotient(polys, plan, hooks):
     1 digits of its dividend.  Any other failure, or one at that width, is
     an inexact division, and the sum's digits are then divided slice by
     slice (_lowest_inexact_slice) to name the lowest A-slice that does not
-    divide.  The quotient is divided by L.
+    divide.  The quotient is divided by L, and shift is added to every
+    key as the digits are read out; the A-slice an inexact division names
+    is the unshifted one.
     """
     live = list(map(bool, polys))
     if not any(live):
@@ -492,11 +495,12 @@ def curly_atom_quotient(polys, plan, hooks):
                                for i in range(0, len(digits), qspan)):
         a = _lowest_inexact_slice(total, width, qspan, shifts)
         raise InexactDivision("A-slice %d" % (a * astep - n))
-    lo = qlo + EXP_DEN * sum(hooks)
+    da, de = shift
+    lo = qlo + EXP_DEN * sum(hooks) + de
     out = {}
     for i in range(0, len(digits), qspan):
         row = digits[i:i + cut]
-        keys = zip(repeat(i // qspan * astep - n), range(lo, lo + cut * step, step))
+        keys = zip(repeat(i // qspan * astep - n + da), range(lo, lo + cut * step, step))
         out.update(zip(compress(keys, row), filter(None, row)))
     if scale == 1:
         return out

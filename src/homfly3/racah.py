@@ -30,20 +30,32 @@ Tuba and Wenzl (Pacific J. Math. 197, 2001), A upper triangular with
 diagonal xi_1..xi_d and B lower triangular, B = J A J up to a diagonal
 dressing (J the reversal), every entry a Laurent polynomial in the
 eigenvalues and one root of their product.  ``certify_pair`` certifies
-the pair once per block against the recoupling triple: ABA = BAB
-exactly, and an exact intertwiner with (diag(xi), S U diag(xi) U^T
-S^-1), so a wrong root or a wrong entry fails loudly.  ``build_block``
-runs these checks of the pair alone, as twisted_basis has certified the
-triple once, and caches the certified block: its eigenvalues and its
-pair, nothing of the triple.
+a pair against the recoupling triple: ABA = BAB exactly, and an exact
+intertwiner with (diag(xi), S U diag(xi) U^T S^-1), so a wrong root or a
+wrong entry fails loudly.  ``build_block`` runs these checks of the pair
+alone, as twisted_basis has certified the triple once, and caches the
+certified block: its eigenvalues and its pair, nothing of the triple.
+
+A block's mixing matrix is fixed by its eigenvalues, literally so here:
+divided by its first eigenvalue mu, a signed monomial, a block's pair is
+its eigenvalue class's pair (p, xi/mu, A/mu, B/mu), and the checks are
+homogeneous in it.  ABA = BAB is homogeneous of degree 3 in the pair, and
+both Sigma_1 = diag(xi) and Sigma_2 = diag(rho) V diag(rho xi) V^T / c^2
+are linear in xi, so one intertwiner serves every member of a class.
+``build_block`` therefore certifies each class once, keyed by exact
+equality of the normalized pairs, never by the eigenvalue pattern alone:
+the 23 blocks of size >= 2 at r <= 4 fall into 13 classes, against 10
+triples.  At size 2 a negative mu flips the positive root of the pair,
+so those blocks form classes of their own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import prod
+from operator import mul
+from typing import NamedTuple
 
 from .qpoly import (
     InexactDivision,
@@ -286,28 +298,36 @@ def _mismatches(left, right):
 
     A factor is an n x n matrix (a sequence of rows) or a diagonal (a
     sequence of n entries), every entry a LaurentQ.  Each distinct factor
-    is made once into a qpoly.laurent_matrix, a diagonal as its diagonal
-    matrix, and packed at q^step = 2^(8 width), each distinct entry once
-    per lowest exponent, step the exponents' common step and width from
-    the l1 bound of every entry of both products, so that the evaluation
-    is injective on both.  Both chains are multiplied as integer matrices
-    and compared entrywise, aligned by their total shifts.
+    is made once into a qpoly.laurent_matrix, a diagonal as one column,
+    and packed at q^step = 2^(8 width), each distinct entry once per
+    lowest exponent, step the exponents' common step and width from the l1
+    bound of every entry of both products, so that the evaluation is
+    injective on both.  Both chains are multiplied as integer matrices, a
+    diagonal scaling rows or columns (_times), and compared entrywise,
+    aligned by their total shifts.
     """
     n = len(left[0])
-    mats = {}
+    mats, diagonal = {}, set()
     for f in [*left, *right]:
         if id(f) not in mats:
-            mats[id(f)] = laurent_matrix(
-                [[f[i]._t if i == j else {} for j in range(n)] for i in range(n)]
-                if isinstance(f[0], LaurentQ) else [[x._t for x in row] for row in f])
+            if isinstance(f[0], LaurentQ):
+                diagonal.add(id(f))
+                mats[id(f)] = laurent_matrix([[x._t] for x in f])
+            else:
+                mats[id(f)] = laurent_matrix([[x._t for x in row] for row in f])
     step = _support_step(*({e for row in m[1] for t in row for e in t}
                            for m in mats.values())) or 1
     chains = [[mats[id(f)] for f in c] for c in (left, right)]
-    width = signed_width(max(max(map(max, reduce(int_matmul, [m[2] for m in c])))
-                             for c in chains))
+
+    def flat(key, rows):
+        # a diagonal's column as the sequence of its entries
+        return [row[0] for row in rows] if key in diagonal else rows
+
+    norms = [reduce(_times, [flat(id(f), mats[id(f)][2]) for f in c]) for c in (left, right)]
+    width = signed_width(max(max(map(max, _rows(m, n))) for m in norms))
     memo = {}
-    packed = {key: pack_matrix(m, width, step, memo) for key, m in mats.items()}
-    left, right = (reduce(int_matmul, [packed[id(f)] for f in c]) for c in (left, right))
+    packed = {key: flat(key, pack_matrix(m, width, step, memo)) for key, m in mats.items()}
+    left, right = (_rows(reduce(_times, [packed[id(f)] for f in c]), n) for c in (left, right))
     shift, rest = divmod(sum(m[0] for m in chains[0]) - sum(m[0] for m in chains[1]), step)
     if rest:
         return [(i, j) for i in range(n) for j in range(n) if left[i][j] or right[i][j]]
@@ -315,6 +335,26 @@ def _mismatches(left, right):
     return [(i, j) for i in range(n) for j in range(n)
             if (left[i][j] << bits if shift > 0 else left[i][j])
             != (right[i][j] << bits if shift < 0 else right[i][j])]
+
+
+def _times(x, y):
+    """x y for x and y each a matrix (a sequence of rows) or a diagonal (a
+    sequence of its entries) of Python ints: a diagonal scales the other's
+    rows or columns, and the product of two diagonals is a diagonal."""
+    if isinstance(x[0], int):
+        if isinstance(y[0], int):
+            return list(map(mul, x, y))
+        return [[d * t for t in row] for d, row in zip(x, y)]
+    if isinstance(y[0], int):
+        return [list(map(mul, row, y)) for row in x]
+    return int_matmul(x, y)
+
+
+def _rows(m, n):
+    """The n x n matrix m, or the diagonal matrix of the diagonal m."""
+    if isinstance(m[0], int):
+        return [[m[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    return m
 
 
 def racah_su2(N, p):
@@ -713,8 +753,7 @@ def _certify_braiding(xi, upper, lower, rho, v, c):
 # --------------------------------------------------------------------------
 # block assembly
 
-@dataclass(frozen=True)
-class MixingBlock:
+class MixingBlock(NamedTuple):
     """One irreducible block of the 3-strand transfer algebra.
 
     ``eigenvalues`` are the signed twist monomials xi_j in j-ascending
@@ -733,9 +772,21 @@ class MixingBlock:
 @lru_cache(maxsize=None)
 def build_block(spec):
     """Twist eigenvalues and certified triangular pair of one
-    young.cube_blocks block, built once per block; each pair of size >= 2
-    is certified against twisted_basis, as certify_pair does, less the
-    check of the triple that twisted_basis has made."""
+    young.cube_blocks block, built once per block.
+
+    A pair of size >= 2 is certified once per eigenvalue class: divided by
+    its first eigenvalue mu = xi_1, a signed monomial, it is certified as
+    (p, xi/mu, A/mu, B/mu) by _certify_class, against twisted_basis(size,
+    p) as certify_pair does, less the check of the triple that
+    twisted_basis has made.  That certifies the block's own pair (A, B),
+    which it keeps: ABA = BAB is homogeneous in the pair, and Sigma_1 =
+    diag(xi) and Sigma_2 = diag(rho) V diag(rho xi) V^T / c^2 are linear
+    in xi, so the class's intertwiner P gives Sigma_1 P = P A and Sigma_2
+    P = P B.  The 23 blocks of size >= 2 at r <= 4 fall into 13 classes,
+    decided by exact equality of the normalized pairs; at size 2 a
+    negative mu flips the positive root x, so those blocks form classes of
+    their own.
+    """
     size = spec.multiplicity
     if size > MAX_SIZE:
         raise UnsupportedMultiplicity(
@@ -748,6 +799,16 @@ def build_block(spec):
     )
     if size == 1:
         return MixingBlock(spec, eigenvalues, (eigenvalues,), (eigenvalues,))
-    pair = triangular_pair(eigenvalues)
-    _certify_braiding(eigenvalues, *pair, *twisted_basis(size, spec.p))
-    return MixingBlock(spec, eigenvalues, *pair)
+    upper, lower = triangular_pair(eigenvalues)
+    unit = eigenvalues[0] ** -1
+    _certify_class(spec.p, tuple(x * unit for x in eigenvalues),
+                   *(tuple(tuple(x * unit for x in row) for row in m) for m in (upper, lower)))
+    return MixingBlock(spec, eigenvalues, upper, lower)
+
+
+# bounded: one entry per eigenvalue class, 13 at r <= 4
+@lru_cache(maxsize=None)
+def _certify_class(p, xi, upper, lower):
+    """_certify_braiding of the normalized pair (upper, lower), eigenvalues
+    xi, against twisted_basis(len(xi), p): once per eigenvalue class."""
+    _certify_braiding(xi, upper, lower, *twisted_basis(len(xi), p))

@@ -8,9 +8,9 @@ form of the quantum dimension on the topological locus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import index
+from typing import NamedTuple
 
 from .qpoly import LaurentQA, curly_atom_sum, curly_q_product
 
@@ -152,8 +152,7 @@ def pair_decomposition(r: int):
     return out
 
 
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(NamedTuple):
     """One irreducible block Q of [r]^(x3) with its j-range."""
 
     Q: YoungDiagram

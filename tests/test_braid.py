@@ -1,5 +1,7 @@
 """Braid words, character traces, and the reduced/extended assembly."""
 
+import copy
+import pickle
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -69,6 +71,29 @@ def test_parse_render_roundtrip():
     assert w.render() == "1,-1|1,3"
     assert str(w) == "1,-1|1,3"
     assert w.writhe == 4
+
+
+def test_records_are_immutable_values():
+    # ==, hash, repr, immutability and copying by field, as a frozen
+    # dataclass has them
+    w = Braid3Word([(1, -1), (1, 3)])
+    assert w == Braid3Word(blocks=((1, -1), (1, 3)))
+    assert hash(w) == hash(Braid3Word.parse("1,-1|1,3"))
+    assert w != Braid3Word(((1, -1),)) and w != ((1, -1), (1, 3))
+    assert repr(w) == "Braid3Word(blocks=((1, -1), (1, 3)))"
+    assert copy.deepcopy(w) == pickle.loads(pickle.dumps(w)) == w
+    with pytest.raises(ValueError):
+        Braid3Word(())
+    expansion = character_coefficients(w, 1)
+    assert expansion == CharacterExpansion(1, dict(expansion.coefficients))
+    assert repr(expansion).startswith("CharacterExpansion(r=1, coefficients={")
+    for record, name in ((w, "blocks"), (expansion, "r")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(TypeError):
+        hash(expansion)
 
 
 def test_parse_rejects_malformed():

@@ -92,20 +92,36 @@ def test_compute_is_deterministic():
     assert first == second
 
 
-# In a fresh interpreter: import every homfly3 module, answer two requests,
-# and print every module loaded since the first line.
+# In a fresh interpreter: import the command line and answer one braid
+# request, printing every module loaded since the first line; then import
+# every homfly3 module, answer two requests, one of them verify (whose
+# checksum count is printed), and print every module loaded by then.
 _IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
-import io, pkgutil, homfly3
+print(*sorted(before))
+import io, homfly3.cli
+assert homfly3.cli.run(["compute", "--braid", "1,-1|1,-1", "--rep", "2"],
+                       io.StringIO(), io.StringIO()) == 0
+print(*sorted(set(sys.modules) - before))
+import pkgutil, homfly3
 for info in pkgutil.iter_modules(homfly3.__path__):
     __import__("homfly3." + info.name)
+checked = []
+real = homfly3.knotdb.verify_checksums
+homfly3.knotdb.verify_checksums = lambda: checked.append(real()) or checked[-1]
 for argv in (["compute", "--knot", "3_1", "--rep", "2", "--out", "extended"],
              ["verify", "--knot", "4_1"]):
     assert homfly3.cli.run(argv, io.StringIO(), io.StringIO()) == 0, argv
 print(homfly3.__file__)
 print(*sorted(set(sys.modules) - before))
+print(*checked)
 """
+
+# loaded only by what a text compute request never runs: dataclasses
+# brings inspect, hashlib (verify's checksums) loads OpenSSL, and json
+# writes --format json
+_COLD_START_EXCLUDED = ("dataclasses", "inspect", "hashlib", "_hashlib", "json")
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -117,11 +133,17 @@ def test_runtime_imports_only_the_standard_library():
     done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    where, loaded = done.stdout.splitlines()
+    bare, request, where, loaded, checked = done.stdout.splitlines()
     assert Path(where).resolve().parent == src / "homfly3"
     foreign = [name for name in loaded.split()
                if name.partition(".")[0] not in sys.stdlib_module_names | {"homfly3"}]
     assert "homfly3.qpoly" in loaded.split() and foreign == []
+    # a compute request imports none of them, unless the bare interpreter
+    # had (site hooks may); verify still hashes every table file
+    assert "homfly3.cli" in request.split()
+    assert set(request.split()) & set(_COLD_START_EXCLUDED) == set()
+    assert "hashlib" in bare.split() + loaded.split()
+    assert int(checked) >= 76
 
 
 def test_extended_text_is_pinned():

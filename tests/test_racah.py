@@ -4,7 +4,6 @@ triangular pairs they certify."""
 
 import hashlib
 import json
-from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import prod
@@ -233,6 +232,9 @@ def test_build_block_certifies_its_pair_against_the_triple(monkeypatch):
     (spec,) = [s for s in cube_blocks(2) if s.multiplicity == 3]
     real = racah.twisted_basis
     monkeypatch.setattr(racah, "twisted_basis", lambda n, p: real(n, p + 1))
+    # the block's class may be certified already: forget it, so the wrong
+    # triple is consulted
+    racah._certify_class.cache_clear()
     with pytest.raises(NotIntertwined):
         build_block.__wrapped__(spec)
     monkeypatch.undo()
@@ -254,6 +256,51 @@ def test_build_block_certifies_no_triple_twice(monkeypatch):
     assert len(calls) == 1
 
 
+def normalized(block):
+    """(p, xi/mu, A/mu, B/mu) of a block of size >= 2, mu = xi_1: its
+    eigenvalue class."""
+    unit = block.eigenvalues[0] ** -1
+    return (block.spec.p, tuple(x * unit for x in block.eigenvalues),
+            *(tuple(tuple(x * unit for x in row) for row in m)
+              for m in (block.upper, block.lower)))
+
+
+def test_blocks_share_one_certification_per_eigenvalue_class(monkeypatch):
+    # from cold, the 23 blocks of size >= 2 at r <= 4 run the braiding
+    # check once per class, 13 times, each on its exact normalized pair, and
+    # the 10 triples are certified once each
+    specs = [s for r in young.SUPPORTED_R for s in cube_blocks(r) if s.multiplicity >= 2]
+    blocks = [build_block(spec) for spec in specs]
+    braidings, bases = [], []
+    for name, calls in (("_certify_braiding", braidings), ("certify_basis", bases)):
+        monkeypatch.setattr(racah, name, lambda *t, real=getattr(racah, name), calls=calls:
+                            calls.append(t) or real(*t))
+    racah._certify_class.cache_clear()
+    twisted_basis.cache_clear()
+    assert [build_block.__wrapped__(spec) for spec in specs] == blocks
+    assert len(specs) == 23 and len(braidings) == 13 and len(bases) == 10
+    classes = {normalized(block) for block in blocks}
+    assert len(classes) == 13
+    assert {t[:3] for t in braidings} == {(xi, a, b) for _, xi, a, b in classes}
+
+
+def test_a_pair_off_its_class_by_one_entry_is_refused(monkeypatch):
+    # mu times a certified class's pair, but for one entry: its normalized
+    # pair is no certified class, so it is certified on its own and refused
+    specs = [s for r in young.SUPPORTED_R for s in cube_blocks(r) if s.multiplicity >= 2]
+    for spec in specs:
+        block = build_block(spec)
+        mu, n = block.eigenvalues[0], spec.multiplicity
+        for which, (i, j) in ((0, (0, n - 1)), (1, (n - 1, 0))):
+            pair = [[list(row) for row in block.upper], [list(row) for row in block.lower]]
+            pair[which][i][j] = pair[which][i][j] + mu
+            monkeypatch.setattr(racah, "triangular_pair", lambda xi, pair=pair: pair)
+            with pytest.raises(NotIntertwined):
+                build_block.__wrapped__(spec)
+    monkeypatch.undo()
+    assert [build_block.__wrapped__(spec) for spec in specs] == [build_block(s) for s in specs]
+
+
 def blocks_of_size(size):
     return [build_block(spec) for r in young.SUPPORTED_R for spec in cube_blocks(r)
             if spec.multiplicity == size]
@@ -265,8 +312,11 @@ def triple(block):
 
 
 def test_triangular_pairs_are_certified_on_every_block():
-    # the pairs' shape: B = J A J up to a diagonal dressing, every entry of
-    # at most five terms with coefficients of at most 2 in absolute value
+    # build_block certifies one pair per eigenvalue class; each block's own
+    # pair, mu times its class's, passes certify_pair against its triple
+    # directly (the homogeneity argument, member by member).  The pairs'
+    # shape: B = J A J up to a diagonal dressing, every entry of at most
+    # five terms with coefficients of at most 2 in absolute value
     checked = 0
     for size in range(2, racah.MAX_SIZE + 1):
         for block in blocks_of_size(size):
@@ -522,7 +572,7 @@ def test_build_block_r1():
     b = blocks[[Q for Q in blocks if Q.rows == (2, 1)][0]]
     assert b.eigenvalues == (LaurentQ.monomial(1, 1), LaurentQ.monomial(-1, -1))
     assert isinstance(b, MixingBlock)
-    assert [f.name for f in fields(MixingBlock)] == ["spec", "eigenvalues", "upper", "lower"]
+    assert MixingBlock._fields == ("spec", "eigenvalues", "upper", "lower")
     assert b.upper[1][0] == b.lower[0][1] == LaurentQ.zero()
     for block in blocks.values():
         if len(block.eigenvalues) == 1:
