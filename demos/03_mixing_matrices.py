@@ -18,13 +18,8 @@ V diag(rho) V^T = c^2 diag(1/rho) is U U^T = I, and
 V_ji = (-1)^(i+j) V_ij is the sign rule U_ji = (-1)^(i+j) U_ij.
 """
 
-from homfly3.racah import (
-    certify_basis,
-    normalized_eigenvalues,
-    racah_from_eigenvalues,
-    racah_su2,
-    twisted_basis,
-)
+from homfly3.racah import certify_basis, racah_su2, twisted_basis
+from homfly3.racah_eigen import normalized_eigenvalues, racah_from_eigenvalues
 
 N, p = 2, 1
 rho, v, c = twisted_basis(N, p)

@@ -16,8 +16,10 @@ radext  factored quantum numbers +-q^(u/6) prod Phi_d(q^2)^e: products,
 young   Young diagrams, framing weights, block bookkeeping
 symfun  Schur polynomials in power sums, Adams maps, cut-and-join
 racah   each block's triangular pair, certified by its mixing matrix
-        (rho, V, c): the recoupling sum, cross-checked by the eigenvalue
-        construction
+        (rho, V, c) from the recoupling sum
+racah_eigen
+        the mixing matrix from the eigenvalues alone, the recoupling
+        sum's cross-check
 braid   character expansion and the polynomial invariants themselves
 knotdb  the bundled table of verified polynomials
 cli     the ``homfly3`` command-line tool

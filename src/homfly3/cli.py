@@ -19,6 +19,7 @@ and no timestamps or machine state enter the output.
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
 from functools import lru_cache
@@ -416,8 +417,6 @@ def run(argv, out=None, err=None):
             return exc.code
         code, text = EXIT_OK, str(exc)
     if not isinstance(text, str):
-        import json  # here: a request in text format never loads it
-
         text = json.dumps(text, indent=2) + "\n"
     out.write(text)
     return code

@@ -18,7 +18,6 @@ misprint identification itself stays machine-checkable.  See ``QUARANTINED``.
 from __future__ import annotations
 
 from functools import lru_cache
-from importlib import resources
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -119,6 +118,10 @@ class KnotEntry(NamedTuple):
 
 
 def _tables_root():
+    # here, not at the top: importlib.resources imports inspect on
+    # Python 3.12 and later, and a --braid request reads no table
+    from importlib import resources
+
     return resources.files(__package__).joinpath("tables")
 
 

@@ -18,8 +18,9 @@ is a binomial +-q^(2n) - 1, in closed form over the divisors of n or 2n
 (``binomial``).  Every Phi_d(x) is positive for x > 1, so the sign of a
 factored value at every q > 1 is its sign field.
 
-These are the scalars of both mixing-matrix constructions in
-:mod:`homfly3.racah`: the recoupling sum and the eigenvalue formulas.
+These are the scalars of both mixing-matrix constructions: the
+recoupling sum of :mod:`homfly3.racah` and the eigenvalue formulas of
+:mod:`homfly3.racah_eigen`.
 """
 
 from __future__ import annotations

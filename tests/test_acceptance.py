@@ -30,12 +30,8 @@ from homfly3.knotdb import (
     verify_checksums,
 )
 from homfly3.qpoly import LaurentQ, LaurentQA, substitute
-from homfly3.racah import (
-    certify_basis,
-    normalized_eigenvalues,
-    racah_from_eigenvalues,
-    twisted_basis,
-)
+from homfly3.racah import certify_basis, twisted_basis
+from homfly3.racah_eigen import normalized_eigenvalues, racah_from_eigenvalues
 from homfly3.symfun import (
     adams,
     cut_and_join,

@@ -118,10 +118,11 @@ print(*sorted(set(sys.modules) - before))
 print(*checked)
 """
 
-# loaded only by what a text compute request never runs: dataclasses
-# brings inspect, hashlib (verify's checksums) loads OpenSSL, and json
-# writes --format json
-_COLD_START_EXCLUDED = ("dataclasses", "inspect", "hashlib", "_hashlib", "json")
+# loaded only by what a braid compute request never runs: dataclasses and
+# importlib.resources (knotdb's tables) bring inspect, hashlib (verify's
+# checksums) loads OpenSSL, and racah_eigen is the eigenvalue cross-check
+_COLD_START_EXCLUDED = ("dataclasses", "inspect", "hashlib", "_hashlib",
+                        "homfly3.racah_eigen")
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -140,7 +141,7 @@ def test_runtime_imports_only_the_standard_library():
     assert "homfly3.qpoly" in loaded.split() and foreign == []
     # a compute request imports none of them, unless the bare interpreter
     # had (site hooks may); verify still hashes every table file
-    assert "homfly3.cli" in request.split()
+    assert "homfly3.cli" in request.split() and "homfly3.racah_eigen" in loaded.split()
     assert set(request.split()) & set(_COLD_START_EXCLUDED) == set()
     assert "hashlib" in bare.split() + loaded.split()
     assert int(checked) >= 76

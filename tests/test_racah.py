@@ -12,24 +12,22 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from homfly3 import racah, young
+from homfly3 import racah, racah_eigen, young
 from homfly3.qpoly import LaurentQ, laurent_divexact, quantum_int
 from homfly3.racah import (
     DegenerateP,
     MixingBlock,
     NonOrthogonal,
     NotIntertwined,
-    RepeatedEigenvalue,
     UnsupportedMultiplicity,
     build_block,
     certify_basis,
     certify_pair,
-    normalized_eigenvalues,
-    racah_from_eigenvalues,
     racah_su2,
     triangular_pair,
     twisted_basis,
 )
+from homfly3.racah_eigen import RepeatedEigenvalue, normalized_eigenvalues, racah_from_eigenvalues
 from homfly3.radext import (
     NotASquare,
     NotCyclotomic,
@@ -483,7 +481,7 @@ def test_repeated_eigenvalue_rejected():
 def test_sign_search_refuses_ambiguity(monkeypatch):
     # were every row orthogonal to every other, no interior sign choice
     # would be preferred
-    monkeypatch.setattr(racah, "_orthogonal", lambda a, b, rho: True)
+    monkeypatch.setattr(racah_eigen, "_orthogonal", lambda a, b, rho: True)
     with pytest.raises(NonOrthogonal, match="ambiguous"):
         racah_from_eigenvalues(normalized_eigenvalues(3, 2))
 
@@ -582,7 +580,7 @@ def test_build_block_r1():
 def test_size_cap_covers_the_supported_ranks(monkeypatch):
     # one size cap for both constructions, met by every block of every
     # supported rank and missed by one block of the next rank
-    assert set(racah._EV_DRESS) == set(racah._SUM_DRESS) == set(
+    assert set(racah_eigen._EV_DRESS) == set(racah._SUM_DRESS) == set(
         range(2, racah.MAX_SIZE + 1))
     top = max(young.SUPPORTED_R)
     assert max(spec.multiplicity for r in young.SUPPORTED_R
