@@ -441,23 +441,21 @@ def reduce_expansion(expansion, writhe):
     once per color, is one qpoly.curly_atom_quotient: packed once, each
     atom one shift and one subtraction for all the C_Q that share it,
     divided once as one integer by the packed prod {q^h}, and the quotient
-    unpacked once, into keys already shifted by the framing monomial.  A
-    division that is not exact raises NonPolynomialResult naming the
-    lowest A-slice it does not divide (multi-component closures genuinely
-    do this; for knots it would signal a bug).
+    unpacked once.  A division that is not exact raises NonPolynomialResult
+    naming the lowest A-slice it does not divide (multi-component closures
+    genuinely do this; for knots it would signal a bug).
     """
     r = expansion.r
     plan, hooks = _reduction_plan(r, tuple(expansion.coefficients))
-    # framing A^(-r w) q^(-2r(r-1)w), a monomial: a shift of the keys the
-    # quotient is read into
-    framing = -r * writhe, -2 * EXP_DEN * r * (r - 1) * writhe
     try:
         quotient = curly_atom_quotient([c._t for c in expansion.coefficients.values()],
-                                       plan, hooks, framing)
+                                       plan, hooks)
     except InexactDivision as exc:
         raise NonPolynomialResult("quantum-dimension denominator does not divide "
                                   "the character sum (%s)" % exc) from None
-    return _new(LaurentQA, quotient)
+    # framing A^(-r w) q^(-2r(r-1)w), a monomial: one shift of the keys
+    da, de = -r * writhe, -2 * EXP_DEN * r * (r - 1) * writhe
+    return _new(LaurentQA, {(a + da, e + de): c for (a, e), c in quotient.items()})
 
 
 # bounded: one entry per tuple of diagrams, in practice one per color

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import chain, compress, repeat
 from math import comb, gcd as _int_gcd, lcm, prod
-from operator import add, index, itemgetter, mul, sub
+from operator import add, index, mul, sub
 from typing import NamedTuple
 
 EXP_DEN = 6  # fixed denominator of the q-exponent lattice
@@ -261,22 +261,13 @@ def atom_plan(lists):
     beta) standing for {A^alpha q^beta}, checked.
 
     Its program computes sum_i x_i * prod_{a in list_i} (X^s_a - 1) from
-    slots x_i, one per list, by greedy factoring: take out the atom that
-    the most lists of a group hold, and recurse on the lists that hold it
-    (less one copy) and on those that do not, until no atom is shared; a
-    lone list applies its own atoms.  An atom that every list of a group
-    holds is the greedy choice until it is gone, so all such atoms come out
-    at once.  A step (dst, chain, src) sets slot dst to x_dst * prod_{a in
-    chain} (X^s_a - 1), plus slot src unless src is None; chain holds
-    indices into atoms.  The whole sum ends in slot root.  Each factor is
-    one shift and one subtraction, and one applied to a group stands for
-    one per list in it, so the program applies at most as many as the
-    lists hold, and a single list is its own chain.
-
-    The planner keeps one dict per list, of the atoms it has left, and
-    removes the atoms taken out in place, as every list is in one group at
-    a time; a group counts the lists that hold each atom on its smaller
-    side only, and the other side's counts by subtraction.
+    slots x_i, one per list, by greedy factoring (_factor_group).  A step
+    (dst, chain, src) sets slot dst to x_dst * prod_{a in chain} (X^s_a -
+    1), plus slot src unless src is None; chain holds indices into atoms.
+    The whole sum ends in slot root.  Each factor is one shift and one
+    subtraction, and one applied to a group stands for one per list in it,
+    so the program applies at most as many as the lists hold, and a single
+    list is its own chain.
     """
     lists = [tuple(atoms) for atoms in lists]
     index = {atom: k for k, atom in enumerate(dict.fromkeys(chain.from_iterable(lists)))}
@@ -284,13 +275,9 @@ def atom_plan(lists):
         if alpha < 0 or (alpha == 0 and beta <= 0):
             raise ValueError("atom {A^%d q^%d} needs alpha > 0, or alpha = 0 "
                              "and beta > 0" % (alpha, beta))
-    program, root = [], 0
-    if len(lists) > 1:
-        held = [dict(Counter(map(index.get, atoms))) for atoms in lists]
-        root, pending = _factor_group(list(range(len(lists))),
-                                      dict(Counter(chain.from_iterable(held))), held, program)
-    else:  # a single list is its own chain
-        pending = [index[a] for a in chain.from_iterable(lists)]
+    program = []
+    root, pending = _factor_group(range(len(lists)),
+                                  [Counter(map(index.get, atoms)) for atoms in lists], program)
     if pending:
         program.append((root, tuple(pending), None))
     columns = tuple(zip(*map(_list_constants, lists))) or ((),) * 6
@@ -305,62 +292,36 @@ def _list_constants(atoms):
             2 * EXP_DEN * _int_gcd(*betas))
 
 
-def _factor_group(members, counts, held, program):
+def _factor_group(members, held, program):
     """Append to program the steps that sum the group members (slots,
-    held[i] the atoms slot i has left, counts how many members hold each
-    atom, both dicts that this call consumes); return (slot, chain): the
-    group's sum is the slot times the chain's factors, still to be
-    applied."""
-    size = len(members)
-    if size == 1:
-        return members[0], _elements(held[members[0]])
-    # the atoms every member holds come out at once, as often as each
-    # member holds them: the greedy choice while any is left
-    common = []
-    for atom in [a for a, c in counts.items() if c == size]:
-        times = min(held[i][atom] for i in members)
-        common += [atom] * times
-        counts[atom] = 0
-        for i in members:
-            if held[i][atom] == times:
-                held[i].pop(atom)
-            else:
-                held[i][atom] -= times
-                counts[atom] += 1
-        if not counts[atom]:
-            counts.pop(atom)
-    atom, most = max(counts.items(), key=itemgetter(1), default=(None, 0))
-    if most < 2:
-        slot, _ = reduce(partial(_add_step, program), [(i, _elements(held[i])) for i in members])
-        return slot, common
+    held[i] a Counter of the atoms slot i has left, which this call
+    consumes); return (slot, chain): the group's sum is the slot times the
+    chain's factors, still to be applied.
+
+    The greedy choice is the atom that the most members hold, ties going
+    to the lowest index (the first used).  Its holders give up one copy
+    each and are summed with it pending, and the rest's sum is added to
+    theirs; with no rest, the atom stays pending for the caller.  Once no
+    atom is held twice, each member applies its own atoms and the members
+    are added up in order; a lone member's atoms stay pending.
+    """
+    counts = Counter(chain.from_iterable(held[i] for i in members))
+    atom = min(counts, key=lambda a: (-counts[a], a), default=None)
+    if atom is None or counts[atom] < 2:
+        # an empty group (no lists at all) is an empty slot 0
+        return reduce(partial(_add_step, program),
+                      [(i, list(held[i].elements())) for i in members] or [(0, [])])
     holders = [i for i in members if atom in held[i]]
     rest = [i for i in members if atom not in held[i]]
-    fewer = holders if len(holders) <= len(rest) else rest
-    counted = dict(Counter(chain.from_iterable(held[i] for i in fewer)))
-    for a, c in counted.items():
-        if counts[a] == c:
-            counts.pop(a)
-        else:
-            counts[a] -= c
-    inner, outer = (counted, counts) if fewer is holders else (counts, counted)
     for i in holders:
-        left = held[i]
-        if left[atom] == 1:
-            left.pop(atom)
-            inner[atom] -= 1
-        else:
-            left[atom] -= 1
-    if not inner[atom]:
-        inner.pop(atom)
-    slot, pending = _factor_group(holders, inner, held, program)
+        held[i][atom] -= 1
+        if not held[i][atom]:
+            del held[i][atom]
+    slot, pending = _factor_group(holders, held, program)
     pending.append(atom)
-    slot, _ = _add_step(program, (slot, pending), _factor_group(rest, outer, held, program))
-    return slot, common
-
-
-def _elements(held):
-    """The atoms of a dict {atom: multiplicity}, each as often as it is held."""
-    return [a for a, m in held.items() for _ in range(m)]
+    if not rest:
+        return slot, pending
+    return _add_step(program, (slot, pending), _factor_group(rest, held, program))
 
 
 def _add_step(program, left, right):
@@ -396,10 +357,9 @@ def curly_atom_sum(terms):
     return curly_atom_quotient([p for p, _ in terms], atom_plan([a for _, a in terms]), ())
 
 
-def curly_atom_quotient(polys, plan, hooks, shift=(0, 0)):
+def curly_atom_quotient(polys, plan, hooks):
     """sum_i p_i * prod_{(alpha, beta) in atoms_i} {A^alpha q^beta} over
-    prod_{h in hooks} {q^h}, in Z, times the monomial A^da q^(de/6), (da,
-    de) = shift.
+    prod_{h in hooks} {q^h}, in Z.
 
     ``polys`` holds term dicts p_i {q-exponent in sixths: int or
     Fraction}, one for each atom list of ``plan``, an atom_plan; an atom
@@ -451,9 +411,7 @@ def curly_atom_quotient(polys, plan, hooks, shift=(0, 0)):
     1 digits of its dividend.  Any other failure, or one at that width, is
     an inexact division, and the sum's digits are then divided slice by
     slice (_lowest_inexact_slice) to name the lowest A-slice that does not
-    divide.  The quotient is divided by L, and shift is added to every
-    key as the digits are read out; the A-slice an inexact division names
-    is the unshifted one.
+    divide.  The quotient is divided by L.
     """
     live = list(map(bool, polys))
     if not any(live):
@@ -495,12 +453,11 @@ def curly_atom_quotient(polys, plan, hooks, shift=(0, 0)):
                                for i in range(0, len(digits), qspan)):
         a = _lowest_inexact_slice(total, width, qspan, shifts)
         raise InexactDivision("A-slice %d" % (a * astep - n))
-    da, de = shift
-    lo = qlo + EXP_DEN * sum(hooks) + de
+    lo = qlo + EXP_DEN * sum(hooks)
     out = {}
     for i in range(0, len(digits), qspan):
         row = digits[i:i + cut]
-        keys = zip(repeat(i // qspan * astep - n + da), range(lo, lo + cut * step, step))
+        keys = zip(repeat(i // qspan * astep - n), range(lo, lo + cut * step, step))
         out.update(zip(compress(keys, row), filter(None, row)))
     if scale == 1:
         return out

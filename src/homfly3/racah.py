@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from math import prod
-from operator import mul
 from typing import NamedTuple
 
 from .qpoly import (
@@ -282,37 +281,30 @@ def _mismatches(left, right):
     """The entries (i, j) where the products of two chains of factors differ.
 
     A factor is an n x n matrix (a sequence of rows) or a diagonal (a
-    sequence of n entries), every entry a LaurentQ.  Each distinct factor
-    is made once into a qpoly.laurent_matrix, a diagonal as one column,
-    and packed at q^step = 2^(8 width), each distinct entry once per
-    lowest exponent, step the exponents' common step and width from the l1
-    bound of every entry of both products, so that the evaluation is
-    injective on both.  Both chains are multiplied as integer matrices, a
-    diagonal scaling rows or columns (_times), and compared entrywise,
-    aligned by their total shifts.
+    sequence of n entries), every entry a LaurentQ; a diagonal is taken as
+    its n x n matrix.  Each distinct factor is made once into a
+    qpoly.laurent_matrix and packed at q^step = 2^(8 width), each distinct
+    entry once per lowest exponent, step the exponents' common step and
+    width from the l1 bound of every entry of both products, so that the
+    evaluation is injective on both.  Both chains are multiplied as integer
+    matrices (int_matmul) and compared entrywise, aligned by their total
+    shifts.
     """
     n = len(left[0])
-    mats, diagonal = {}, set()
+    mats = {}
     for f in [*left, *right]:
         if id(f) not in mats:
-            if isinstance(f[0], LaurentQ):
-                diagonal.add(id(f))
-                mats[id(f)] = laurent_matrix([[x._t] for x in f])
-            else:
-                mats[id(f)] = laurent_matrix([[x._t for x in row] for row in f])
+            rows = ([[x._t if i == j else {} for j in range(n)] for i, x in enumerate(f)]
+                    if isinstance(f[0], LaurentQ) else [[x._t for x in row] for row in f])
+            mats[id(f)] = laurent_matrix(rows)
     step = _support_step(*({e for row in m[1] for t in row for e in t}
                            for m in mats.values())) or 1
     chains = [[mats[id(f)] for f in c] for c in (left, right)]
-
-    def flat(key, rows):
-        # a diagonal's column as the sequence of its entries
-        return [row[0] for row in rows] if key in diagonal else rows
-
-    norms = [reduce(_times, [flat(id(f), mats[id(f)][2]) for f in c]) for c in (left, right)]
-    width = signed_width(max(max(map(max, _rows(m, n))) for m in norms))
+    norms = [reduce(int_matmul, [m[2] for m in c]) for c in chains]
+    width = signed_width(max(max(map(max, m)) for m in norms))
     memo = {}
-    packed = {key: flat(key, pack_matrix(m, width, step, memo)) for key, m in mats.items()}
-    left, right = (_rows(reduce(_times, [packed[id(f)] for f in c]), n) for c in (left, right))
+    left, right = (reduce(int_matmul, [pack_matrix(m, width, step, memo) for m in c])
+                   for c in chains)
     shift, rest = divmod(sum(m[0] for m in chains[0]) - sum(m[0] for m in chains[1]), step)
     if rest:
         return [(i, j) for i in range(n) for j in range(n) if left[i][j] or right[i][j]]
@@ -320,26 +312,6 @@ def _mismatches(left, right):
     return [(i, j) for i in range(n) for j in range(n)
             if (left[i][j] << bits if shift > 0 else left[i][j])
             != (right[i][j] << bits if shift < 0 else right[i][j])]
-
-
-def _times(x, y):
-    """x y for x and y each a matrix (a sequence of rows) or a diagonal (a
-    sequence of its entries) of Python ints: a diagonal scales the other's
-    rows or columns, and the product of two diagonals is a diagonal."""
-    if isinstance(x[0], int):
-        if isinstance(y[0], int):
-            return list(map(mul, x, y))
-        return [[d * t for t in row] for d, row in zip(x, y)]
-    if isinstance(y[0], int):
-        return [list(map(mul, row, y)) for row in x]
-    return int_matmul(x, y)
-
-
-def _rows(m, n):
-    """The n x n matrix m, or the diagonal matrix of the diagonal m."""
-    if isinstance(m[0], int):
-        return [[m[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    return m
 
 
 def racah_su2(N, p):
@@ -471,7 +443,7 @@ def certify_pair(xi, upper, lower, rho, v, c):
     exactly.  The diagonal E sends B's xi_1-eigenvector, the last basis
     vector, to Sigma_2's, diag(rho) V e_1: E_k = rho_k V_k1 / P~_kd, which
     the check W E' P~ = c^2 E' P~ B takes times prod_k P~_kd, free of
-    division.
+    division, as the one diagonal E'_k = rho_k V_k1 prod_(j!=k) P~_jd.
     """
     certify_basis(rho, v, c)
     _certify_braiding(xi, upper, lower, rho, v, c)
@@ -505,12 +477,11 @@ def _certify_braiding(xi, upper, lower, rho, v, c):
     heads = [r * row[0] for r, row in zip(rho, v)]
     if not all(ends) or not all(heads):
         raise NotIntertwined("the intertwiner would be singular")
-    # E' = diag(heads) times n - 1 diagonals, each holding one other row's end
-    others = [[ends[j] for j in range(n) if j != k] for k in range(n)]
-    scale = (heads,) + tuple(zip(*others))
+    # E'_k = heads_k times every other row's end
+    scale = tuple(h * prod((e for j, e in enumerate(ends) if j != k), start=LaurentQ.one())
+                  for k, h in enumerate(heads))
     cs = (c,) * n
-    if _mismatches((rho, v, rho, xi, tuple(zip(*v))) + scale + (p,),
-                   (cs, cs) + scale + (p, b)):
+    if _mismatches((rho, v, rho, xi, tuple(zip(*v)), scale, p), (cs, cs, scale, p, b)):
         raise NotIntertwined("the pair is not the block's braiding")
 
 

@@ -421,14 +421,24 @@ def test_a_slice_that_divides_does_not_stop_the_one_that_does_not():
         reduced_homfly(word, 1)
 
 
+def _program_length(r):
+    expansion = character_coefficients(braid_word("4_1"), r)
+    plan, _ = _reduction_plan(r, tuple(expansion.coefficients))
+    return sum(len(factors) for _, factors, _ in plan.program)
+
+
 @pytest.mark.parametrize("r, most", [(1, 9), (2, 40), (3, 90), (4, 180)])
 def test_reduction_program_shares_the_atoms_of_the_c_q(r, most):
     # term by term the C_Q's atoms take 9, 56, 156 and 342 shift-subtractions
     # at r = 1..4; factoring out the atoms they share takes at most 9, 40,
     # 90 and 180
-    expansion = character_coefficients(braid_word("4_1"), r)
-    plan, _ = _reduction_plan(r, tuple(expansion.coefficients))
-    assert sum(len(factors) for _, factors, _ in plan.program) <= most
+    assert _program_length(r) <= most
+
+
+@pytest.mark.parametrize("r, most", [(1, 8), (2, 38), (3, 86), (4, 176)])
+def test_greedy_reduction_program_is_shorter(r, most):
+    # the greedy factoring of the shared atoms takes 8, 38, 86 and 176
+    assert _program_length(r) <= most
 
 
 def test_second_request_at_a_color_makes_no_new_plan():

@@ -164,7 +164,7 @@ wide_terms = st.dictionaries(
 # shrinking 40-80-term operands takes minutes; a failure shows as drawn
 @settings(phases=[Phase.explicit, Phase.generate])
 @given(wide_terms, wide_terms)
-def test_kronecker_product_matches_schoolbook(a, b):
+def test_mul_terms_product_matches_schoolbook(a, b):
     assert (LaurentQ(a) * LaurentQ(b)).terms == schoolbook(a, b)
 
 
@@ -225,7 +225,7 @@ def wide_qa_terms(draw):
 
 @settings(phases=[Phase.explicit, Phase.generate])
 @given(wide_qa_terms(), wide_qa_terms())
-def test_packed_qa_product_matches_schoolbook(a, b):
+def test_mul_terms_qa_product_matches_schoolbook(a, b):
     assert (LaurentQA(a) * LaurentQA(b)).terms == schoolbook(a, b, add_pairs)
 
 
@@ -283,12 +283,11 @@ def test_curly_atom_sum_refuses_a_nonpositive_shift():
     assert qpoly.curly_atom_sum([({0: 1}, [(1, -2)])]) == {(1, -12): 1, (-1, 12): -1}
 
 
-def quotient(terms, hooks, shift=(0, 0)):
+def quotient(terms, hooks):
     """curly_atom_quotient of the pairs (p, atoms), over the atom_plan of
     their atom lists."""
     return qpoly.curly_atom_quotient([p for p, _ in terms],
-                                     qpoly.atom_plan([atoms for _, atoms in terms]), hooks,
-                                     shift)
+                                     qpoly.atom_plan([atoms for _, atoms in terms]), hooks)
 
 
 def test_curly_atom_quotient_names_the_first_slice_that_does_not_divide():
@@ -447,12 +446,11 @@ quotient_coeffs = st.one_of(coeffs.filter(bool),
                             st.builds(Fraction, coeffs.filter(bool), st.integers(1, 4)))
 
 
-def assert_schoolbook_quotient(terms, hooks, den, shift=(0, 0)):
-    """The kernel's quotient of the pairs (p, atoms) by den = prod {q^h},
-    times A^da q^(de/6) for (da, de) = shift, is the schoolbook sum of the
-    products p * prod {A^alpha q^beta} divided slice by slice and shifted,
-    and where a slice does not divide, the kernel names the lowest such
-    slice, unshifted."""
+def assert_schoolbook_quotient(terms, hooks, den):
+    """The kernel's quotient of the pairs (p, atoms) by den = prod {q^h} is
+    the schoolbook sum of the products p * prod {A^alpha q^beta} divided
+    slice by slice, and where a slice does not divide, the kernel names the
+    lowest such slice."""
     num = {}
     for p, atoms in terms:
         product = {(0, e): c for e, c in p.items()}
@@ -469,12 +467,11 @@ def assert_schoolbook_quotient(terms, hooks, den, shift=(0, 0)):
         except InexactDivision:
             failing = a
             break
-    da, de = shift
     if failing is None:
-        assert quotient(terms, hooks, shift) == {(a + da, e + de): c for (a, e), c in want.items()}
+        assert quotient(terms, hooks) == want
     else:
         with pytest.raises(InexactDivision, match="^A-slice %d$" % failing):
-            quotient(terms, hooks, shift)
+            quotient(terms, hooks)
 
 
 def hook_product(hooks):
@@ -488,18 +485,16 @@ def hook_product(hooks):
                                           quotient_coeffs, min_size=1, max_size=4),
                           st.lists(atom_pairs, max_size=3)), min_size=1, max_size=3),
        st.lists(st.integers(1, 4), max_size=4),
-       st.lists(st.tuples(st.integers(0, 3), st.integers(-20, 20)), max_size=2),
-       st.tuples(st.integers(-5, 5), st.integers(-30, 30)))
-def test_curly_atom_quotient_matches_schoolbook_division(terms, hooks, extra, shift):
+       st.lists(st.tuples(st.integers(0, 3), st.integers(-20, 20)), max_size=2))
+def test_curly_atom_quotient_matches_schoolbook_division(terms, hooks, extra):
     # each p is multiplied by prod {q^h} first, so the sum divides; each
     # extra term q^e {A^a} (q^e itself for a = 0) may leave A-slices that do
     # not, and the kernel must then name the lowest of them, as dividing
-    # slice by slice does; the quotient is read out times a monomial, as
-    # the reduction's framing
+    # slice by slice does
     den = hook_product(hooks)
     terms = [((LaurentQ(p) * den).terms, atoms) for p, atoms in terms]
     terms += [({6 * e: 1}, [(a, 0)] if a else []) for a, e in extra]
-    assert_schoolbook_quotient(terms, hooks, den, shift)
+    assert_schoolbook_quotient(terms, hooks, den)
 
 
 @st.composite

@@ -295,6 +295,17 @@ def test_second_locus_over_the_same_monomials_plans_nothing(monkeypatch):
     assert second == first
 
 
+@pytest.mark.parametrize("knot, r, most", [("4_1", 2, 102), ("3_1", 2, 107),
+                                           ("3_1", 3, 311), ("5_2", 3, 311)])
+def test_locus_program_shares_the_atoms_of_the_monomials(knot, r, most):
+    # the extended polynomials of the knots at r = 2 fall on two tuples of
+    # monomials, those of 3_1 and 5_2 at r = 3 on one; the greedy factoring
+    # of their atoms takes at most 102, 107 and 311 shift-subtractions
+    f = extended_homfly(braid_word(knot), r)
+    plan, _ = symfun._locus_plan(tuple(f.terms))
+    assert sum(len(factors) for _, factors, _ in plan.program) <= most
+
+
 def _sha256_of_renders(values):
     return hashlib.sha256("\n".join(v.render() for v in values).encode()).hexdigest()
 
