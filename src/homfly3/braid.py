@@ -33,6 +33,27 @@ TraceTooLarge: first, before any power is formed, on a lower bound of its
 digit count, 1 plus a span bound per factor read off its exponents (three
 entries of A^x B^y are known in closed form) and kept per (block, x, y),
 then on its exact size, read off the cached factors, before any is packed.
+A word traced as given reads that size off the trace of its factors' norm
+matrices N_k, which also sets its width; a rewritten word (below) first
+tries the upper bound d prod_k (largest row sum of N_k) on that trace, and
+forms the trace only when the bound is over.
+
+Every block of size > 1 traces the word's canonical form (_canonical): its
+generators' runs, read cyclically, merged across zero exponents and around
+the end, with every occurrence of (sigma_1 sigma_2)^{+-3} or (sigma_2
+sigma_1)^{+-3} taken out.  That is the full twist Delta^{+-2}, central in
+B_3, so on each block it is one scalar lambda_Q^{+-1}, and each one taken
+out is one shift and one sign of C_Q's keys.  lambda_Q is made once per
+block by the first word that needs it: (AB)^3 is formed on packed integers
+and refused unless it is a signed monomial times the identity
+(_full_twist).  A word with nothing to rewrite is traced as given.  Blocks
+of size 1, the writhe, the framing, closure_components and the budget all
+read the word as given, so the budget refuses exactly the words it would
+refuse if no twist were taken out, and a block forms the canonical word's
+factors only once the given word is within it.  The canonical form is
+read off the runs on one stack: each run is pushed once, plus at most
+five pushes for each merge or twist across the end, so it takes time
+linear in the number of runs.
 
 The extended polynomial sum_Q C_Q S_Q is assembled by power-sum
 monomial: with S_Q = sum_lam chi_Q(lam)/z_lam p_lam, the coefficient of
@@ -55,9 +76,10 @@ shifts and subtractions, divides the sum once, as one integer, by the product of
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, deque
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, cycle
+from math import prod
 from operator import index, mul
 
 from .qpoly import (
@@ -79,7 +101,7 @@ from .qpoly import (
     unpack_signed,
 )
 from .young import YoungDiagram, cube_blocks
-from .racah import build_block
+from .racah import NotIntertwined, build_block
 from .symfun import PowerSumPoly, schur_in_powersums, z_of
 
 __all__ = [
@@ -211,8 +233,13 @@ class CharacterExpansion(_Record):
 # --------------------------------------------------------------------------
 # radical-free trace engine
 
-def _block_trace(spec, word):
-    """C_Q for one block: Tr prod_i A^{a_i} B^{b_i} of its triangular pair."""
+def _block_trace(spec, word, blocks=None, twists=0):
+    """C_Q for one block: Tr prod_i A^{a_i} B^{b_i} of its triangular pair.
+
+    A block of size 1 is xi^w on the word as given.  Any other block
+    traces ``blocks`` (by default the word's own) and multiplies the trace
+    by lambda_Q^twists (_full_twist), ``blocks`` and ``twists`` as from
+    _canonical; its budget reads the word as given."""
     step, gens = _generators(spec)
     if len(gens[0][1][1]) == 1:
         # xi^w for the eigenvalue xi = c q^e, c = +-1
@@ -220,15 +247,33 @@ def _block_trace(spec, word):
         return _new(LaurentQ, {e * word.writhe: c if word.writhe % 2 else 1})
     _check_budget(spec, _digits_at_least(spec, word), " or more")
     factors = {ab: _factor(spec, *ab) for ab in set(word.blocks)}
-    width = signed_width(_trace_of_product(
-        word.blocks, {ab: f[2] for ab, (f, _) in factors.items()}))
-    # the factors' digit spans add up in the product: no packed integer
-    # below is longer than the trace's
-    _check_budget(spec, width * (1 + sum((hi - f[0]) // step for f, hi
-                                          in map(factors.get, word.blocks))), "")
+    norms = {ab: f[2] for ab, (f, _) in factors.items()}
+    # the factors' digit spans add up in the product: no packed integer of
+    # the given word's trace is longer than the trace
+    count = 1 + sum((hi - f[0]) // step for f, hi in map(factors.get, word.blocks))
+    if blocks is None or blocks is word.blocks:
+        blocks, width = word.blocks, signed_width(_trace_of_product(word.blocks, norms))
+        _check_budget(spec, width * count, "")
+    else:
+        # Tr prod N_k <= d prod_k (the largest row sum of N_k): the given
+        # word's norm trace is formed only when that bound is over, and
+        # the canonical factors only once the given word is in the budget
+        rows = {ab: max(map(sum, n)) for ab, n in norms.items()}
+        size = signed_width(len(gens[0][1][1]) * prod(map(rows.get, word.blocks)))
+        if size * count > TRACE_BYTES:
+            size = signed_width(_trace_of_product(word.blocks, norms))
+        _check_budget(spec, size * count, "")
+        factors.update((ab, _factor(spec, *ab)) for ab in set(blocks) - factors.keys())
+        norms = {ab: f[2] for ab, (f, _) in factors.items()}
+        width = signed_width(_trace_of_product(blocks, norms))
     digits = unpack_signed(_trace_of_product(
-        word.blocks, {ab: _packed_factor(spec, *ab, width) for ab in factors}), width)
-    base = sum(factors[ab][0][0] for ab in word.blocks)
+        blocks, {ab: _packed_factor(spec, *ab, width) for ab in set(blocks)}), width)
+    base = sum(factors[ab][0][0] for ab in blocks)
+    if twists:
+        e, c = _full_twist(spec)
+        base += twists * e
+        if c < 0 and twists % 2:
+            digits = {k: -d for k, d in digits.items()}
     return _new(LaurentQ, {base + step * k: d for k, d in digits.items()})
 
 
@@ -371,14 +416,126 @@ def _trace_of_product(keys, mats):
     return sum(map(mul, chain(*left), chain(*zip(*right))))
 
 
+# one entry per block of size > 1, made by the first word that takes out a
+# full twist there
+@lru_cache(maxsize=None)
+def _full_twist(spec):
+    """(e, c) with the full twist (AB)^3 = c q^e times the identity on one
+    block, c = +-1.
+
+    Delta^2 = (sigma_1 sigma_2)^3 is central in B_3, so it acts on every
+    irreducible block as one scalar; (AB)^3 is formed exactly, as the cube
+    of the factor AB on packed integers at a width that bounds its entries,
+    and checked to be one signed monomial times the identity.
+    """
+    step = _generators(spec)[0]
+    f = _factor(spec, 1, 1)[0]
+    width = signed_width(max(chain(*_power(f[2], 3))))
+    cube = _power(pack_matrix(f, width, step), 3)
+    # equal packed entries are equal polynomials: all share the lowest
+    # exponent 3 lo shifted out
+    scalar = unpack_signed(cube[0][0], width)
+    if len(scalar) != 1 or abs(sum(scalar.values())) != 1 or any(
+            cube[i][j] != (cube[0][0] if i == j else 0)
+            for i in range(len(cube)) for j in range(len(cube))):
+        raise NotIntertwined("block %s: the full twist (AB)^3 is not a signed "
+                             "monomial times the identity" % (spec.Q,))
+    ((k, c),) = scalar.items()
+    return 3 * f[0] + step * k, c
+
+
+def _canonical(blocks):
+    """(blocks, twists): the canonical blocks of a word and the number of
+    full twists taken out of it, Delta^-2 counting -1; the blocks
+    themselves and 0 when nothing is rewritten.
+
+    The word is read as the cyclic sequence of its generators' runs: runs
+    of one generator merge across zero exponents and around the end, and
+    each occurrence of (sigma_i sigma_j)^{+-3}, six runs whose inner four
+    are one letter of one sign s and whose outer two hold at least one
+    letter of sign s, is taken out (_push).  Delta^2 is central, so it
+    leaves the rest of the word where it was, and the trace is cyclic.
+    The canonical blocks start with sigma_1 where they can; the empty word
+    is the one block (0, 0).
+    """
+    exps = list(chain.from_iterable(blocks))
+    # a full twist holds four equal exponents +-1 in a row, cyclically
+    if 0 not in exps and (exps.count(1) < 4 > exps.count(-1) or not any(
+            a == b == c == d and a in (1, -1) for a, b, c, d in zip(
+                exps, exps[1:] + exps[:1], exps[2:] + exps[:2], exps[3:] + exps[:3]))):
+        return blocks, 0
+    runs = deque()
+    twists = _push(runs, zip(cycle((0, 1)), exps), 0)
+    # the word is cyclic: while its last run merges with its first, or a
+    # full twist crosses its end, the first run is pushed again at the
+    # end, so each run and each twist costs O(1) more
+    while len(runs) > 1 and (runs[0][0] == runs[-1][0] or len(runs) >= 6 and any(
+            _twist_sign(runs, end) for end in range(1, 6))):
+        twists = _push(runs, [runs.popleft()], twists)
+    if not twists and len(runs) == 2 * len(blocks):
+        return blocks, 0
+    if len(runs) > 1 and runs[0][0]:
+        runs.rotate(-1)
+    pairs = []
+    for g, e in runs:
+        if not g:
+            pairs.append([e, 0])
+        elif pairs:
+            pairs[-1][1] = e
+        else:
+            pairs.append([0, e])
+    return tuple(map(tuple, pairs)) or ((0, 0),), twists
+
+
+def _push(runs, pairs, twists):
+    """Push the sequence of pairs (generator, exponent) onto the stack of
+    runs; return twists plus the full twists taken out.
+
+    A run of the generator on top merges into it and a zero run is
+    dropped.  Whenever the six runs on top are a full twist of sign s,
+    one letter of each outer run and the four inner ones are taken out
+    and the outer runs' remains are pushed again, so no six runs on the
+    stack are ever a full twist.
+    """
+    pending = []
+    for pair in pairs:
+        pending.append(pair)
+        while pending:
+            g, e = pending.pop()
+            if runs and runs[-1][0] == g:
+                e += runs.pop()[1]
+            if e:
+                runs.append((g, e))
+                s = len(runs) >= 6 and _twist_sign(runs, 0)
+                if s:
+                    (g0, e0), (g5, e5) = runs[-6], runs[-1]
+                    for _ in range(6):
+                        runs.pop()
+                    twists += s
+                    pending += [(g5, e5 - s), (g0, e0 - s)]
+    return twists
+
+
+def _twist_sign(runs, end):
+    """s = +-1 when the six alternating runs runs[end - 6], ...,
+    runs[end - 1] (negative indices from the last run) hold Delta^{2s}:
+    the inner four one letter of sign s each, the outer two at least one
+    letter of sign s; else 0."""
+    (_, first), (_, s), (_, b), (_, c), (_, d), (_, last) = (
+        runs[i] for i in range(end - 6, end))
+    return s if s in (1, -1) and b == c == d == s and first * s > 0 and last * s > 0 else 0
+
+
 def character_coefficients(word, r):
-    """Trace every cube block of color r along the braid word.
+    """Trace every cube block of color r along the braid word, each block
+    of size > 1 on the word's canonical blocks (_canonical).
 
     Each coefficient is certified radical-free with unit denominator; the
     result is a plain Laurent polynomial per diagram Q.
     """
+    canonical = _canonical(word.blocks)
     return CharacterExpansion(r=r, coefficients={
-        spec.Q: _block_trace(spec, word) for spec in cube_blocks(r)})
+        spec.Q: _block_trace(spec, word, *canonical) for spec in cube_blocks(r)})
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,6 @@ import re
 import sys
 from functools import lru_cache
 
-from . import knotdb
 from .braid import (
     Braid3Word, NonPolynomialResult, TraceTooLarge, antisymmetric_dual,
     character_coefficients, closure_components, expansion_polynomial,
@@ -166,6 +165,8 @@ def _parse_outputs(values):
 
 def _knot_word(name):
     """The catalog braid word of a knot; an unknown name exits 1."""
+    from . import knotdb  # here: a --braid request reads no table
+
     try:
         return knotdb.braid_word(name)
     except knotdb.UnknownKnot:
@@ -252,6 +253,8 @@ def _cmd_compute(args, err):
 
 
 def _cmd_verify(args, err):
+    from . import knotdb
+
     names = knotdb.KNOT_NAMES if args.knot is None else dict.fromkeys(args.knot)  # once each
     words = [(name, _knot_word(name)) for name in names]
     ranks = _parse_rep_range(args.rep) if args.rep else knotdb.GOLDEN_RANKS
@@ -343,7 +346,7 @@ _MODES = {
             "--knot": {"action": "append",
                        "help": "catalog name (repeatable; default all)"},
             "--rep": {"help": "rank selection: '3', '1..4', or '1,3' (default %d..%d)"
-                      % (knotdb.GOLDEN_RANKS[0], knotdb.GOLDEN_RANKS[-1])},
+                      % (SUPPORTED_R[0], SUPPORTED_R[-1])},
         },
     ),
     "table": (

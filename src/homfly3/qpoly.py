@@ -405,8 +405,9 @@ def curly_atom_quotient(polys, plan, hooks):
     polynomials, not only at X; and the top sum(k) digits of every A-slice
     of Q are zero, so that each slice's quotient times D stays inside its
     slice and D divides every slice of P on its own.  A quotient too wide
-    for the digit bound is repacked and divided again at a wider width, up
-    to one that holds every true quotient: B * prod_k (qspan // k + 1) *
+    for the digit bound is divided again at a wider width, the sum's digits
+    (exact at the first width) spread to it as they are, up to one that
+    holds every true quotient: B * prod_k (qspan // k + 1) *
     |D|_1 bounds one, as each division by X^k - 1 sums at most qspan // k +
     1 digits of its dividend.  Any other failure, or one at that width, is
     an inexact division, and the sum's digits are then divided slice by
@@ -435,19 +436,22 @@ def curly_atom_quotient(polys, plan, hooks):
     norm = sum(map(abs, _hook_divisor(shifts)))
     widest = signed_width(bound * prod(qspan // k + 1 for k in shifts) * norm)
     width = _cast_width(signed_width(bound))
+    bits = 8 * width
+    slots = [pack_signed(p, qlo + lift, width, step) << ((n - a) // astep * qspan * bits)
+             if p else 0 for p, a, lift in zip(polys, alphas, lifts)]
+    total = _run_program(plan.program, plan.root, slots,
+                         [(2 * alpha // astep * qspan + 2 * EXP_DEN * beta // step) * bits
+                          for alpha, beta in plan.atoms])
     while True:
-        bits = 8 * width
-        slots = [pack_signed(p, qlo + lift, width, step) << ((n - a) // astep * qspan * bits)
-                 if p else 0 for p, a, lift in zip(polys, alphas, lifts)]
-        total = _run_program(plan.program, plan.root, slots,
-                             [(2 * alpha // astep * qspan + 2 * EXP_DEN * beta // step) * bits
-                              for alpha, beta in plan.atoms])
         quotient, rest = divmod(total, _hook_product(shifts, width))
         digits = unpack_digits(quotient, width)
-        fits = max(max(digits), -min(digits)) * norm < 1 << (bits - 1)
+        fits = max(max(digits), -min(digits)) * norm < 1 << (8 * width - 1)
         if rest or fits or width >= widest:
             break
-        width = _cast_width(min(2 * width, widest))
+        # the sum's digits are exact at the first width: they are spread
+        # to the wider one, not packed and summed again
+        wider = _cast_width(min(2 * width, widest))
+        total, width = pack_signed(unpack_signed(total, width), 0, wider), wider
     cut = max(qspan - sum(shifts), 0)
     if rest or not fits or any(any(digits[i + cut:i + qspan])
                                for i in range(0, len(digits), qspan)):

@@ -17,8 +17,10 @@ from homfly3.braid import (
     CharacterExpansion,
     NonPolynomialResult,
     _block_trace,
+    _canonical,
     _digits_at_least,
     _factor,
+    _full_twist,
     _reduction_plan,
     _trace_of_product,
     antisymmetric_dual,
@@ -45,7 +47,7 @@ from homfly3.qpoly import (
     unpack_signed,
 )
 from homfly3.knotdb import KNOT_NAMES, braid_word
-from homfly3.racah import build_block, twisted_basis
+from homfly3.racah import NotIntertwined, build_block, twisted_basis
 from homfly3.symfun import (
     PowerSumPoly,
     adams,
@@ -178,7 +180,8 @@ def test_three_component_torus_closure_fails_reduction():
 @pytest.mark.parametrize("n", [1, 2])
 def test_torus_character_coefficients_fit_adams_rule(n, r):
     # C_Q = G * q^(2 n kappa(Q) / 3) * c_Q with one global monomial G fixed
-    # by the Q = [3r] slot; the acceptance suite extends this to n = 4, 5
+    # by the Q = [3r] slot; the acceptance suite extends this to n = 4, 5,
+    # 7, 8, 16 and 49 at r = 1..4
     cs = character_coefficients(torus_word(n), r).coefficients
     c_adams = expand_in_schur(adams(schur_in_powersums(YoungDiagram([r])), 3), 3 * r)
     top = YoungDiagram([3 * r])
@@ -539,10 +542,14 @@ def recoupling_trace(block, word):
 
 
 def assert_engine_is_the_recoupling_trace(word, r):
+    # both the trace of the word as given and the coefficient traced on its
+    # canonical blocks, full twists taken out
+    coefficients = character_coefficients(word, r).coefficients
     for spec in cube_blocks(r):
         block = build_block(spec)
         got, want = _block_trace(spec, word), recoupling_trace(block, word)
         assert got.terms == want.terms, (word.render(), r, spec.Q)
+        assert coefficients[spec.Q].terms == want.terms, (word.render(), r, spec.Q)
         assert all(type(x) is int for x in got.terms.values())
 
 
@@ -755,3 +762,165 @@ def test_budget_lower_bound_is_below_the_packed_size(r, examples):
             assert _digits_at_least(block.spec, word) <= digits
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# canonical words: runs merged, full twists taken out
+
+@pytest.mark.parametrize("text,blocks,twists", [
+    ("|".join(["1,1"] * 7), ((1, 1),), 2),
+    ("|".join(["1,1"] * 48), ((0, 0),), 16),
+    # (sigma2 sigma1)^3 and Delta^-2 next to a run it leaves behind
+    ("0,1|1,1|1,1|1,0", ((0, 0),), 1),
+    ("-1,-1|-1,-1|-1,-1|2,0", ((2, 0),), -1),
+    # a twist that takes one letter from each outer run
+    ("2,1|1,1|1,2", ((1, 1),), 1),
+    # a twist across the end of the word: sigma1 Delta^2, cyclically
+    ("1,1|1,1|2,1", ((1, 0),), 1),
+    # runs merge across zero exponents, cancel, and close around the end
+    ("2,0|1,3", ((3, 3),), 0),
+    ("1,0|-1,2", ((0, 2),), 0),
+    ("1,2|1,0", ((2, 2),), 0),
+    ("1,2|-1,0", ((0, 2),), 0),
+    ("-1,1|0,-1|1,0", ((0, 0),), 0),
+])
+def test_canonical_blocks(text, blocks, twists):
+    assert _canonical(Braid3Word.parse(text).blocks) == (blocks, twists)
+
+
+def test_twists_across_the_end_cost_each_run_once(monkeypatch):
+    # (sigma1 sigma2 sigma1)^k sigma1^3 sigma2^3 (sigma2 sigma1 sigma2)^k
+    # nests k full twists across the end of the word: closing the cycle
+    # pushes O(1) runs per twist, not the whole word again per twist
+    k = 1000
+    word = Braid3Word.parse("|".join(["1,1|1,0"] * k + ["3,3"] + ["0,1|1,1"] * k))
+    pushed, push = [], braid._push
+
+    def counting(runs, pairs, twists):
+        pairs = list(pairs)
+        pushed.append(len(pairs))
+        return push(runs, pairs, twists)
+
+    monkeypatch.setattr(braid, "_push", counting)
+    assert _canonical(word.blocks) == (((3, 3),), k)
+    assert sum(pushed) < 3 * len(word.blocks) * 2
+
+
+def test_a_word_with_nothing_to_rewrite_keeps_its_blocks():
+    for name in KNOT_NAMES:
+        word = braid_word(name)
+        got, twists = _canonical(word.blocks)
+        assert got is word.blocks and twists == 0, name
+
+
+def letters_word(letters):
+    """The word of a sequence of letters (generator 0 or 1, sign), one
+    block per run of sigma_1 letters and the sigma_2 letters after it."""
+    blocks = [[0, 0]]
+    for g, s in letters:
+        if g == 0 and blocks[-1][1]:
+            blocks.append([0, 0])
+        blocks[-1][g] += s
+    return Braid3Word(map(tuple, blocks))
+
+
+@st.composite
+def twisted_knot_words(draw):
+    """A knot word, rotated by a whole number of letters, with one to three
+    full twists (sigma_i sigma_j)^{+-3} put in at letter positions."""
+    letters = [(g, 1 if e > 0 else -1) for ab in draw(knot_words()).blocks
+               for g, e in enumerate(ab) for _ in range(abs(e))]
+    turn = draw(st.integers(0, len(letters)))
+    letters = letters[turn:] + letters[:turn]
+    for _ in range(draw(st.integers(1, 3))):
+        s, first = draw(st.sampled_from([1, -1])), draw(st.integers(0, 1))
+        at = draw(st.integers(0, len(letters)))
+        letters[at:at] = [(first, s), (1 - first, s)] * 3
+    return letters_word(letters)
+
+
+@pytest.mark.parametrize("r,examples", [(1, 40), (2, 25), (3, 10)])
+def test_full_twists_come_out_of_the_trace(r, examples):
+    # the coefficient on the canonical blocks times lambda_Q^k is the
+    # product-path trace of the word as given
+    @settings(max_examples=examples)
+    @given(twisted_knot_words())
+    @example(letters_word([(0, 1), (1, 1)] * 3 + [(0, -1), (1, -1)] * 3 + [(0, 1), (1, 1)]))
+    def check(word):
+        coefficients = character_coefficients(word, r).coefficients
+        for spec in cube_blocks(r):
+            assert coefficients[spec.Q].terms == _block_trace(spec, word).terms, \
+                (word.render(), r, spec.Q)
+
+    check()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_full_twists_alone_trace_as_the_identity(r):
+    # Delta^2k is lambda_Q^k times the identity on a block of size d, so
+    # its trace is d lambda_Q^k; lambda_Q^d is the determinant of Delta^2,
+    # the product of the eigenvalues to the sixth
+    for k in (1, 2, -1):
+        word = Braid3Word(((1, 1),) * (3 * k) if k > 0 else ((-1, -1),) * (-3 * k))
+        coefficients = character_coefficients(word, r).coefficients
+        for spec in cube_blocks(r):
+            xi = build_block(spec).eigenvalues
+            if len(xi) == 1:
+                continue
+            e, c = _full_twist(spec)
+            got = coefficients[spec.Q].terms
+            assert got == {k * e: len(xi) * c ** abs(k)} == _block_trace(spec, word).terms
+            det = LaurentQ.one()
+            for x in xi:
+                det = det * x
+            assert (det ** 6).terms == {len(xi) * e: c ** len(xi)}, spec.Q
+
+
+def test_a_non_central_full_twist_is_refused(monkeypatch):
+    # a pair whose (AB)^3 is not a scalar: block [2,1]'s pair at r = 1
+    # with its off-diagonal entry of A doubled
+    spec = next(s for s in cube_blocks(1) if s.multiplicity > 1)
+    step, (a, b) = braid._generators(spec)
+    rows = [list(row) for row in a[1][1]]
+    rows[0][1] = {e: 2 * c for e, c in rows[0][1].items()}
+    bent = tuple(map(tuple, rows))
+    fake = spec._replace(j_min=spec.j_min - 1000)  # a key no cache holds
+    monkeypatch.setattr(braid, "_generators", lambda s: (step, (
+        {1: braid.laurent_matrix(bent), -1: braid.laurent_matrix(braid._inverse(bent))}, b)))
+    with pytest.raises(NotIntertwined, match="not a signed monomial times the identity"):
+        _full_twist(fake)
+    with pytest.raises(NotIntertwined):
+        _block_trace(fake, torus_word(4), ((1, 1),), 1)
+    # a scalar that is no monomial: AB = (1 + q^step) times the identity
+    scalar = {0: 1, step: 1}
+    monkeypatch.setattr(braid, "_factor", lambda s, x, y: (
+        braid.laurent_matrix(((scalar, {}), ({}, scalar))), step))
+    with pytest.raises(NotIntertwined, match="not a signed monomial"):
+        _full_twist(fake)
+
+
+def test_a_word_without_full_twists_certifies_none(monkeypatch):
+    # the unknot set-up, and any word with nothing to take out, forms no
+    # (AB)^3
+    monkeypatch.setattr(braid, "_full_twist", lambda spec: pytest.fail("lambda_Q formed"))
+    for r in (1, 2, 3, 4):
+        character_coefficients(Braid3Word.parse("1,-1"), r)
+        character_coefficients(braid_word("8_19"), r)
+
+
+def test_torus_reduction_widens_without_running_the_atoms_again(monkeypatch):
+    # (sigma1 sigma2)^7 at r = 3: its quotient needs 4-byte digits where
+    # its packed sum needs 2, and the sum's digits are spread to the wider
+    # width, not packed and summed by the atom program again
+    from homfly3 import qpoly
+    runs, widths = [], []
+    program, product = qpoly._run_program, qpoly._hook_product
+    monkeypatch.setattr(qpoly, "_run_program",
+                        lambda *args: runs.append(1) or program(*args))
+    monkeypatch.setattr(qpoly, "_hook_product",
+                        lambda shifts, width: widths.append(width) or product(shifts, width))
+    word = torus_word(7)
+    h = reduce_expansion(character_coefficients(word, 3), word.writhe)
+    monkeypatch.undo()
+    assert (runs, widths) == ([1], [2, 4])
+    assert h == reduced_homfly(word, 3)

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from homfly3 import cli
 from homfly3.braid import TRACE_BYTES
 from homfly3.cli import run
-from homfly3.knotdb import KNOT_NAMES, golden
+from homfly3.knotdb import GOLDEN_RANKS, KNOT_NAMES, golden
 from homfly3.qpoly import substitute
+from homfly3.young import SUPPORTED_R
 
 
 def invoke(*argv):
@@ -118,11 +119,12 @@ print(*sorted(set(sys.modules) - before))
 print(*checked)
 """
 
-# loaded only by what a braid compute request never runs: dataclasses and
-# importlib.resources (knotdb's tables) bring inspect, hashlib (verify's
-# checksums) loads OpenSSL, and racah_eigen is the eigenvalue cross-check
+# loaded only by what a braid compute request never runs: knotdb (the
+# --knot and verify paths) and the dataclasses and importlib.resources its
+# tables use bring inspect, hashlib (verify's checksums) loads OpenSSL, and
+# racah_eigen is the eigenvalue cross-check
 _COLD_START_EXCLUDED = ("dataclasses", "inspect", "hashlib", "_hashlib",
-                        "homfly3.racah_eigen")
+                        "homfly3.racah_eigen", "homfly3.knotdb")
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -316,6 +318,14 @@ def test_help_goes_to_out_and_exits_0(argv, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def test_verify_help_names_the_golden_ranks():
+    # cli formats the default from the supported ranks, so that a braid
+    # request need not import knotdb; verify runs knotdb.GOLDEN_RANKS
+    code, out, _ = invoke("verify", "--help")
+    assert code == 0 and GOLDEN_RANKS == SUPPORTED_R
+    assert "(default %d..%d)" % (GOLDEN_RANKS[0], GOLDEN_RANKS[-1]) in " ".join(out.split())
+
+
 def test_main_prints_help_and_returns_0(capsys):
     assert cli.main(["--help"]) == 0
     out = capsys.readouterr().out
@@ -350,6 +360,20 @@ def test_oversized_braid_word_exits_3_before_packing():
         assert (code, out) == (3, "")
         m = re.search(r"needs (\d+) bytes", err)
         assert m and int(m.group(1)) > TRACE_BYTES
+
+
+@pytest.mark.parametrize("n,refusal", [
+    (1000, "block [10,2]: the packed trace needs 1218174 bytes"),
+    # block [10,2] passes on its exact size, though its cheap bound is over
+    (900, "block [9,3]: the packed trace needs 1480735 bytes"),
+])
+def test_budget_reads_the_word_as_given(n, refusal):
+    # (sigma1 sigma2)^n is floor(n / 3) full twists and at most one factor,
+    # yet the budget refuses it on its size as given
+    code, out, err = invoke("compute", "--braid", "|".join(["1,1"] * n), "--rep", "4")
+    assert (code, out) == (3, "")
+    assert err.endswith("braid word too large: %s, over the budget of %d\n"
+                        % (refusal, TRACE_BYTES))
 
 
 # ---------------------------------------------------------------------------
