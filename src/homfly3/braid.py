@@ -33,27 +33,27 @@ TraceTooLarge: first, before any power is formed, on a lower bound of its
 digit count, 1 plus a span bound per factor read off its exponents (three
 entries of A^x B^y are known in closed form) and kept per (block, x, y),
 then on its exact size, read off the cached factors, before any is packed.
-A word traced as given reads that size off the trace of its factors' norm
-matrices N_k, which also sets its width; a rewritten word (below) first
-tries the upper bound d prod_k (largest row sum of N_k) on that trace, and
-forms the trace only when the bound is over.
+The exact size is read off the trace of the factors' norm matrices,
+which also sets the width.
 
-Every block of size > 1 traces the word's canonical form (_canonical): its
-generators' runs, read cyclically, merged across zero exponents and around
-the end, with every occurrence of (sigma_1 sigma_2)^{+-3} or (sigma_2
-sigma_1)^{+-3} taken out.  That is the full twist Delta^{+-2}, central in
-B_3, so on each block it is one scalar lambda_Q^{+-1}, and each one taken
-out is one shift and one sign of C_Q's keys.  lambda_Q is made once per
-block by the first word that needs it: (AB)^3 is formed on packed integers
-and refused unless it is a signed monomial times the identity
-(_full_twist).  A word with nothing to rewrite is traced as given.  Blocks
-of size 1, the writhe, the framing, closure_components and the budget all
-read the word as given, so the budget refuses exactly the words it would
-refuse if no twist were taken out, and a block forms the canonical word's
-factors only once the given word is within it.  The canonical form is
-read off the runs on one stack: each run is pushed once, plus at most
-five pushes for each merge or twist across the end, so it takes time
-linear in the number of runs.
+A block of size > 1 traces the word's canonical form (_canonical) when
+the word holds a full twist: an occurrence of (sigma_1 sigma_2)^{+-3} or
+(sigma_2 sigma_1)^{+-3}, read cyclically on its generators' runs.  That
+is Delta^{+-2}, central in B_3, so on each block it is one scalar
+lambda_Q^{+-1}, and each one taken out is one shift and one sign of C_Q's
+keys.  The canonical form takes out every full twist, merging the runs
+that meet across zero exponents and around the end.  lambda_Q is made
+once per block by the first word that needs it: (AB)^3 is formed on
+packed integers and refused unless it is a signed monomial times the
+identity (_full_twist).  A word with no full twist is traced as given.
+Blocks of size 1, the writhe, the framing, closure_components and the
+budget all read the word as given, so the budget refuses exactly the
+words it would refuse if no twist were taken out; a block forms the
+canonical factors only once the given word is within it, and traces the
+given word after all when the canonical trace would not be smaller.  The
+canonical form is read off the runs on one stack: each run is pushed
+once, plus at most five pushes for each merge or twist across the end, so
+it takes time linear in the number of runs.
 
 The extended polynomial sum_Q C_Q S_Q is assembled by power-sum
 monomial: with S_Q = sum_lam chi_Q(lam)/z_lam p_lam, the coefficient of
@@ -79,7 +79,6 @@ import re
 from collections import Counter, deque
 from functools import lru_cache
 from itertools import chain, cycle
-from math import prod
 from operator import index, mul
 
 from .qpoly import (
@@ -237,44 +236,46 @@ def _block_trace(spec, word, blocks=None, twists=0):
     """C_Q for one block: Tr prod_i A^{a_i} B^{b_i} of its triangular pair.
 
     A block of size 1 is xi^w on the word as given.  Any other block
-    traces ``blocks`` (by default the word's own) and multiplies the trace
-    by lambda_Q^twists (_full_twist), ``blocks`` and ``twists`` as from
-    _canonical; its budget reads the word as given."""
+    passes the budget on the word as given; with twists, it then traces
+    ``blocks`` and multiplies the trace by lambda_Q^twists (_full_twist),
+    ``blocks`` and ``twists`` as from _canonical."""
     step, gens = _generators(spec)
     if len(gens[0][1][1]) == 1:
         # xi^w for the eigenvalue xi = c q^e, c = +-1
         ((e, c),) = gens[0][1][1][0][0].items()
         return _new(LaurentQ, {e * word.writhe: c if word.writhe % 2 else 1})
     _check_budget(spec, _digits_at_least(spec, word), " or more")
-    factors = {ab: _factor(spec, *ab) for ab in set(word.blocks)}
-    norms = {ab: f[2] for ab, (f, _) in factors.items()}
-    # the factors' digit spans add up in the product: no packed integer of
-    # the given word's trace is longer than the trace
-    count = 1 + sum((hi - f[0]) // step for f, hi in map(factors.get, word.blocks))
-    if blocks is None or blocks is word.blocks:
-        blocks, width = word.blocks, signed_width(_trace_of_product(word.blocks, norms))
-        _check_budget(spec, width * count, "")
-    else:
-        # Tr prod N_k <= d prod_k (the largest row sum of N_k): the given
-        # word's norm trace is formed only when that bound is over, and
-        # the canonical factors only once the given word is in the budget
-        rows = {ab: max(map(sum, n)) for ab, n in norms.items()}
-        size = signed_width(len(gens[0][1][1]) * prod(map(rows.get, word.blocks)))
-        if size * count > TRACE_BYTES:
-            size = signed_width(_trace_of_product(word.blocks, norms))
-        _check_budget(spec, size * count, "")
-        factors.update((ab, _factor(spec, *ab)) for ab in set(blocks) - factors.keys())
-        norms = {ab: f[2] for ab, (f, _) in factors.items()}
-        width = signed_width(_trace_of_product(blocks, norms))
+    trace = word.blocks
+    factors = {ab: _factor(spec, *ab) for ab in set(trace)}
+    width, count = _trace_size(step, factors, trace)
+    # the factors' digit spans add up in the product: no packed integer
+    # below is longer than the trace's
+    _check_budget(spec, width * count, "")
+    if twists:
+        canonical = {ab: _factor(spec, *ab) for ab in set(blocks)}
+        size = _trace_size(step, canonical, blocks)
+        if size[0] * size[1] <= width * count:
+            trace, factors, width = blocks, canonical, size[0]
+        else:
+            twists = 0
     digits = unpack_signed(_trace_of_product(
-        blocks, {ab: _packed_factor(spec, *ab, width) for ab in set(blocks)}), width)
-    base = sum(factors[ab][0][0] for ab in blocks)
+        trace, {ab: _packed_factor(spec, *ab, width) for ab in factors}), width)
+    base = sum(factors[ab][0][0] for ab in trace)
     if twists:
         e, c = _full_twist(spec)
         base += twists * e
         if c < 0 and twists % 2:
             digits = {k: -d for k, d in digits.items()}
     return _new(LaurentQ, {base + step * k: d for k, d in digits.items()})
+
+
+def _trace_size(step, factors, blocks):
+    """(width, count) of the packed trace along blocks, factors[ab] =
+    _factor of each of its blocks: the signed width that holds the trace
+    of the factors' norm matrices, and 1 + the sum of their digit spans."""
+    width = signed_width(_trace_of_product(
+        blocks, {ab: f[2] for ab, (f, _) in factors.items()}))
+    return width, 1 + sum((hi - f[0]) // step for f, hi in map(factors.get, blocks))
 
 
 def _check_budget(spec, nbytes, qualifier):
@@ -447,7 +448,8 @@ def _full_twist(spec):
 def _canonical(blocks):
     """(blocks, twists): the canonical blocks of a word and the number of
     full twists taken out of it, Delta^-2 counting -1; the blocks
-    themselves and 0 when nothing is rewritten.
+    themselves and 0 when the word holds no full twist, whatever runs it
+    could merge.
 
     The word is read as the cyclic sequence of its generators' runs: runs
     of one generator merge across zero exponents and around the end, and
@@ -459,8 +461,9 @@ def _canonical(blocks):
     is the one block (0, 0).
     """
     exps = list(chain.from_iterable(blocks))
-    # a full twist holds four equal exponents +-1 in a row, cyclically
-    if 0 not in exps and (exps.count(1) < 4 > exps.count(-1) or not any(
+    # with no zero exponent the runs are the exponents, and a full twist
+    # is six of them, four equal exponents +-1 in a row, cyclically
+    if 0 not in exps and (len(exps) < 6 or exps.count(1) < 4 > exps.count(-1) or not any(
             a == b == c == d and a in (1, -1) for a, b, c, d in zip(
                 exps, exps[1:] + exps[:1], exps[2:] + exps[:2], exps[3:] + exps[:3]))):
         return blocks, 0
@@ -472,7 +475,7 @@ def _canonical(blocks):
     while len(runs) > 1 and (runs[0][0] == runs[-1][0] or len(runs) >= 6 and any(
             _twist_sign(runs, end) for end in range(1, 6))):
         twists = _push(runs, [runs.popleft()], twists)
-    if not twists and len(runs) == 2 * len(blocks):
+    if not twists:
         return blocks, 0
     if len(runs) > 1 and runs[0][0]:
         runs.rotate(-1)

@@ -21,6 +21,7 @@ from homfly3.braid import (
     _digits_at_least,
     _factor,
     _full_twist,
+    _trace_size,
     _reduction_plan,
     _trace_of_product,
     antisymmetric_dual,
@@ -777,15 +778,27 @@ def test_budget_lower_bound_is_below_the_packed_size(r, examples):
     ("2,1|1,1|1,2", ((1, 1),), 1),
     # a twist across the end of the word: sigma1 Delta^2, cyclically
     ("1,1|1,1|2,1", ((1, 0),), 1),
-    # runs merge across zero exponents, cancel, and close around the end
-    ("2,0|1,3", ((3, 3),), 0),
-    ("1,0|-1,2", ((0, 2),), 0),
-    ("1,2|1,0", ((2, 2),), 0),
-    ("1,2|-1,0", ((0, 2),), 0),
-    ("-1,1|0,-1|1,0", ((0, 0),), 0),
+    # with a twist taken out, runs merge across zero exponents, cancel,
+    # and close around the end
+    ("1,1|1,0|0,1|1,1|2,0|1,3", ((3, 3),), 1),
+    ("1,0|-1,2|1,1|1,1|1,1", ((0, 2),), 1),
+    ("1,2|1,1|1,1|1,1|1,0", ((2, 2),), 1),
+    ("-1,1|0,-1|1,0|-1,-1|-1,-1|-1,-1", ((0, 0),), -1),
 ])
 def test_canonical_blocks(text, blocks, twists):
     assert _canonical(Braid3Word.parse(text).blocks) == (blocks, twists)
+
+
+@pytest.mark.parametrize("text", [
+    "2,0|1,3", "1,0|-1,2", "1,2|1,0", "1,2|-1,0", "-1,1|0,-1|1,0",
+    "|".join(["1,0"] * 20),
+])
+def test_a_word_without_full_twists_keeps_its_runs(text):
+    # runs that could merge across zero exponents or around the end are
+    # left as given when no full twist comes out
+    blocks = Braid3Word.parse(text).blocks
+    got, twists = _canonical(blocks)
+    assert got is blocks and twists == 0
 
 
 def test_twists_across_the_end_cost_each_run_once(monkeypatch):
@@ -848,11 +861,39 @@ def test_full_twists_come_out_of_the_trace(r, examples):
     @example(letters_word([(0, 1), (1, 1)] * 3 + [(0, -1), (1, -1)] * 3 + [(0, 1), (1, 1)]))
     def check(word):
         coefficients = character_coefficients(word, r).coefficients
+        blocks, twists = _canonical(word.blocks)
         for spec in cube_blocks(r):
             assert coefficients[spec.Q].terms == _block_trace(spec, word).terms, \
                 (word.render(), r, spec.Q)
+            # the canonical trace packs no more bytes than the given one,
+            # so the budget on the word as given bounds it
+            if twists and spec.multiplicity > 1:
+                step = braid._generators(spec)[0]
+                factors = {ab: _factor(spec, *ab) for ab in set(blocks + word.blocks)}
+                width, count = _trace_size(step, factors, blocks)
+                given = _trace_size(step, factors, word.blocks)
+                assert width * count <= given[0] * given[1], (word.render(), r, spec.Q)
 
     check()
+
+
+def test_a_canonical_trace_longer_than_the_given_one_is_not_taken(monkeypatch):
+    # should the canonical word's packed trace ever be longer than the
+    # word's as given, the block traces the word as given, with no twist
+    word = torus_word(7)
+    blocks, twists = _canonical(word.blocks)
+    size = braid._trace_size
+
+    def longer(step, factors, bs):
+        width, count = size(step, factors, bs)
+        return (width, count + 10 ** 6) if bs is blocks else (width, count)
+
+    monkeypatch.setattr(braid, "_trace_size", longer)
+    monkeypatch.setattr(braid, "_full_twist", lambda spec: pytest.fail("lambda_Q formed"))
+    for r in (1, 2, 3):
+        for spec in cube_blocks(r):
+            assert _block_trace(spec, word, blocks, twists).terms == \
+                _block_trace(spec, word).terms == recoupling_trace(build_block(spec), word).terms
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
