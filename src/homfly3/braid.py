@@ -34,7 +34,9 @@ digit count, 1 plus a span bound per factor read off its exponents (three
 entries of A^x B^y are known in closed form) and kept per (block, x, y),
 then on its exact size, read off the cached factors, before any is packed.
 The exact size is read off the trace of the factors' norm matrices,
-which also sets the width.
+which also sets the width; a word that is not traced as given (below)
+first tries the upper bound d prod_k (largest row sum of N_k) on that
+trace, and forms the trace only when the bound is over.
 
 A block of size > 1 traces the word's canonical form (_canonical) when
 the word holds a full twist: an occurrence of (sigma_1 sigma_2)^{+-3} or
@@ -50,8 +52,8 @@ Blocks of size 1, the writhe, the framing, closure_components and the
 budget all read the word as given, so the budget refuses exactly the
 words it would refuse if no twist were taken out; a block forms the
 canonical factors only once the given word is within it, and traces the
-given word after all when the canonical trace would not be smaller.  The
-canonical form is read off the runs on one stack: each run is pushed
+given word after all should the canonical trace pack more bytes than the
+size the given word passed on.  The canonical form is read off the runs on one stack: each run is pushed
 once, plus at most five pushes for each merge or twist across the end, so
 it takes time linear in the number of runs.
 
@@ -79,6 +81,7 @@ import re
 from collections import Counter, deque
 from functools import lru_cache
 from itertools import chain, cycle
+from math import prod
 from operator import index, mul
 
 from .qpoly import (
@@ -238,7 +241,8 @@ def _block_trace(spec, word, blocks=None, twists=0):
     A block of size 1 is xi^w on the word as given.  Any other block
     passes the budget on the word as given; with twists, it then traces
     ``blocks`` and multiplies the trace by lambda_Q^twists (_full_twist),
-    ``blocks`` and ``twists`` as from _canonical."""
+    ``blocks`` and ``twists`` as from _canonical, unless that trace would
+    pack more bytes than the given one's."""
     step, gens = _generators(spec)
     if len(gens[0][1][1]) == 1:
         # xi^w for the eigenvalue xi = c q^e, c = +-1
@@ -247,17 +251,25 @@ def _block_trace(spec, word, blocks=None, twists=0):
     _check_budget(spec, _digits_at_least(spec, word), " or more")
     trace = word.blocks
     factors = {ab: _factor(spec, *ab) for ab in set(trace)}
-    width, count = _trace_size(step, factors, trace)
-    # the factors' digit spans add up in the product: no packed integer
-    # below is longer than the trace's
-    _check_budget(spec, width * count, "")
+    count = _digit_count(step, factors, trace)
+    # the factors' digit spans add up in the product: no packed integer of
+    # a trace is longer than its width times its digit count.  A word with
+    # twists is not traced as given, so the trace of its norm matrices is
+    # formed only when d prod_k (largest row sum of N_k), which bounds it,
+    # is over the budget
+    size = twists and signed_width(len(gens[0][1][1]) * prod(
+        max(map(sum, factors[ab][0][2])) for ab in trace)) * count
+    if not twists or size > TRACE_BYTES:
+        width = _norm_width(factors, trace)
+        size = width * count
+    _check_budget(spec, size, "")
     if twists:
         canonical = {ab: _factor(spec, *ab) for ab in set(blocks)}
-        size = _trace_size(step, canonical, blocks)
-        if size[0] * size[1] <= width * count:
-            trace, factors, width = blocks, canonical, size[0]
+        narrow = _norm_width(canonical, blocks)
+        if narrow * _digit_count(step, canonical, blocks) <= size:
+            trace, factors, width = blocks, canonical, narrow
         else:
-            twists = 0
+            twists, width = 0, _norm_width(factors, trace)
     digits = unpack_signed(_trace_of_product(
         trace, {ab: _packed_factor(spec, *ab, width) for ab in factors}), width)
     base = sum(factors[ab][0][0] for ab in trace)
@@ -269,13 +281,17 @@ def _block_trace(spec, word, blocks=None, twists=0):
     return _new(LaurentQ, {base + step * k: d for k, d in digits.items()})
 
 
-def _trace_size(step, factors, blocks):
-    """(width, count) of the packed trace along blocks, factors[ab] =
-    _factor of each of its blocks: the signed width that holds the trace
-    of the factors' norm matrices, and 1 + the sum of their digit spans."""
-    width = signed_width(_trace_of_product(
+def _norm_width(factors, blocks):
+    """The signed width that holds every coefficient of the trace along
+    blocks: that of the trace of the factors' norm matrices."""
+    return signed_width(_trace_of_product(
         blocks, {ab: f[2] for ab, (f, _) in factors.items()}))
-    return width, 1 + sum((hi - f[0]) // step for f, hi in map(factors.get, blocks))
+
+
+def _digit_count(step, factors, blocks):
+    """The packed trace's digit count along blocks: 1 + the sum of the
+    factors' digit spans."""
+    return 1 + sum((hi - f[0]) // step for f, hi in map(factors.get, blocks))
 
 
 def _check_budget(spec, nbytes, qualifier):

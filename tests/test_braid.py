@@ -5,7 +5,7 @@ import pickle
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,9 +19,10 @@ from homfly3.braid import (
     _block_trace,
     _canonical,
     _digits_at_least,
+    _digit_count,
     _factor,
     _full_twist,
-    _trace_size,
+    _norm_width,
     _reduction_plan,
     _trace_of_product,
     antisymmetric_dual,
@@ -866,13 +867,18 @@ def test_full_twists_come_out_of_the_trace(r, examples):
             assert coefficients[spec.Q].terms == _block_trace(spec, word).terms, \
                 (word.render(), r, spec.Q)
             # the canonical trace packs no more bytes than the given one,
-            # so the budget on the word as given bounds it
+            # so the budget on the word as given bounds it; and d prod_k
+            # (largest row sum of N_k) bounds the given word's norm trace
             if twists and spec.multiplicity > 1:
                 step = braid._generators(spec)[0]
                 factors = {ab: _factor(spec, *ab) for ab in set(blocks + word.blocks)}
-                width, count = _trace_size(step, factors, blocks)
-                given = _trace_size(step, factors, word.blocks)
-                assert width * count <= given[0] * given[1], (word.render(), r, spec.Q)
+                norms = {ab: f[2] for ab, (f, _) in factors.items()}
+                given = _norm_width(factors, word.blocks) * _digit_count(
+                    step, factors, word.blocks)
+                assert _norm_width(factors, blocks) * _digit_count(
+                    step, factors, blocks) <= given, (word.render(), r, spec.Q)
+                assert _trace_of_product(word.blocks, norms) <= spec.multiplicity * prod(
+                    max(map(sum, norms[ab])) for ab in word.blocks)
 
     check()
 
@@ -882,13 +888,12 @@ def test_a_canonical_trace_longer_than_the_given_one_is_not_taken(monkeypatch):
     # word's as given, the block traces the word as given, with no twist
     word = torus_word(7)
     blocks, twists = _canonical(word.blocks)
-    size = braid._trace_size
+    count = braid._digit_count
 
     def longer(step, factors, bs):
-        width, count = size(step, factors, bs)
-        return (width, count + 10 ** 6) if bs is blocks else (width, count)
+        return count(step, factors, bs) + (10 ** 6 if bs is blocks else 0)
 
-    monkeypatch.setattr(braid, "_trace_size", longer)
+    monkeypatch.setattr(braid, "_digit_count", longer)
     monkeypatch.setattr(braid, "_full_twist", lambda spec: pytest.fail("lambda_Q formed"))
     for r in (1, 2, 3):
         for spec in cube_blocks(r):

@@ -364,7 +364,7 @@ def test_oversized_braid_word_exits_3_before_packing():
 
 @pytest.mark.parametrize("n,refusal", [
     (1000, "block [10,2]: the packed trace needs 1218174 bytes"),
-    # block [10,2] passes, the next block is over
+    # block [10,2] passes on its exact size, though its cheap bound is over
     (900, "block [9,3]: the packed trace needs 1480735 bytes"),
 ])
 def test_budget_reads_the_word_as_given(n, refusal):
