@@ -53,9 +53,10 @@ budget all read the word as given, so the budget refuses exactly the
 words it would refuse if no twist were taken out; a block forms the
 canonical factors only once the given word is within it, and traces the
 given word after all should the canonical trace pack more bytes than the
-size the given word passed on.  The canonical form is read off the runs on one stack: each run is pushed
-once, plus at most five pushes for each merge or twist across the end, so
-it takes time linear in the number of runs.
+size the given word passed on.  The canonical form is read off the runs
+on one stack: each run is pushed once, plus at most five pushes for each
+merge or twist across the end, so it takes time linear in the number of
+runs.
 
 The extended polynomial sum_Q C_Q S_Q is assembled by power-sum
 monomial: with S_Q = sum_lam chi_Q(lam)/z_lam p_lam, the coefficient of
@@ -257,8 +258,9 @@ def _block_trace(spec, word, blocks=None, twists=0):
     # twists is not traced as given, so the trace of its norm matrices is
     # formed only when d prod_k (largest row sum of N_k), which bounds it,
     # is over the budget
-    size = twists and signed_width(len(gens[0][1][1]) * prod(
-        max(map(sum, factors[ab][0][2])) for ab in trace)) * count
+    if twists:
+        rows = {ab: max(map(sum, f[2])) for ab, (f, _) in factors.items()}
+        size = signed_width(len(gens[0][1][1]) * prod(map(rows.get, trace))) * count
     if not twists or size > TRACE_BYTES:
         width = _norm_width(factors, trace)
         size = width * count
@@ -476,10 +478,13 @@ def _canonical(blocks):
     The canonical blocks start with sigma_1 where they can; the empty word
     is the one block (0, 0).
     """
+    # a full twist is six alternating runs, so it needs three blocks; with
+    # no zero exponent the runs are the exponents, and it holds four equal
+    # exponents +-1 in a row, cyclically
+    if len(blocks) < 3:
+        return blocks, 0
     exps = list(chain.from_iterable(blocks))
-    # with no zero exponent the runs are the exponents, and a full twist
-    # is six of them, four equal exponents +-1 in a row, cyclically
-    if 0 not in exps and (len(exps) < 6 or exps.count(1) < 4 > exps.count(-1) or not any(
+    if 0 not in exps and (exps.count(1) < 4 > exps.count(-1) or not any(
             a == b == c == d and a in (1, -1) for a, b, c, d in zip(
                 exps, exps[1:] + exps[:1], exps[2:] + exps[:2], exps[3:] + exps[:3]))):
         return blocks, 0
