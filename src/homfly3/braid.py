@@ -557,9 +557,9 @@ def character_coefficients(word, r):
     Each coefficient is certified radical-free with unit denominator; the
     result is a plain Laurent polynomial per diagram Q.
     """
-    canonical = _canonical(word.blocks)
+    blocks, twists = _canonical(word.blocks)
     return CharacterExpansion(r=r, coefficients={
-        spec.Q: _block_trace(spec, word, *canonical) for spec in cube_blocks(r)})
+        spec.Q: _block_trace(spec, word, blocks, twists) for spec in cube_blocks(r)})
 
 
 # --------------------------------------------------------------------------
